@@ -1,14 +1,19 @@
 //! Recovery cost of the durability subsystem: how long a crashed
 //! `DurableAlex` takes to come back as a function of the WAL tail it
-//! must replay past the newest leaf snapshot.
+//! must replay past the newest leaf snapshot, and of the tail's key
+//! order.
 //!
 //! For each tail length the run bulk-creates an index (which writes a
 //! snapshot immediately), appends that many logged inserts with fsync
 //! off, simulates a crash by dropping the handle, and times
-//! `DurableAlex::open` — snapshot page load plus run-batched tail
-//! replay. The `tail=0` row isolates the pure snapshot-load floor.
-//! Reported per row: `recovery_ms`, `replayed`, `replay_ops_per_sec`
-//! (replayed records per second of recovery), `wal_bytes`, and
+//! `DurableAlex::open` — snapshot page load plus tail replay, which
+//! upserts record by record in place on the exclusive index before it
+//! is shared. Every tail length runs twice: `order=ascending` logs the
+//! tail keys in key order, `order=shuffled` in a seeded random order
+//! (the shape a live random-insert workload leaves behind). The
+//! `tail=0` rows isolate the pure snapshot-load floor. Reported per
+//! row: `recovery_ms`, `replayed`, `replay_ops_per_sec` (replayed
+//! records per second of recovery), `wal_bytes`, and
 //! `append_ops_per_sec` for the logging side of the same tail.
 //!
 //! ```sh
@@ -20,16 +25,20 @@
 //!
 //! Expected shape: recovery time is flat at the snapshot-load floor
 //! for short tails and grows linearly in the tail length; replay
-//! throughput approaches batch-insert throughput because maximal
-//! sorted runs go through `bulk_insert` rather than point upserts.
+//! throughput rises with tail length toward exclusive point-insert
+//! throughput in both orders, since neither order has a batched path.
 
 use std::time::Instant;
 
 use alex_bench::cli::Args;
 use alex_bench::harness::{emit_metric, ReportFormat, METRIC_CSV_HEADER};
+use alex_bench::DEFAULT_SEED;
 use alex_core::AlexConfig;
 use alex_wal::tempdir::TempDir;
 use alex_wal::{DurableAlex, SyncPolicy, WalOptions};
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 const RUN: &str = "fig_recovery";
 
@@ -65,21 +74,25 @@ fn main() {
     } else {
         println!("Recovery cost: {n} snapshotted keys, WAL tail sweep (fsync off)");
         println!(
-            "{:<14} {:>12} {:>12} {:>18} {:>12} {:>18}",
+            "{:<28} {:>12} {:>12} {:>18} {:>12} {:>18}",
             "tail", "recovery_ms", "replayed", "replay_ops_per_sec", "wal_kb", "append_ops_per_sec"
         );
     }
 
-    for tail in tails {
+    for (tail, order) in tails.iter().flat_map(|&t| [(t, "ascending"), (t, "shuffled")]) {
         let dir = TempDir::new("fig-recovery");
         let index = DurableAlex::create(dir.path(), &init, config, opts)
             .expect("create on a fresh temp dir");
 
         // The logged tail: odd keys interleaved between the loaded
         // evens, so replay exercises real model adjustments.
+        let mut keys: Vec<u64> = (0..tail as u64).map(|j| 2 * j + 1).collect();
+        if order == "shuffled" {
+            keys.shuffle(&mut StdRng::seed_from_u64(DEFAULT_SEED));
+        }
         let t = Instant::now();
-        for j in 0..tail as u64 {
-            index.insert(2 * j + 1, j).expect("fresh odd key");
+        for &k in &keys {
+            index.insert(k, k / 2).expect("fresh odd key");
         }
         index.flush_wal().expect("flush");
         let append_secs = t.elapsed().as_secs_f64();
@@ -93,7 +106,7 @@ fn main() {
         assert_eq!(back.len(), n + tail, "recovery must land every record");
         assert_eq!(report.replayed, tail, "tail replay must skip the snapshotted prefix");
 
-        let label = format!("tail={tail}");
+        let label = format!("tail={tail} order={order}");
         let recovery_ms = recovery_secs * 1e3;
         let replay_rate = report.replayed as f64 / recovery_secs.max(1e-12);
         let append_rate = tail as f64 / append_secs.max(1e-12);
@@ -107,7 +120,7 @@ fn main() {
             }
             ReportFormat::Table => {
                 println!(
-                    "{:<14} {:>12.2} {:>12} {:>18.0} {:>12} {:>18.0}",
+                    "{:<28} {:>12.2} {:>12} {:>18.0} {:>12} {:>18.0}",
                     label,
                     recovery_ms,
                     report.replayed,

@@ -11,11 +11,19 @@ pub struct Args {
 impl Args {
     /// Parse `--name value` pairs from `std::env::args`.
     pub fn parse() -> Self {
+        Self::from_args(std::env::args().skip(1))
+    }
+
+    /// Parse `--name value` pairs; a `--name` followed by another
+    /// `--…` token, or by nothing, is a boolean flag set to `true`.
+    fn from_args(args: impl IntoIterator<Item = String>) -> Self {
         let mut flags = HashMap::new();
-        let mut argv = std::env::args().skip(1);
+        let mut argv = args.into_iter().peekable();
         while let Some(arg) = argv.next() {
             if let Some(name) = arg.strip_prefix("--") {
-                let value = argv.next().unwrap_or_else(|| "true".to_string());
+                let value = argv
+                    .next_if(|next| !next.starts_with("--"))
+                    .unwrap_or_else(|| "true".to_string());
                 flags.insert(name.to_string(), value);
             }
         }
@@ -59,5 +67,30 @@ mod tests {
         assert_eq!(args.usize("keys", 7), 7);
         assert_eq!(args.string("workload", "read-only"), "read-only");
         assert!(!args.flag("grid"));
+    }
+
+    fn parse(argv: &[&str]) -> Args {
+        Args::from_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn boolean_flag_before_a_valued_flag_keeps_both() {
+        let args = parse(&["--csv", "--keys", "5"]);
+        assert!(args.flag("csv"));
+        assert_eq!(args.usize("keys", 7), 5);
+    }
+
+    #[test]
+    fn boolean_flag_after_a_valued_flag_keeps_both() {
+        let args = parse(&["--keys", "5", "--csv"]);
+        assert!(args.flag("csv"));
+        assert_eq!(args.usize("keys", 7), 5);
+    }
+
+    #[test]
+    fn trailing_boolean_flag_is_true() {
+        let args = parse(&["--csv"]);
+        assert!(args.flag("csv"));
+        assert_eq!(args.string("csv", "false"), "true");
     }
 }

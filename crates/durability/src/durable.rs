@@ -40,6 +40,17 @@
 //! logs a `Put`, and skipping it because the key exists would resurrect
 //! the older value.
 //!
+//! ## Replay runs before the index is shared
+//!
+//! [`DurableAlex::open`] bulk-loads the snapshot's pairs into an
+//! exclusive [`AlexIndex`] and applies the tail to it in place, record
+//! by record in LSN order, through the ordinary model-based inserts
+//! into gapped arrays. Only then is the index wrapped in an
+//! [`EpochAlex`]. No reader or writer can reach it before `open`
+//! returns, so copy-on-write, epoch retirement and delta buffers
+//! would do no useful work during replay (the redo-before-readers
+//! discipline of ARIES).
+//!
 //! ## What a crash can and cannot lose
 //!
 //! With [`SyncPolicy::Always`] and `group_commit_ops == 1` nothing
@@ -144,8 +155,9 @@ where
 
     /// Recover the index in `dir`: load the newest complete snapshot,
     /// repair the log (truncating any torn tail), and replay the tail
-    /// above the snapshot LSN through the normal write paths. An
-    /// empty or missing directory recovers to an empty index.
+    /// above the snapshot LSN in place on the exclusive index, before
+    /// that index is wrapped for shared use. An empty or missing
+    /// directory recovers to an empty index.
     pub fn open(
         dir: impl Into<PathBuf>,
         config: AlexConfig,
@@ -153,56 +165,26 @@ where
     ) -> io::Result<(Self, RecoveryReport)> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let snapshot = find_best_snapshot::<K, V>(&dir)?;
-        let (snapshot_lsn, snapshot_leaves, pairs) = match snapshot {
-            Some(data) => {
-                let leaves = data.leaves.len();
-                let mut pairs = Vec::with_capacity(data.leaves.iter().map(Vec::len).sum());
-                for leaf in data.leaves {
-                    pairs.extend(leaf);
-                }
-                debug_assert!(
-                    pairs.windows(2).all(|w| w[0].0 < w[1].0),
-                    "snapshot pages must concatenate sorted"
-                );
-                (data.snapshot_lsn, leaves, pairs)
-            }
+        let (snapshot_lsn, snapshot_leaves, pairs) = match find_best_snapshot::<K, V>(&dir)? {
+            Some(data) => (data.snapshot_lsn, data.pages, data.pairs),
             None => (0, 0, Vec::new()),
         };
-        let inner = EpochAlex::from_index(AlexIndex::bulk_load(&pairs, config));
+        debug_assert!(
+            pairs.windows(2).all(|w| w[0].0 < w[1].0),
+            "snapshot pages must concatenate sorted"
+        );
+        let mut index = AlexIndex::bulk_load(&pairs, config);
         drop(pairs);
         let scan = scan_and_repair::<K, V>(&dir)?;
+        // Nothing can reach `index` before `open` returns, so replay
+        // edits the gapped arrays in place: copy-on-write, epoch
+        // retirement and delta buffers start only once it is shared.
+        let upsert = |index: &mut AlexIndex<K, V>, key: K, value: V| {
+            if index.update(&key, value.clone()).is_none() {
+                index.insert(key, value).expect("the WAL never holds sentinel keys");
+            }
+        };
         let mut replayed = 0usize;
-        let mut run: Vec<(K, V)> = Vec::new();
-        let flush_run = |run: &mut Vec<(K, V)>, inner: &EpochAlex<K, V>| {
-            if run.is_empty() {
-                return;
-            }
-            // The normal bulk path skips duplicates, but a replayed
-            // `Put` must win (it may be an update); bulk-insert the
-            // run only when every key is absent, else upsert each.
-            let keys: Vec<K> = run.iter().map(|(k, _)| *k).collect();
-            if inner.get_many(&keys).iter().all(Option::is_none) {
-                let landed = inner
-                    .bulk_insert(run)
-                    .expect("the WAL never holds sentinel keys");
-                debug_assert_eq!(landed, run.len());
-            } else {
-                for (k, v) in run.drain(..) {
-                    upsert_in(inner, k, v);
-                }
-            }
-            run.clear();
-        };
-        // Batch maximal strictly-increasing Put runs so big sequential
-        // tails replay through the run-level CoW bulk path instead of
-        // one publish per record.
-        let push_put = |run: &mut Vec<(K, V)>, inner: &EpochAlex<K, V>, key: K, value: V| {
-            if run.last().is_some_and(|(last, _)| *last >= key) {
-                flush_run(run, inner);
-            }
-            run.push((key, value));
-        };
         for (lsn, record) in scan.records {
             if lsn <= snapshot_lsn {
                 continue;
@@ -210,29 +192,23 @@ where
             match record {
                 WalRecord::Put { key, value } => {
                     replayed += 1;
-                    push_put(&mut run, &inner, key, value);
+                    upsert(&mut index, key, value);
                 }
                 WalRecord::PutRun { pairs } => {
-                    // One logical record, `pairs.len()` logical upserts
-                    // (`replayed` counts upserts so the report stays
-                    // comparable across the two logging forms). The
-                    // run is strictly increasing by the append-side
-                    // contract, so at most the first pair can force a
-                    // flush of the pending run.
+                    // `replayed` counts logical upserts, not frames, so
+                    // the report stays comparable across both forms.
                     replayed += pairs.len();
                     for (key, value) in pairs {
-                        push_put(&mut run, &inner, key, value);
+                        upsert(&mut index, key, value);
                     }
                 }
                 WalRecord::Tombstone { key } => {
                     replayed += 1;
-                    flush_run(&mut run, &inner);
-                    inner.remove(&key);
+                    index.remove(&key);
                 }
                 WalRecord::Checkpoint { .. } => {}
             }
         }
-        flush_run(&mut run, &inner);
         let last_lsn = scan.last_lsn.max(snapshot_lsn);
         let report = RecoveryReport {
             snapshot_lsn,
@@ -244,7 +220,7 @@ where
         };
         let wal = Wal::resume(&dir, opts, last_lsn + 1, last_lsn);
         let this = Self {
-            inner,
+            inner: EpochAlex::from_index(index),
             wal: Mutex::new(wal),
             snap_lock: Mutex::new(()),
             dir,
@@ -342,8 +318,8 @@ where
     /// Only the pairs that *land* are logged: the in-memory path
     /// skips duplicates, but replay upserts, so logging a skipped
     /// pair would make recovery disagree with the live index. A
-    /// chunk's pairs are strictly increasing by construction, which is
-    /// the replay batching contract `open` leans on.
+    /// chunk's pairs are strictly increasing by construction, as
+    /// [`WalRecord::PutRun`] requires.
     ///
     /// # Panics
     /// Panics (debug builds) if `pairs` is not sorted by key.
@@ -505,16 +481,6 @@ fn reject_sentinel<K: DurableKey>(key: &K) -> io::Result<()> {
         ));
     }
     Ok(())
-}
-
-fn upsert_in<K, V>(inner: &EpochAlex<K, V>, key: K, value: V)
-where
-    K: DurableKey,
-    V: Clone + Default,
-{
-    if inner.update(&key, value.clone()).is_none() {
-        inner.insert(key, value).expect("insert after failed update under replay");
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,10 @@
 //! - [`durable`] — [`DurableAlex`], the wrapper wiring both onto the
 //!   index, and `open`, which rebuilds state as *newest complete
 //!   snapshot + WAL tail replay*, truncating torn tails at the first
-//!   bad CRC.
+//!   bad CRC. Replay runs in place on the exclusive
+//!   [`AlexIndex`](alex_core::AlexIndex) before that index is wrapped
+//!   for shared use, so it pays plain gapped-array inserts rather than
+//!   copy-on-write publishes.
 //!
 //! # On-disk formats
 //!

@@ -61,8 +61,10 @@ pub enum WalRecord<K, V> {
     /// A sorted run of upserts under **one** frame + CRC + LSN — the
     /// batched form `bulk_insert` logs instead of one [`WalRecord::Put`]
     /// frame per pair (17 bytes of framing amortized over the run).
-    /// Pairs must be strictly increasing by key; replay applies them
-    /// exactly like a run of `Put`s at the same position in the log.
+    /// Pairs must be strictly increasing by key. Replay upserts them
+    /// one by one, in place on the not-yet-shared index, exactly like
+    /// a run of `Put`s at the same position in the log: the run saves
+    /// log bytes, not replay work.
     PutRun { pairs: Vec<(K, V)> },
 }
 

@@ -47,14 +47,17 @@ const SLOT_ENTRY: usize = 8;
 /// simply span several pages.
 const MAX_CELLS_PER_PAGE: usize = u16::MAX as usize;
 
-/// One decoded snapshot: the leaf pages' pairs, in key order.
+/// One decoded snapshot: every page's pairs, in key order.
 #[derive(Debug)]
 pub struct SnapshotData<K, V> {
     /// Every record with LSN `<= snapshot_lsn` is reflected here;
     /// replay starts strictly after it.
     pub snapshot_lsn: Lsn,
-    /// One entry per page (per serialized leaf), concatenation sorted.
-    pub leaves: Vec<Vec<(K, V)>>,
+    /// Pages the file held (one per serialized leaf, more only for
+    /// leaves past 65 535 cells).
+    pub pages: usize,
+    /// All pages' pairs concatenated in file order, hence sorted.
+    pub pairs: Vec<(K, V)>,
 }
 
 /// Streaming writer for one snapshot file.
@@ -162,7 +165,8 @@ fn encode_page<K: WalCodec, V: WalCodec>(pairs: &[(K, V)]) -> Vec<u8> {
     page
 }
 
-fn decode_page<K: WalCodec, V: WalCodec>(page: &[u8]) -> Option<Vec<(K, V)>> {
+/// Decode one page's cells onto the end of `out`.
+fn decode_page<K: WalCodec, V: WalCodec>(page: &[u8], out: &mut Vec<(K, V)>) -> Option<()> {
     if page.len() < SLOT_DIR_HEADER {
         return None;
     }
@@ -171,7 +175,7 @@ fn decode_page<K: WalCodec, V: WalCodec>(page: &[u8]) -> Option<Vec<(K, V)>> {
     if page.len() < dir_len {
         return None;
     }
-    let mut out = Vec::with_capacity(cells);
+    out.reserve(cells);
     for i in 0..cells {
         let entry = SLOT_DIR_HEADER + SLOT_ENTRY * i;
         let offset = u32::from_le_bytes(page[entry..entry + 4].try_into().ok()?) as usize;
@@ -188,7 +192,7 @@ fn decode_page<K: WalCodec, V: WalCodec>(page: &[u8]) -> Option<Vec<(K, V)>> {
         }
         out.push((key, value));
     }
-    Some(out)
+    Some(())
 }
 
 /// Parse one snapshot file. `Ok(None)` means the file is absent,
@@ -211,7 +215,13 @@ fn parse_snapshot<K: WalCodec, V: WalCodec>(bytes: &[u8]) -> Option<SnapshotData
         return None;
     }
     let snapshot_lsn = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
-    let mut leaves = Vec::new();
+    let mut pages = 0usize;
+    // No codec encodes a value wider than it is in memory, so this
+    // over-counts cells by at most the page headers' share; for the
+    // fixed-width numeric codecs it is the cell count within that
+    // slack, which keeps the decoded pairs one allocation.
+    let cell_bytes = SLOT_ENTRY + std::mem::size_of::<K>() + std::mem::size_of::<V>();
+    let mut pairs = Vec::with_capacity(bytes.len() / cell_bytes);
     let mut offset = 16usize;
     loop {
         if bytes.len() < offset + 4 {
@@ -222,12 +232,12 @@ fn parse_snapshot<K: WalCodec, V: WalCodec>(bytes: &[u8]) -> Option<SnapshotData
             if bytes.len() < offset + 12 {
                 return None;
             }
-            let pages = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().ok()?);
+            let count = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().ok()?);
             let crc = u32::from_le_bytes(bytes[offset + 8..offset + 12].try_into().ok()?);
-            if pages as usize != leaves.len() || crc != footer_crc(snapshot_lsn, pages) {
+            if count as usize != pages || crc != footer_crc(snapshot_lsn, count) {
                 return None;
             }
-            return Some(SnapshotData { snapshot_lsn, leaves });
+            return Some(SnapshotData { snapshot_lsn, pages, pairs });
         }
         let len = len as usize;
         if len > MAX_PAGE_BYTES || bytes.len() < offset + 8 + len {
@@ -238,7 +248,8 @@ fn parse_snapshot<K: WalCodec, V: WalCodec>(bytes: &[u8]) -> Option<SnapshotData
         if crc32(page) != expect_crc {
             return None;
         }
-        leaves.push(decode_page(page)?);
+        decode_page(page, &mut pairs)?;
+        pages += 1;
         offset += 8 + len;
     }
 }
@@ -371,7 +382,8 @@ mod tests {
         write_snapshot(dir.path(), 7, &leaves);
         let data = load_snapshot::<u64, u64>(&snapshot_path(dir.path(), 7)).unwrap().unwrap();
         assert_eq!(data.snapshot_lsn, 7);
-        assert_eq!(data.leaves, leaves);
+        assert_eq!(data.pages, leaves.len(), "an empty leaf still counts as a page");
+        assert_eq!(data.pairs, leaves.concat());
     }
 
     #[test]

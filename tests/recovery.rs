@@ -14,11 +14,12 @@
 use std::collections::BTreeMap;
 
 use alex_repro::alex_api::{ConcurrentIndex, IndexRead, LockedBTreeMap};
-use alex_repro::alex_core::AlexConfig;
+use alex_repro::alex_core::{AlexConfig, EpochWriteStats};
 use alex_repro::alex_wal::tempdir::TempDir;
 use alex_repro::alex_wal::{DurableAlex, Lsn, SyncPolicy, WalOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 
 fn opts(group: usize) -> WalOptions {
@@ -320,6 +321,43 @@ fn snapshot_plus_tail_replay_matches_the_oracle() {
         "the snapshot must absorb the pre-snapshot history"
     );
     assert_matches_model(&back, &model_prefix(&journal, committed));
+}
+
+#[test]
+fn shuffled_tail_replays_in_place_before_the_index_is_shared() {
+    // A random-order tail of fresh inserts mixed with updates and
+    // removes of snapshotted keys, replayed into 256-key leaves so
+    // replay splits them. The recovered state must match the oracle,
+    // and replay must have run on the exclusive index: the shared
+    // handle starts with no leaf clone, delta hit or retired node.
+    let dir = TempDir::new("recovery-inplace");
+    let base: Vec<(u64, u64)> = (0..1000u64).map(|k| (k * 4, k)).collect();
+    let index = DurableAlex::create(dir.path(), &base, config(32), opts(1)).unwrap();
+    let mut model: BTreeMap<u64, u64> = base.iter().copied().collect();
+    let mut rng = StdRng::seed_from_u64(0x1A9C);
+    let mut fresh: Vec<u64> = (0..3000u64).map(|k| k * 4 + 1).collect();
+    fresh.shuffle(&mut rng);
+    let mut logged = 0usize;
+    for (i, &k) in fresh.iter().enumerate() {
+        assert!(index.insert(k, k).unwrap());
+        model.insert(k, k);
+        logged += 1;
+        let old = rng.random_range(0u64..1000) * 4;
+        if i % 3 == 0 && index.update(&old, i as u64).unwrap().is_some() {
+            model.insert(old, i as u64);
+            logged += 1;
+        }
+        if i % 5 == 0 && index.remove(&old).unwrap().is_some() {
+            model.remove(&old);
+            logged += 1;
+        }
+    }
+    drop(index); // crash; group size 1 committed every record
+    let (back, report) = reopen(dir.path(), 32);
+    assert_eq!(report.replayed, logged);
+    assert_matches_model(&back, &model);
+    assert_eq!(back.index().write_stats(), EpochWriteStats::default());
+    assert_eq!(back.index().epoch_stats().retired_total, 0);
 }
 
 #[test]
