@@ -1,7 +1,9 @@
 //! Figure 8: shifts per insert. The Learned Index's gap-less dense
 //! array shifts half the array per insert; the PMA layout and the
 //! adaptive RMI each cut shifts by an order of magnitude or more by
-//! avoiding (PMA) or bounding (ARMI) fully-packed regions.
+//! avoiding (PMA) or bounding (ARMI) fully-packed regions. ALEX rows
+//! also count the leaves degraded to uniform placement and
+//! binary-search hints (`AlexIndex::degraded_leaves`).
 //!
 //! ```sh
 //! cargo run -p alex-bench --release --bin fig8_shifts -- --keys 400000
@@ -33,8 +35,8 @@ fn main() {
             inserts.len()
         );
         println!(
-            "{:<16} {:>14} {:>18} {:>14}",
-            "index", "shifts/insert", "rebalance moves", "expansions"
+            "{:<16} {:>14} {:>18} {:>14} {:>10}",
+            "index", "shifts/insert", "rebalance moves", "expansions", "degraded"
         );
     }
 
@@ -105,13 +107,15 @@ fn main() {
             emit_metric("fig8", &label, "shifts_per_insert", format!("{:.2}", w.shifts_per_insert()));
             emit_metric("fig8", &label, "rebalance_moves", w.rebalance_moves);
             emit_metric("fig8", &label, "expansions", w.expansions);
+            emit_metric("fig8", &label, "degraded_leaves", alex.degraded_leaves());
         } else {
             println!(
-                "{:<16} {:>14.2} {:>18} {:>14}",
+                "{:<16} {:>14.2} {:>18} {:>14} {:>10}",
                 cfg.variant_name(),
                 w.shifts_per_insert(),
                 w.rebalance_moves,
-                w.expansions
+                w.expansions,
+                format!("{}/{}", alex.degraded_leaves(), alex.num_data_nodes())
             );
         }
     }

@@ -132,7 +132,11 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
     }
 
     /// Whether the last (re)train flagged this node's model as
-    /// degraded (uniform placement + binary-search hints).
+    /// degraded (uniform placement + binary-search hints): the key
+    /// projection collapsed or the fit is noise, or — for a gapped node
+    /// rebuilt by writes — model-based placement would have packed the
+    /// keys into runs costing more shifts per insert than
+    /// log2(capacity).
     #[inline]
     pub fn is_degraded(&self) -> bool {
         dispatch!(self, n => n.is_degraded())
@@ -183,6 +187,31 @@ mod tests {
             assert_eq!(node.get(&1001), Some(&7));
             assert_eq!(node.remove(&1001), Some(7));
             assert_eq!(node.to_pairs(), pairs);
+        }
+    }
+
+    #[test]
+    #[cfg(feature = "read-stats")]
+    fn degraded_lookups_count_probes_and_no_direct_hits() {
+        // Dense keys past 2^53 collapse the projection, so both layouts
+        // degrade at bulk load and hint with an exact binary search.
+        let base = u64::MAX - 1_000_000;
+        let pairs: Vec<(u64, u64)> = (0..4096).map(|i| (base + 2 * i, i)).collect();
+        for layout in [NodeLayout::Gapped, NodeLayout::Pma] {
+            let node = DataNode::bulk_load(&pairs, layout, NodeParams::default());
+            assert!(node.is_degraded());
+            for (k, v) in &pairs {
+                assert_eq!(node.get(k), Some(v));
+            }
+            let stats = node.read_stats();
+            assert_eq!(stats.lookups(), pairs.len() as u64);
+            assert_eq!(stats.direct_hits(), 0, "{layout:?}: an exact hint is no direct hit");
+            let min = u64::from(node.capacity().ilog2()) * stats.lookups();
+            assert!(
+                stats.comparisons() >= min,
+                "{layout:?}: {} comparisons, want at least log2(capacity) per lookup ({min})",
+                stats.comparisons()
+            );
         }
     }
 

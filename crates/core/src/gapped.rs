@@ -5,11 +5,21 @@
 //! expects future keys. When density crosses the upper limit `d` the
 //! node expands by `1/d` (bringing density back to `d²`), retrains its
 //! model, and re-inserts every key model-based (Algorithm 3).
+//!
+//! A node whose model cannot place its keys *degrades* to uniform
+//! placement and exact binary-search hints: at any (re)train when the
+//! model cannot separate the keys (`model_degraded`), and at a
+//! rebuild brought on by writes (expansion or contraction) when
+//! model-based placement would pack the keys into runs whose expected
+//! shifts per insert exceed log2(capacity), the probe count of the
+//! binary search. One line over a step-shaped CDF piles most of a leaf
+//! into a single run that every insert shifts through. Every rebuild
+//! decides afresh, so a node goes back to its model once it fits.
 
 use crate::config::{NodeParams, Placement};
 use crate::key::AlexKey;
 use crate::model::LinearModel;
-use crate::slots::{InsertPlan, SlotArray};
+use crate::slots::{model_based_shifts_per_insert, InsertPlan, SlotArray};
 use crate::stats::{ReadStats, WriteStats};
 
 /// Outcome of a data-node insert.
@@ -27,14 +37,16 @@ pub struct GappedNode<K, V> {
     pub(crate) slots: SlotArray<K, V>,
     pub(crate) model: LinearModel,
     params: NodeParams,
-    /// Degradation guard: set at (re)train time when the model's
+    /// Degradation guard, set at (re)train time when the model's
     /// `as_f64` projection cannot separate this node's keys (shared
-    /// string prefixes, dense integers past 2⁵³). A degraded node
-    /// places uniformly and answers [`GappedNode::predict`] with an
-    /// exact binary lower bound, so inserts never pile into the few
-    /// predicted slots and lookups stay O(log capacity). Re-evaluated
-    /// at every retrain, so the node recovers as soon as its key set
-    /// becomes separable again.
+    /// string prefixes, dense integers past 2⁵³) or, at a rebuild
+    /// brought on by writes, when model-based placement would pack the
+    /// keys into runs that cost more shifts per insert than
+    /// log2(capacity). A degraded node places uniformly and answers
+    /// [`GappedNode::predict`] with an exact binary lower bound, so
+    /// inserts never pile into the few predicted slots and lookups
+    /// stay O(log capacity). Re-evaluated at every retrain, so the
+    /// node recovers as soon as its model fits again.
     degraded: bool,
     pub(crate) writes: WriteStats,
     pub(crate) reads: ReadStats,
@@ -48,11 +60,15 @@ const DEGRADE_COLLAPSE_FACTOR: usize = 4;
 /// injective).
 const DEGRADE_ERROR_FRACTION: f64 = 0.125;
 
-/// The degradation detector both leaf layouts share: one pass over the
-/// sorted keys counting distinct projections and summing |predicted −
-/// uniform target| per key. Either criterion alone flips the node —
-/// a collapsed projection (ties) even when the fit looks plausible,
-/// and a garbage fit even when the projection is injective.
+/// The degradation detector both leaf layouts share at every
+/// (re)train: one pass over the sorted keys counting distinct
+/// projections and summing |predicted − uniform target| per key.
+/// Either criterion alone flips the node — a collapsed projection
+/// (ties) even when the fit looks plausible, and a garbage fit even
+/// when the projection is injective. A gapped node rebuilt by writes
+/// has a second trigger, the packing estimate in
+/// [`GappedNode`]'s `train_and_place`: a fit can pass both criteria
+/// here and still pile most keys into one run.
 pub(crate) fn model_degraded<'a, K: AlexKey + 'a>(
     keys: impl Iterator<Item = &'a K>,
     n: usize,
@@ -100,7 +116,7 @@ impl<K: AlexKey, V: Clone + Default> GappedNode<K, V> {
     pub fn bulk_load(pairs: &[(K, V)], params: NodeParams) -> Self {
         let n = pairs.len();
         let capacity = Self::capacity_for(n, &params);
-        let (model, slots, degraded) = Self::train_and_place(pairs, capacity, &params);
+        let (model, slots, degraded) = Self::train_and_place(pairs, capacity, &params, false);
         Self {
             slots,
             model,
@@ -115,10 +131,20 @@ impl<K: AlexKey, V: Clone + Default> GappedNode<K, V> {
         ((n as f64 / params.init_density).ceil() as usize).max(Self::MIN_CAPACITY)
     }
 
+    /// Train the model over `capacity` slots, decide whether the node
+    /// degrades, and place the keys. `write_triggered` marks a rebuild
+    /// brought on by inserts or deletes; only those also degrade when
+    /// model-based placement would pack the keys so densely that the
+    /// expected shifts per insert exceed log2(capacity), the probe
+    /// count of the binary search that replaces the model. Bulk load
+    /// keeps its model: it has no writes to shift yet, and on large
+    /// leaves an exponential search from the model's hint touches
+    /// fewer cache lines than a binary search.
     fn train_and_place(
         pairs: &[(K, V)],
         capacity: usize,
         params: &NodeParams,
+        write_triggered: bool,
     ) -> (LinearModel, SlotArray<K, V>, bool) {
         let n = pairs.len();
         let base = LinearModel::fit(pairs.iter().enumerate().map(|(i, p)| (p.0.as_f64(), i as f64)));
@@ -127,8 +153,11 @@ impl<K: AlexKey, V: Clone + Default> GappedNode<K, V> {
         } else {
             base.scaled(capacity as f64 / n as f64)
         };
-        let degraded =
-            n >= params.min_model_keys && model_degraded(pairs.iter().map(|p| &p.0), n, capacity, &model);
+        let keys = || pairs.iter().map(|p| &p.0);
+        let packs = || model_based_shifts_per_insert(keys(), capacity, &model) > (capacity as f64).log2();
+        let degraded = n >= params.min_model_keys
+            && (model_degraded(keys(), n, capacity, &model)
+                || (write_triggered && params.placement == Placement::ModelBased && packs()));
         let slots = if degraded {
             // Model placement would pile keys into the few predicted
             // slots; uniform spacing keeps the gaps spread for the
@@ -171,20 +200,30 @@ impl<K: AlexKey, V: Clone + Default> GappedNode<K, V> {
     /// Model-predicted slot for `key`.
     #[inline]
     pub fn predict(&self, key: &K) -> usize {
+        self.hint(key).0
+    }
+
+    /// Search hint for `key`, with the key comparisons spent finding
+    /// it (only a degraded node's binary search spends any).
+    #[inline]
+    fn hint(&self, key: &K) -> (usize, u32) {
         if self.degraded {
             // Degraded model: the hint is an exact binary lower bound
             // over the gap-filled keys — O(log capacity), no model.
-            self.slots.binary_lower_bound_slot(key)
+            let r = self.slots.binary_lower_bound(key);
+            (r.pos, r.comparisons)
         } else if self.uses_model() {
-            self.model.predict_clamped(key.as_f64(), self.capacity())
+            (self.model.predict_clamped(key.as_f64(), self.capacity()), 0)
         } else {
             // Cold start: binary search (hint = middle is equivalent).
-            self.capacity() / 2
+            (self.capacity() / 2, 0)
         }
     }
 
     /// Whether the last (re)train flagged the model as degraded and
-    /// flipped this node to uniform placement + binary search.
+    /// flipped this node to uniform placement + binary search: the
+    /// projection could not separate the keys, or (at a write-triggered
+    /// rebuild) model-based placement would have packed them.
     #[inline]
     pub fn is_degraded(&self) -> bool {
         self.degraded
@@ -192,18 +231,24 @@ impl<K: AlexKey, V: Clone + Default> GappedNode<K, V> {
 
     /// Look up `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let hint = self.predict(key);
-        let (slot, comparisons) = self.slots.find_key(key, hint);
-        self.reads.record(comparisons, slot == Some(hint));
-        slot.map(|s| &self.slots.values[s])
+        self.find(key).map(|s| &self.slots.values[s])
     }
 
     /// Look up `key` mutably.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let hint = self.predict(key);
+        self.find(key).map(|s| &mut self.slots.values[s])
+    }
+
+    /// Slot holding `key`, counted in the read stats: the hint's own
+    /// probes are comparisons too, and a degraded node never scores a
+    /// direct hit (its hint is the exact lower bound, not a model
+    /// prediction).
+    #[inline]
+    fn find(&self, key: &K) -> Option<usize> {
+        let (hint, probes) = self.hint(key);
         let (slot, comparisons) = self.slots.find_key(key, hint);
-        self.reads.record(comparisons, slot == Some(hint));
-        slot.map(|s| &mut self.slots.values[s])
+        self.reads.record(probes + comparisons, !self.degraded && slot == Some(hint));
+        slot
     }
 
     /// First occupied slot with key `>= key` (for range scans). Returns
@@ -306,7 +351,7 @@ impl<K: AlexKey, V: Clone + Default> GappedNode<K, V> {
 
     fn rebuild(&mut self, capacity: usize) {
         let pairs = self.slots.to_pairs();
-        let (model, slots, degraded) = Self::train_and_place(&pairs, capacity, &self.params);
+        let (model, slots, degraded) = Self::train_and_place(&pairs, capacity, &self.params, true);
         self.model = model;
         self.slots = slots;
         self.degraded = degraded;
@@ -520,6 +565,63 @@ mod tests {
     fn linear_data_does_not_degrade() {
         let node = GappedNode::bulk_load(&sorted_pairs(2000, 7), params());
         assert!(!node.is_degraded(), "separable keys must keep the model");
+    }
+
+    #[test]
+    fn linear_keys_stay_model_placed_across_expansions() {
+        // The packing trigger must not fire where the model fits: a
+        // linear key set that fills in through several expansions keeps
+        // model-based placement and its direct hits.
+        let mut node = GappedNode::bulk_load(&sorted_pairs(2000, 8), params());
+        let fill: Vec<u64> = (0..8000u64).map(|k| 2 * k).filter(|k| k % 8 != 0).collect();
+        for i in 0..fill.len() {
+            let k = fill[i * 2503 % fill.len()];
+            assert!(matches!(node.insert(k, k), InsertOutcome::Inserted { .. }));
+        }
+        assert_eq!(node.num_keys(), 8000);
+        assert!(node.write_stats().expansions >= 3, "expansions {}", node.write_stats().expansions);
+        assert!(!node.is_degraded(), "a model that fits must keep model-based placement");
+        let errs = node.prediction_errors();
+        let direct = errs.iter().filter(|&&e| e == 0).count();
+        assert!(
+            direct * 5 >= errs.len() * 4,
+            "expected at least 80% direct hits, got {direct}/{}",
+            errs.len()
+        );
+        node.debug_assert_invariants();
+    }
+
+    #[test]
+    fn packed_model_layout_degrades_on_expansion() {
+        // A step CDF: two dense clusters far apart. One line through
+        // both predicts most of each cluster into a few slots, so
+        // model-based placement packs each cluster into one run. Bulk
+        // load keeps the model; the first expansion sees the packing
+        // and degrades to uniform placement.
+        let mut keys: Vec<u64> = (0..1000u64).map(|k| k * 4).collect();
+        keys.extend((0..1000u64).map(|k| (1 << 40) + k * 4));
+        let pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
+        let mut node = GappedNode::bulk_load(&pairs, params());
+        assert!(!node.is_degraded(), "bulk load keeps its model");
+        let mut i = 0u64;
+        while node.write_stats().expansions == 0 {
+            let k = keys[(i * 997 % 2000) as usize] + 2;
+            assert!(matches!(node.insert(k, k), InsertOutcome::Inserted { .. }));
+            i += 1;
+        }
+        assert!(node.is_degraded(), "a packed layout must degrade on expansion");
+        let before = *node.write_stats();
+        for j in 0..200u64 {
+            let k = keys[(j * 1009 % 2000) as usize] + 1;
+            assert!(matches!(node.insert(k, k), InsertOutcome::Inserted { .. }));
+        }
+        let after = node.write_stats();
+        let shifts = (after.shifts - before.shifts) as f64 / (after.inserts - before.inserts) as f64;
+        assert!(shifts < 4.0, "uniform gaps must absorb inserts, got {shifts} shifts/insert");
+        for &k in keys.iter().step_by(37) {
+            assert_eq!(node.get(&k), Some(&k));
+        }
+        node.debug_assert_invariants();
     }
 
     #[test]

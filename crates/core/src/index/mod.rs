@@ -193,10 +193,13 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         self.store.num_leaves()
     }
 
-    /// Number of data nodes whose model degraded (locally constant
-    /// `as_f64` projection — shared string prefixes, dense `u64`s past
-    /// 2⁵³) and which therefore fell back to uniform placement + binary
-    /// search at their last (re)train.
+    /// Number of data nodes that fell back to uniform placement +
+    /// binary search at their last (re)train: their model could not
+    /// separate the keys (locally constant `as_f64` projection — shared
+    /// string prefixes, dense `u64`s past 2⁵³ — or a noise fit), or, at
+    /// a gapped leaf's expansion or contraction, model-based placement
+    /// would have packed the keys into long runs (a step-shaped CDF
+    /// such as `longlat`'s under one linear model).
     pub fn degraded_leaves(&self) -> usize {
         self.store.leaves().filter(|l| l.data.is_degraded()).count()
     }

@@ -116,13 +116,21 @@ impl<K: AlexKey, V: Clone + Default> PmaNode<K, V> {
     /// Model-predicted slot for `key`.
     #[inline]
     pub fn predict(&self, key: &K) -> usize {
+        self.hint(key).0
+    }
+
+    /// Search hint for `key`, with the key comparisons spent finding
+    /// it (only a degraded node's binary search spends any).
+    #[inline]
+    fn hint(&self, key: &K) -> (usize, u32) {
         if self.degraded {
             // Degraded model: exact binary lower bound, no model.
-            self.slots.binary_lower_bound_slot(key)
+            let r = self.slots.binary_lower_bound(key);
+            (r.pos, r.comparisons)
         } else if self.uses_model() {
-            self.model.predict_clamped(key.as_f64(), self.capacity())
+            (self.model.predict_clamped(key.as_f64(), self.capacity()), 0)
         } else {
-            self.capacity() / 2
+            (self.capacity() / 2, 0)
         }
     }
 
@@ -135,18 +143,22 @@ impl<K: AlexKey, V: Clone + Default> PmaNode<K, V> {
 
     /// Look up `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let hint = self.predict(key);
-        let (slot, comparisons) = self.slots.find_key(key, hint);
-        self.reads.record(comparisons, slot == Some(hint));
-        slot.map(|s| &self.slots.values[s])
+        self.find(key).map(|s| &self.slots.values[s])
     }
 
     /// Look up `key` mutably.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let hint = self.predict(key);
+        self.find(key).map(|s| &mut self.slots.values[s])
+    }
+
+    /// Slot holding `key`, counted in the read stats like the gapped
+    /// node's: hint probes included, no direct hits when degraded.
+    #[inline]
+    fn find(&self, key: &K) -> Option<usize> {
+        let (hint, probes) = self.hint(key);
         let (slot, comparisons) = self.slots.find_key(key, hint);
-        self.reads.record(comparisons, slot == Some(hint));
-        slot.map(|s| &mut self.slots.values[s])
+        self.reads.record(probes + comparisons, !self.degraded && slot == Some(hint));
+        slot
     }
 
     /// First occupied slot with key `>= key`, or `capacity()`.

@@ -82,10 +82,11 @@ impl<K: AlexKey, V: Clone + Default> SlotArray<K, V> {
 
     /// Exact lower bound by plain binary search over the gap-filled
     /// keys — the degraded-node hint path: O(log capacity) with no
-    /// model involved.
+    /// model involved. The result keeps the probe count so lookups can
+    /// charge it.
     #[inline]
-    pub fn binary_lower_bound_slot(&self, key: &K) -> usize {
-        crate::search::bounded_binary_lower_bound(&self.keys, key, 0, self.keys.len()).pos
+    pub fn binary_lower_bound(&self, key: &K) -> SearchResult {
+        crate::search::bounded_binary_lower_bound(&self.keys, key, 0, self.keys.len())
     }
 
     /// Slot of `key` if present: the first *occupied* slot at or after
@@ -275,19 +276,13 @@ impl<K: AlexKey, V: Clone + Default> SlotArray<K, V> {
     pub fn rebuild_model_based(pairs: &[(K, V)], capacity: usize, model: &LinearModel) -> Self {
         debug_assert!(pairs.len() <= capacity);
         let mut arr = Self::empty(capacity);
-        let n = pairs.len();
-        let mut next_free = 0usize;
-        for (i, (k, v)) in pairs.iter().enumerate() {
-            let predicted = model.predict_clamped(k.as_f64(), capacity);
-            // Never before an already-placed key; never so late that the
-            // remaining keys can't fit.
-            let slot = predicted.max(next_free).min(capacity - (n - i));
+        let slots = model_based_slots(pairs.iter().map(|p| &p.0), capacity, model);
+        for ((k, v), slot) in pairs.iter().zip(slots) {
             arr.keys[slot] = *k;
             arr.values[slot] = v.clone();
             arr.bitmap.set(slot);
-            next_free = slot + 1;
         }
-        arr.num_keys = n;
+        arr.num_keys = pairs.len();
         arr.fill_gap_keys();
         arr
     }
@@ -402,6 +397,55 @@ impl<K: AlexKey, V: Clone + Default> SlotArray<K, V> {
             prev = Some(self.keys[i]);
         }
     }
+}
+
+/// The slot model-based placement gives each of the sorted `keys` in a
+/// `capacity`-slot array: its predicted slot, or the first free slot
+/// to the right on collision (Algorithm 3, `ModelBasedInsert`), never
+/// so late that the remaining keys can't fit.
+fn model_based_slots<'a, K: AlexKey + 'a>(
+    keys: impl ExactSizeIterator<Item = &'a K> + 'a,
+    capacity: usize,
+    model: &LinearModel,
+) -> impl Iterator<Item = usize> + 'a {
+    let (n, model) = (keys.len(), *model);
+    let mut next_free = 0usize;
+    keys.enumerate().map(move |(i, k)| {
+        let slot = model
+            .predict_clamped(k.as_f64(), capacity)
+            .max(next_free)
+            .min(capacity - (n - i));
+        next_free = slot + 1;
+        slot
+    })
+}
+
+/// Expected shifts per insert into the layout
+/// [`SlotArray::rebuild_model_based`] would build, computed from the
+/// slots alone: Σ L²/(4n) over its runs of L consecutive occupied
+/// slots. An insert drawn from the keys' own distribution lands in a
+/// run with probability L/n and shifts about L/4 of it to reach a gap.
+pub(crate) fn model_based_shifts_per_insert<'a, K: AlexKey + 'a>(
+    keys: impl ExactSizeIterator<Item = &'a K> + 'a,
+    capacity: usize,
+    model: &LinearModel,
+) -> f64 {
+    let n = keys.len();
+    if n == 0 {
+        return 0.0;
+    }
+    let (mut sum_sq, mut run, mut prev) = (0u64, 0u64, None);
+    for slot in model_based_slots(keys, capacity, model) {
+        if prev.is_some_and(|p: usize| slot == p + 1) {
+            run += 1;
+        } else {
+            sum_sq += run * run;
+            run = 1;
+        }
+        prev = Some(slot);
+    }
+    sum_sq += run * run;
+    sum_sq as f64 / (4 * n) as f64
 }
 
 #[cfg(test)]
