@@ -4,12 +4,8 @@
 //! `AlexIndex` driver (`AlexIndex st` — no locks, no shard routing),
 //! and `ShardedAlex` at 1 thread (`1 threads`, the speedup
 //! denominator); the gap between those two is the locking/routing
-//! overhead the sharding layer costs.
-//!
-//! `--read-path epoch` (default) serves shards through the lock-free
-//! epoch-protected readers; `--read-path locked` uses the per-shard
-//! `RwLock` baseline; `--read-path both` sweeps the two side by side
-//! (the gap is the price readers pay for the lock during splits).
+//! overhead the sharding layer costs. Every shard is an `EpochAlex`,
+//! so readers take no lock.
 //!
 //! `--arrival-rate <ops/sec>` switches to **open-loop** serving: the
 //! mixes are driven through the `alex-server` worker pool at a fixed
@@ -19,8 +15,7 @@
 //!
 //! ```sh
 //! cargo run -p alex-bench --release --bin fig5_threads -- \
-//!     --max-threads 8 --keys 1000000 --ops 1000000 --workload read-only \
-//!     --read-path both
+//!     --max-threads 8 --keys 1000000 --ops 1000000 --workload read-only
 //! # open-loop latency sweep at 50k ops/s:
 //! cargo run -p alex-bench --release --bin fig5_threads -- \
 //!     --arrival-rate 50000 --csv
@@ -39,7 +34,7 @@ use alex_bench::{DEFAULT_INIT_KEYS, DEFAULT_OPS, DEFAULT_SEED};
 use alex_core::{ordered_bits, AlexConfig};
 use alex_datasets::longitudes_keys;
 use alex_server::{run_load, Arrival, LoadSpec, Server, ServerConfig};
-use alex_sharded::{ReadPath, ShardedAlex};
+use alex_sharded::ShardedAlex;
 use alex_workloads::{run_workload_mt, WorkloadKind, WorkloadSpec};
 
 /// The read percentage each YCSB-style mix offers the serving tier
@@ -134,15 +129,6 @@ fn open_loop_sweep(
     }
 }
 
-fn parse_read_paths(flag: &str) -> Vec<(ReadPath, &'static str)> {
-    match flag {
-        "epoch" => vec![(ReadPath::Epoch, "")],
-        "locked" => vec![(ReadPath::Locked, " locked")],
-        "both" => vec![(ReadPath::Epoch, ""), (ReadPath::Locked, " locked")],
-        other => panic!("unknown --read-path {other:?} (expected epoch|locked|both)"),
-    }
-}
-
 fn main() {
     let args = Args::parse();
     let n = args.usize("keys", DEFAULT_INIT_KEYS);
@@ -151,12 +137,10 @@ fn main() {
     let max_threads = args.usize("max-threads", 8);
     let shards = args.usize("shards", max_threads.max(2));
     let workload = args.string("workload", "read-only");
-    let read_path = args.string("read-path", "epoch");
     let arrival_rate = args.u64("arrival-rate", 0); // ops/sec; 0 = closed loop
     let format = ReportFormat::from_flag(args.flag("csv"));
 
     let kinds: Vec<WorkloadKind> = WorkloadKind::parse_selection(&workload);
-    let paths = parse_read_paths(&read_path);
 
     if arrival_rate > 0 {
         open_loop_sweep(&kinds, arrival_rate, n, ops, seed, max_threads, shards, format);
@@ -167,7 +151,7 @@ fn main() {
         println!("{CSV_HEADER}");
     } else {
         println!(
-            "Thread scalability: ShardedAlex[{shards}] ({read_path} read path) on longitudes ({n} init keys, {ops} ops/run)"
+            "Thread scalability: ShardedAlex[{shards}] on longitudes ({n} init keys, {ops} ops/run)"
         );
     }
 
@@ -192,18 +176,16 @@ fn main() {
         );
         st.label = "AlexIndex st".to_string();
         rows.push(st);
-        for &(path, suffix) in &paths {
-            let mut threads = 1usize;
-            while threads <= max_threads {
-                // Fresh index per run: insert-bearing mixes mutate it.
-                let index = ShardedAlex::bulk_load_in(path, &data, shards, AlexConfig::ga_armi());
-                let spec = WorkloadSpec::new(kind, ops);
-                let report = run_workload_mt(&index, &init_keys, &inserts, &spec, threads, |k| {
-                    k.to_bits()
-                });
-                rows.push(Row::from_report(&report, Some(format!("{threads} threads{suffix}"))));
-                threads *= 2;
-            }
+        let mut threads = 1usize;
+        while threads <= max_threads {
+            // Fresh index per run: insert-bearing mixes mutate it.
+            let index = ShardedAlex::bulk_load(&data, shards, AlexConfig::ga_armi());
+            let spec = WorkloadSpec::new(kind, ops);
+            let report = run_workload_mt(&index, &init_keys, &inserts, &spec, threads, |k| {
+                k.to_bits()
+            });
+            rows.push(Row::from_report(&report, Some(format!("{threads} threads"))));
+            threads *= 2;
         }
         emit_rows(
             &format!("fig5_threads/{}", kind.name()),

@@ -11,10 +11,10 @@
 //! 2. **Per-node-type attribution** — for a gapped-array leaf and a
 //!    PMA leaf, model-predict cost vs. full `get` cost. The difference
 //!    is the local-search share, which is what group 1 optimises.
-//! 3. **Arena flavours in the `&mut` regime** — identical indexes
-//!    bulk-loaded into the dense (`Vec`) arena and the epoch
-//!    (atomic-slot) arena, point gets and fresh inserts timed on each.
-//!    Dense skips the per-node atomic hop, so it should win.
+//! 3. **Full index in the `&mut` regime** — point gets and fresh
+//!    inserts on an exclusive `AlexIndex` (dense `Vec` arena): the
+//!    full-index reference the per-leaf costs of groups 1 and 2 are
+//!    measured against.
 //! 4. **Bulk-load cost model** — `PrefixLsq::fit_partitions` (O(1)
 //!    per range, what Algorithm 4 now uses) vs. a streaming
 //!    least-squares refit per range, plus end-to-end adaptive
@@ -30,9 +30,7 @@ use alex_bench::cli::Args;
 use alex_bench::harness::{emit_metric, METRIC_CSV_HEADER};
 use alex_bench::DEFAULT_SEED;
 use alex_core::search::{blockwise_search_lower_bound, exponential_search_lower_bound};
-use alex_core::{
-    AlexConfig, AlexIndex, GappedNode, LinearModel, NodeParams, PmaNode, PrefixLsq, StoreMode,
-};
+use alex_core::{AlexConfig, AlexIndex, GappedNode, LinearModel, NodeParams, PmaNode, PrefixLsq};
 use alex_datasets::uniform_dense_keys;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -144,15 +142,13 @@ fn main() {
         emit("pma-leaf", "ns_local_search", format!("{:.1}", (get - predict).max(0.0)));
     }
 
-    // ---- 3. arena flavours, exclusive (&mut) regime ----------------
+    // ---- 3. full index, exclusive (&mut) regime --------------------
     if !csv {
-        println!("\n-- arena flavours, exclusive regime (full-index ops) --");
+        println!("\n-- full index, exclusive regime (dense arena) --");
     }
-    // Even keys loaded, odd keys free for fresh inserts. Both flavours
-    // run the identical workload; rounds alternate between the two and
-    // each flavour reports its minimum, so transient scheduler noise on
-    // a shared core cannot systematically favour whichever flavour
-    // happened to run during a quiet stretch.
+    // Even keys loaded, odd keys free for fresh inserts. Each metric
+    // reports its minimum over the rounds, so transient scheduler
+    // noise on a shared core does not inflate it.
     const ROUNDS: usize = 3;
     let data: Vec<(u64, u64)> = (0..n as u64).map(|k| (2 * k, k)).collect();
     let get_keys: Vec<u64> =
@@ -167,39 +163,26 @@ fn main() {
                 .collect()
         })
         .collect();
-    let flavours = [("dense-arena", StoreMode::Dense), ("epoch-arena", StoreMode::Epoch)];
-    let mut indexes: Vec<AlexIndex<u64, u64>> = flavours
-        .iter()
-        .map(|&(_, mode)| {
-            let cfg = AlexConfig::ga_armi()
-                .with_max_node_keys(256)
-                .with_splitting()
-                .with_store_mode(mode);
-            AlexIndex::bulk_load(&data, cfg)
-        })
-        .collect();
-    let mut best_get = [f64::INFINITY; 2];
-    let mut best_ins = [f64::INFINITY; 2];
+    let cfg = AlexConfig::ga_armi().with_max_node_keys(256).with_splitting();
+    let mut index = AlexIndex::bulk_load(&data, cfg);
+    let mut best_get = f64::INFINITY;
+    let mut best_ins = f64::INFINITY;
     for inserts in &round_inserts {
-        for (i, index) in indexes.iter_mut().enumerate() {
-            // Warm pass first: the cold caches belong to no flavour.
-            time_ns(&get_keys, |k| index.get(k).map_or(0, |v| *v as usize));
-            let get = time_ns(&get_keys, |k| index.get(k).map_or(0, |v| *v as usize));
-            best_get[i] = best_get[i].min(get);
-            let t = Instant::now();
-            for &k in inserts {
-                let _ = index.insert(k, k);
-            }
-            let ins = t.elapsed().as_nanos() as f64 / inserts.len() as f64;
-            best_ins[i] = best_ins[i].min(ins);
+        // Warm pass first, so the timed pass does not pay cold caches.
+        time_ns(&get_keys, |k| index.get(k).map_or(0, |v| *v as usize));
+        let get = time_ns(&get_keys, |k| index.get(k).map_or(0, |v| *v as usize));
+        best_get = best_get.min(get);
+        let t = Instant::now();
+        for &k in inserts {
+            let _ = index.insert(k, k);
         }
+        let ins = t.elapsed().as_nanos() as f64 / inserts.len() as f64;
+        best_ins = best_ins.min(ins);
     }
-    core::hint::black_box(&indexes);
-    for (i, (label, _)) in flavours.iter().enumerate() {
-        emit(label, "ns_per_get", format!("{:.1}", best_get[i]));
-        emit(label, "get_mops_per_sec", format!("{:.2}", 1e3 / best_get[i]));
-        emit(label, "ns_per_insert", format!("{:.1}", best_ins[i]));
-    }
+    core::hint::black_box(&index);
+    emit("dense-arena", "ns_per_get", format!("{best_get:.1}"));
+    emit("dense-arena", "get_mops_per_sec", format!("{:.2}", 1e3 / best_get));
+    emit("dense-arena", "ns_per_insert", format!("{best_ins:.1}"));
 
     // ---- 4. bulk-load cost model: prefix sums vs streaming refit ---
     if !csv {
@@ -234,8 +217,7 @@ fn main() {
     if !csv {
         println!("\nexpected shape: blockwise wins the mixed-error cell (fixed-error cells");
         println!("are exponential's best case — the predictor learns the periodic hint");
-        println!("pattern); dense-arena beats epoch-arena on gets/inserts (no atomic");
-        println!("hop); prefix-lsq is flat in range width, the streaming refit linear");
+        println!("pattern); prefix-lsq is flat in range width, the streaming refit linear");
     }
 }
 

@@ -1,15 +1,15 @@
 //! Write amplification of the concurrent write paths: how many full
 //! leaf copies the epoch (copy-on-write) path pays per write, and what
-//! that costs in throughput against the locked in-place baseline.
+//! that costs in throughput against an in-place writer.
 //!
 //! Three epoch flavours are measured — delta-buffered point inserts
-//! (the default), buffering disabled (`--delta-cap 0`, the PR-4
+//! (the default), buffering disabled (`--delta-cap 0`, the
 //! clone-per-write behaviour), and the run-level `bulk_insert` batch
-//! path — plus the `RwLock`-guarded in-place writer (`ShardedAlex`
-//! locked, one shard) as the no-CoW reference. Reported metrics per
-//! run: `ops_per_sec`, `leaf_clones`, `clones_per_insert`,
-//! `delta_hits`, `flushes` (clone metrics are structurally zero for
-//! the locked path).
+//! path — plus an exclusive `AlexIndex`, which edits leaves in place
+//! with no lock, as the no-CoW reference (`in-place bulk`, `in-place
+//! point`). Reported metrics per run: `ops_per_sec`, `leaf_clones`,
+//! `clones_per_insert`, `delta_hits`, `flushes` (clone metrics are
+//! structurally zero for the in-place rows).
 //!
 //! ```sh
 //! cargo run -p alex-bench --release --bin fig_write_amp -- \
@@ -28,8 +28,7 @@ use std::time::Instant;
 use alex_bench::cli::Args;
 use alex_bench::harness::{emit_metric, ReportFormat, METRIC_CSV_HEADER};
 use alex_bench::DEFAULT_INIT_KEYS;
-use alex_core::{AlexConfig, EpochAlex, EpochWriteStats};
-use alex_sharded::{ReadPath, ShardedAlex};
+use alex_core::{AlexConfig, AlexIndex, EpochAlex, EpochWriteStats};
 
 const RUN: &str = "fig_write_amp";
 
@@ -154,32 +153,33 @@ fn main() {
         });
     }
 
-    // Locked in-place baselines (no CoW anywhere): batch + point.
+    // In-place references (no CoW anywhere): the exclusive index
+    // edits leaves in place, so its clone counters stay zero.
     {
-        let index = ShardedAlex::bulk_load_in(ReadPath::Locked, &init, 1, config);
+        let mut index = AlexIndex::bulk_load(&init, config);
         let t = Instant::now();
         let landed = index.bulk_insert(&sorted);
         let secs = t.elapsed().as_secs_f64();
         assert_eq!(landed, Ok(ops));
         results.push(Measurement {
-            label: "locked bulk".into(),
+            label: "in-place bulk".into(),
             ops,
             secs,
-            stats: index.write_stats(),
+            stats: EpochWriteStats::default(),
         });
     }
     {
-        let index = ShardedAlex::bulk_load_in(ReadPath::Locked, &init, 1, config);
+        let mut index = AlexIndex::bulk_load(&init, config);
         let t = Instant::now();
         for (k, v) in &shuffled {
             assert!(index.insert(*k, *v).is_ok(), "fresh key");
         }
         let secs = t.elapsed().as_secs_f64();
         results.push(Measurement {
-            label: "locked point".into(),
+            label: "in-place point".into(),
             ops,
             secs,
-            stats: index.write_stats(),
+            stats: EpochWriteStats::default(),
         });
     }
 

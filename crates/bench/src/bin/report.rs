@@ -16,8 +16,8 @@
 //!
 //! With only `--a`, renders that directory as a table (no diff
 //! column). Lines starting with `#` are provenance comments (the
-//! committed baselines note the arena flavour this way) and are
-//! skipped.
+//! committed baselines note how and where they were produced this
+//! way) and are skipped.
 
 use std::collections::BTreeMap;
 use std::fs;

@@ -181,33 +181,6 @@ impl DeltaBuffer {
     }
 }
 
-/// Which arena flavour the node store uses — the space/concurrency
-/// trade of the two access regimes.
-///
-/// - [`StoreMode::Dense`] packs nodes in a plain `Vec`: no atomic
-///   pointer hop on descent, no epoch bookkeeping, best cache
-///   adjacency. It only supports the exclusive (`&mut`) regime;
-///   wrapping the index in an `EpochAlex` converts the arena to the
-///   epoch flavour automatically.
-/// - [`StoreMode::Epoch`] puts each node behind an atomic pointer
-///   slot with epoch-based reclamation, which is what lock-free
-///   concurrent readers require — at the cost of one pointer chase
-///   (and its cache miss) per node on every descent.
-///
-/// Bulk-load → serve pipelines can start `Dense` (fastest build and
-/// single-threaded serving) and bridge to the epoch arena with
-/// `AlexIndex::into_concurrent` when concurrency begins;
-/// `EpochAlex::into_inner` converts back per this setting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreMode {
-    /// Plain `Vec` arena for the exclusive regime (the default).
-    #[default]
-    Dense,
-    /// Atomic-slot arena with epoch-based reclamation, required for
-    /// lock-free shared readers.
-    Epoch,
-}
-
 /// Full configuration for an [`crate::AlexIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlexConfig {
@@ -229,10 +202,6 @@ pub struct AlexConfig {
     /// observed write stats at flush boundaries. Ignored by the
     /// exclusive (`&mut`) write path, which edits in place.
     pub delta_buffer: DeltaBuffer,
-    /// Arena flavour the index's node store starts in (see
-    /// [`StoreMode`]). Wrapping in an `EpochAlex` always upgrades to
-    /// [`StoreMode::Epoch`]; `into_inner` restores this setting.
-    pub store_mode: StoreMode,
 }
 
 impl Default for AlexConfig {
@@ -249,7 +218,6 @@ impl AlexConfig {
             rmi: RmiMode::Static { num_leaf_nodes },
             node: NodeParams::default(),
             delta_buffer: DeltaBuffer::Fixed(DEFAULT_DELTA_BUFFER_CAPACITY),
-            store_mode: StoreMode::Dense,
         }
     }
 
@@ -260,7 +228,6 @@ impl AlexConfig {
             rmi: RmiMode::adaptive(),
             node: NodeParams::default(),
             delta_buffer: DeltaBuffer::Fixed(DEFAULT_DELTA_BUFFER_CAPACITY),
-            store_mode: StoreMode::Dense,
         }
     }
 
@@ -271,7 +238,6 @@ impl AlexConfig {
             rmi: RmiMode::Static { num_leaf_nodes },
             node: NodeParams::default(),
             delta_buffer: DeltaBuffer::Fixed(DEFAULT_DELTA_BUFFER_CAPACITY),
-            store_mode: StoreMode::Dense,
         }
     }
 
@@ -282,7 +248,6 @@ impl AlexConfig {
             rmi: RmiMode::adaptive(),
             node: NodeParams::default(),
             delta_buffer: DeltaBuffer::Fixed(DEFAULT_DELTA_BUFFER_CAPACITY),
-            store_mode: StoreMode::Dense,
         }
     }
 
@@ -327,12 +292,6 @@ impl AlexConfig {
     /// boundaries.
     pub fn delta_buffer(mut self, mode: DeltaBuffer) -> Self {
         self.delta_buffer = mode;
-        self
-    }
-
-    /// Override the starting arena flavour (see [`StoreMode`]).
-    pub fn with_store_mode(mut self, mode: StoreMode) -> Self {
-        self.store_mode = mode;
         self
     }
 
@@ -412,14 +371,5 @@ mod tests {
         let adaptive = cfg.delta_buffer(DeltaBuffer::Adaptive);
         assert!(adaptive.delta_buffer.is_adaptive());
         assert_eq!(adaptive.delta_buffer.initial_capacity(), DEFAULT_DELTA_BUFFER_CAPACITY);
-    }
-
-    #[test]
-    fn store_mode_defaults_dense_and_overrides() {
-        assert_eq!(AlexConfig::ga_armi().store_mode, StoreMode::Dense);
-        assert_eq!(
-            AlexConfig::pma_armi().with_store_mode(StoreMode::Epoch).store_mode,
-            StoreMode::Epoch
-        );
     }
 }

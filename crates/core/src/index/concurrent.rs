@@ -243,12 +243,12 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     }
 
     /// Wrap an existing index (built exclusively, e.g. by
-    /// [`AlexIndex::bulk_load`]) for shared use. A dense-arena index
-    /// is upgraded to the epoch flavour here — the single chokepoint
-    /// every `EpochAlex` construction funnels through, so the shared
-    /// regime always runs on atomic slots regardless of
-    /// [`crate::config::StoreMode`]. This is the bulk-load → serve
-    /// bridge: build dense (fastest), then wrap to go concurrent.
+    /// [`AlexIndex::bulk_load`]) for shared use, moving its nodes from
+    /// the dense arena to the epoch arena. This is the single
+    /// chokepoint every `EpochAlex` construction funnels through, so
+    /// the shared regime always runs on atomic slots. It is the
+    /// bulk-load → serve bridge: build dense (fastest), then wrap to go
+    /// concurrent.
     pub fn from_index(mut index: AlexIndex<K, V>) -> Self {
         index.store.ensure_epoch();
         let mode = index.config().delta_buffer;
@@ -267,18 +267,15 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     /// Unwrap back into the exclusive index (consumes `self`, so no
     /// reader or writer can still be active). Pending delta buffers
     /// are flushed and the retire lists drained, so the returned
-    /// index is delta-free with a clean arena — and the arena is
-    /// converted back to the flavour named by `config.store_mode`
-    /// (dense by default), making
+    /// index is delta-free with a clean arena — and its nodes move
+    /// back to the dense arena, making
     /// [`AlexIndex::into_concurrent`]/`into_inner` a lossless
     /// round trip.
     pub fn into_inner(self) -> AlexIndex<K, V> {
         let mut index = self.index;
         index.flush_deltas();
         index.store.flush();
-        if index.config().store_mode == crate::config::StoreMode::Dense {
-            index.store.ensure_dense();
-        }
+        index.store.ensure_dense();
         index
     }
 
@@ -294,9 +291,9 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     /// unwind point the published tree is a consistent state (either
     /// the write landed in full or not at all). The guard protects
     /// *mutual exclusion*, not data invariants, so the poison flag
-    /// carries no information worth dying for. Contrast the `Locked`
-    /// baseline paths, which mutate in place under an `RwLock` and
-    /// correctly keep propagating poison.
+    /// carries no information worth dying for. Contrast the
+    /// `LockedBTreeMap` baseline, which mutates in place under an
+    /// `RwLock` and correctly keeps propagating poison.
     fn write_lock(&self) -> MutexGuard<'_, ()> {
         self.writer
             .lock()
@@ -829,9 +826,9 @@ where
             return Err(InsertError::UnsupportedKey);
         }
         // Exclusive access: rebuild via Algorithm 4 with the same
-        // config (fresh arena, empty retire lists). The rebuild honors
-        // `config.store_mode` (dense by default), so upgrade the fresh
-        // arena before it becomes shared again.
+        // config (fresh arena, empty retire lists). The rebuild lands
+        // on the dense arena, so move it to the epoch arena before it
+        // becomes shared again.
         self.index = AlexIndex::bulk_load(pairs, *self.index.config());
         self.index.store.ensure_epoch();
         Ok(pairs.len())
@@ -1103,12 +1100,11 @@ mod tests {
 
     #[test]
     fn into_concurrent_round_trip_restores_dense_arena() {
-        use crate::config::StoreMode;
-        // Default config builds dense; wrapping upgrades to epoch.
+        // Every index builds dense; wrapping upgrades to epoch.
         let index = AlexIndex::bulk_load(&pairs(2000, 2), splitting_config());
-        assert_eq!(index.store.mode(), StoreMode::Dense);
+        assert!(!index.store.is_epoch());
         let shared = index.into_concurrent();
-        assert_eq!(shared.index.store.mode(), StoreMode::Epoch);
+        assert!(shared.index.store.is_epoch());
         std::thread::scope(|s| {
             let idx = &shared;
             s.spawn(move || {
@@ -1123,19 +1119,12 @@ mod tests {
             });
         });
         let mut back = shared.into_inner();
-        assert_eq!(back.store.mode(), StoreMode::Dense, "into_inner must restore config.store_mode");
+        assert!(!back.store.is_epoch(), "into_inner must restore the dense arena");
         assert_eq!(back.len(), 2500);
         assert_eq!(back.get(&1), Some(&0));
         back.insert(999_999, 42).unwrap();
         assert_eq!(back.get(&999_999), Some(&42));
         back.debug_assert_invariants();
-
-        // An index pinned to the epoch flavour stays epoch after unwrap.
-        let cfg = splitting_config().with_store_mode(StoreMode::Epoch);
-        let index: AlexIndex<u64, u64> = AlexIndex::bulk_load(&pairs(100, 2), cfg);
-        assert_eq!(index.store.mode(), StoreMode::Epoch);
-        let back = index.into_concurrent().into_inner();
-        assert_eq!(back.store.mode(), StoreMode::Epoch);
     }
 
     #[test]
@@ -1143,7 +1132,7 @@ mod tests {
         let mut index: EpochAlex<u64, u64> = EpochAlex::new(AlexConfig::ga_armi());
         let data = pairs(1000, 2);
         assert_eq!(IndexWrite::bulk_load(&mut index, &data), Ok(1000));
-        assert_eq!(index.index.store.mode(), crate::config::StoreMode::Epoch);
+        assert!(index.index.store.is_epoch());
         // The shared read/write paths (pin + publish) must still work.
         assert_eq!(index.get(&200), Some(100));
         index.insert(201, 7).unwrap();

@@ -9,10 +9,10 @@
 //! The implementation is stratified into submodules with a strict
 //! layering — only `store` touches the node arena:
 //!
-//! - `store` — `NodeStore`: arena storage (dense `Vec` or
-//!   epoch-protected atomic slots, per [`crate::config::StoreMode`]),
-//!   `NodeId` allocation, publication/retirement, and the
-//!   doubly-linked leaf chain.
+//! - `store` — `NodeStore`: arena storage (a dense `Vec` for the
+//!   exclusive [`AlexIndex`], epoch-protected atomic slots under
+//!   [`EpochAlex`]), `NodeId` allocation, publication/retirement, and
+//!   the doubly-linked leaf chain.
 //! - `build` — static/adaptive RMI construction (Algorithm 4).
 //! - `ops` — point, range, and sorted-batch operations.
 //! - `split` — node splitting on inserts (§3.4.2), published as a
@@ -89,7 +89,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     /// An empty index ("cold start": a single empty data node that
     /// grows by splitting, §3.4.2).
     pub fn new(config: AlexConfig) -> Self {
-        let mut store = NodeStore::with_mode(config.store_mode);
+        let mut store = NodeStore::new_dense();
         store.push_mut(Node::Leaf(LeafNode::new(
             DataNode::empty(config.layout, config.node),
             None,
@@ -120,7 +120,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
             "bulk_load input must be strictly increasing"
         );
         let mut index = Self {
-            store: NodeStore::with_mode(config.store_mode),
+            store: NodeStore::new_dense(),
             root: 0,
             config,
             len: AtomicUsize::new(pairs.len()),
@@ -131,10 +131,10 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     }
 
     /// Upgrade this exclusive index into an internally synchronized
-    /// [`EpochAlex`] (converting a dense arena to the epoch flavour if
-    /// needed). The bulk-load → serve bridge: build dense (fastest),
-    /// then go concurrent. [`EpochAlex::into_inner`] is the inverse,
-    /// restoring the flavour named by `config.store_mode`.
+    /// [`EpochAlex`], moving its nodes from the dense arena to the
+    /// epoch arena. The bulk-load → serve bridge: build dense
+    /// (fastest), then go concurrent. [`EpochAlex::into_inner`] is the
+    /// inverse and always moves the nodes back to the dense arena.
     pub fn into_concurrent(self) -> EpochAlex<K, V> {
         EpochAlex::from_index(self)
     }

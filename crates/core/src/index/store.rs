@@ -8,34 +8,36 @@
 //! concerns (id allocation, publication, chain maintenance,
 //! reclamation) stay in one place.
 //!
-//! Since PR 7 the arena comes in two flavours, selected at
-//! construction by [`crate::config::StoreMode`]:
+//! The arena comes in two flavours, one per access regime; the regime,
+//! not a configuration field, picks it:
 //!
-//! - **Dense** ([`StoreMode::Dense`]): nodes packed in a plain
+//! - **Dense** ([`Arena::Dense`]): nodes packed in a plain
 //!   `Vec<Node>` with non-atomic ids. Descents index the vector
 //!   directly — no atomic pointer hop, no epoch bookkeeping, best
 //!   cache adjacency. All mutation requires `&mut self`
 //!   ([`NodeStore::push_mut`] / [`NodeStore::publish_mut`]), so the
 //!   borrow checker itself proves no reader can race a writer. The
 //!   shared-regime (`&self`) writer methods panic on this flavour.
-//! - **Epoch** ([`StoreMode::Epoch`]): each node behind an atomic
+//!   Every `AlexIndex` builds here.
+//! - **Epoch** ([`Arena::Epoch`]): each node behind an atomic
 //!   pointer in an [`AtomicSlots`] arena, **never overwritten in
 //!   place** on the shared path: [`NodeStore::publish`] installs a
 //!   replacement node at the same id and *retires* the old one to the
 //!   arena's epoch garbage list. This is what `EpochAlex`'s lock-free
 //!   pinned readers require.
 //!
-//! Two access regimes share this storage:
+//! The two regimes:
 //!
 //! - **Exclusive** (`&mut AlexIndex`): the classic single-threaded
-//!   index. Works on either flavour; the dense flavour is the default
-//!   and the fast path. In-place mutation ([`NodeStore::leaf_mut`])
-//!   and unguarded reads are sound because no concurrent writer can
-//!   exist.
-//! - **Shared** (`EpochAlex` / the sharded epoch read path): requires
-//!   the epoch flavour (enforced by [`NodeStore::ensure_epoch`] at
-//!   wrap time). Writers serialize on a mutex and replace nodes only
-//!   via [`NodeStore::publish`]; readers pin an epoch
+//!   index, on the dense flavour. In-place mutation
+//!   ([`NodeStore::leaf_mut`]) and unguarded reads are sound because
+//!   no concurrent writer can exist. The `&mut` methods also work on
+//!   the epoch flavour: `EpochAlex::into_inner` flushes deltas through
+//!   [`NodeStore::leaf_mut`] before converting back.
+//! - **Shared** (`EpochAlex`, every `ShardedAlex` shard): the epoch
+//!   flavour, installed by [`NodeStore::ensure_epoch`] at wrap time.
+//!   Writers serialize on a mutex and replace nodes only via
+//!   [`NodeStore::publish`]; readers pin an epoch
 //!   ([`NodeStore::pin`]) and descend wait-free. The slot at a given
 //!   id only ever changes to a node covering the *same key range*
 //!   (copy-on-write leaf, or the routing inner node a split leaves
@@ -46,11 +48,7 @@
 //! allocated sequentially in both, so they are preserved). Leaf bases
 //! are `Arc`-shared, making the conversion `O(nodes)` shallow moves or
 //! clones — never a key-array copy.
-//!
-//! [`StoreMode::Dense`]: crate::config::StoreMode::Dense
-//! [`StoreMode::Epoch`]: crate::config::StoreMode::Epoch
 
-use crate::config::StoreMode;
 use crate::data_node::DataNode;
 use crate::epoch::{AtomicSlots, Collector, Guard};
 use crate::key::AlexKey;
@@ -163,17 +161,9 @@ pub(crate) struct NodeStore<K, V> {
 }
 
 impl<K, V> NodeStore<K, V> {
-    /// An empty store of the requested flavour. The head leaf defaults
+    /// An empty dense (exclusive-regime) store. The head leaf defaults
     /// to node 0; callers must push at least one leaf (or link a
     /// chain) before reading it.
-    pub fn with_mode(mode: StoreMode) -> Self {
-        match mode {
-            StoreMode::Dense => Self::new_dense(),
-            StoreMode::Epoch => Self::new_epoch(),
-        }
-    }
-
-    /// An empty dense (exclusive-regime) store.
     pub fn new_dense() -> Self {
         Self {
             arena: Arena::Dense(Vec::new()),
@@ -192,12 +182,11 @@ impl<K, V> NodeStore<K, V> {
         }
     }
 
-    /// Which flavour this store currently is.
-    pub fn mode(&self) -> StoreMode {
-        match self.arena {
-            Arena::Dense(_) => StoreMode::Dense,
-            Arena::Epoch { .. } => StoreMode::Epoch,
-        }
+    /// Whether this store is on the epoch arena (tests assert which
+    /// arena a regime picked).
+    #[cfg(test)]
+    pub fn is_epoch(&self) -> bool {
+        matches!(self.arena, Arena::Epoch { .. })
     }
 
     /// Convert a dense arena to the epoch flavour in place (no-op when
@@ -490,7 +479,10 @@ impl<K: Clone, V: Clone> Clone for NodeStore<K, V> {
     /// not race a writer — `Clone` on the shared wrapper is
     /// deliberately not provided.
     fn clone(&self) -> Self {
-        let mut fresh = Self::with_mode(self.mode());
+        let mut fresh = match self.arena {
+            Arena::Dense(_) => Self::new_dense(),
+            Arena::Epoch { .. } => Self::new_epoch(),
+        };
         for node in self.iter() {
             fresh.push_mut(match node {
                 Node::Inner(inner) => Node::Inner(inner.clone()),
@@ -540,9 +532,7 @@ mod tests {
 
     #[test]
     fn push_allocates_sequential_ids_in_both_flavours() {
-        for mode in [StoreMode::Dense, StoreMode::Epoch] {
-            let mut store: NodeStore<u64, u64> = NodeStore::with_mode(mode);
-            assert_eq!(store.mode(), mode);
+        for mut store in [NodeStore::<u64, u64>::new_dense(), NodeStore::new_epoch()] {
             assert_eq!(store.next_id(), 0);
             let a = store.push_mut(leaf(&[(1, 1)]));
             let b = store.push_mut(leaf(&[(2, 2)]));
@@ -554,8 +544,7 @@ mod tests {
 
     #[test]
     fn link_chain_wires_prev_next_and_head() {
-        for mode in [StoreMode::Dense, StoreMode::Epoch] {
-            let mut store: NodeStore<u64, u64> = NodeStore::with_mode(mode);
+        for mut store in [NodeStore::<u64, u64>::new_dense(), NodeStore::new_epoch()] {
             let ids: Vec<NodeId> = (0..3).map(|i| store.push_mut(leaf(&[(i, i)]))).collect();
             store.link_chain(&ids);
             assert_eq!(store.head_leaf(), ids[0]);
@@ -637,7 +626,7 @@ mod tests {
         let id = store.push(leaf(&[(1, 1)]));
         store.publish(id, leaf(&[(1, 2)]));
         let copy = store.clone();
-        assert_eq!(copy.mode(), StoreMode::Epoch);
+        assert!(copy.is_epoch());
         assert_eq!(copy.leaf(id).data.get(&1), Some(&2));
         assert_eq!(copy.retired(), 0, "clones start with an empty retire list");
         assert_eq!(copy.head_leaf(), store.head_leaf());
@@ -645,7 +634,7 @@ mod tests {
         let mut dense: NodeStore<u64, u64> = NodeStore::new_dense();
         let id = dense.push_mut(leaf(&[(3, 3)]));
         let copy = dense.clone();
-        assert_eq!(copy.mode(), StoreMode::Dense);
+        assert!(!copy.is_epoch());
         assert_eq!(copy.leaf(id).data.get(&3), Some(&3));
     }
 
@@ -655,7 +644,7 @@ mod tests {
         let ids: Vec<NodeId> = (0..5u64).map(|i| store.push_mut(leaf(&[(i, i * 10)]))).collect();
         store.link_chain(&ids);
         store.ensure_epoch();
-        assert_eq!(store.mode(), StoreMode::Epoch);
+        assert!(store.is_epoch());
         // Epoch flavour serves the same tree under a pin.
         {
             let _guard = store.pin();
@@ -667,7 +656,7 @@ mod tests {
         store.publish(ids[0], leaf(&[(0, 99)]));
         store.flush();
         store.ensure_dense();
-        assert_eq!(store.mode(), StoreMode::Dense);
+        assert!(!store.is_epoch());
         assert_eq!(store.leaf(ids[0]).data.get(&0), Some(&99));
         assert_eq!(store.leaf(ids[1]).next, Some(ids[2]));
         assert_eq!(store.head_leaf(), ids[0]);
@@ -683,10 +672,10 @@ mod tests {
         let mut store: NodeStore<u64, u64> = NodeStore::new_dense();
         store.push_mut(leaf(&[(1, 1)]));
         store.ensure_dense();
-        assert_eq!(store.mode(), StoreMode::Dense);
+        assert!(!store.is_epoch());
         store.ensure_epoch();
         store.ensure_epoch();
-        assert_eq!(store.mode(), StoreMode::Epoch);
+        assert!(store.is_epoch());
         assert_eq!(store.node_count(), 1);
     }
 }

@@ -41,29 +41,28 @@
 //!
 //! ## Access regimes and arena flavours
 //!
-//! The node store behind [`AlexIndex`] comes in two flavours, selected
-//! by [`config::StoreMode`] on the [`AlexConfig`]:
+//! The node store comes in two flavours, one per access regime. The
+//! regime picks the flavour; there is no configuration field for it:
 //!
-//! - **Dense** (the default): nodes live in a plain `Vec`, node ids are
-//!   direct indices, and every mutation goes through `&mut self`. No
-//!   atomics on the read path, no epoch bookkeeping — the fastest
-//!   single-threaded layout, for the *exclusive* regime where one owner
-//!   holds the index.
-//! - **Epoch**: nodes live behind per-slot atomic pointers with
-//!   epoch-based reclamation, so a structure handed to [`EpochAlex`]
+//! - **Dense**, under every [`AlexIndex`]: nodes live in a plain
+//!   `Vec`, node ids are direct indices, and every mutation goes
+//!   through `&mut self`. No atomics on the read path, no epoch
+//!   bookkeeping — the fastest single-threaded layout, for the
+//!   *exclusive* regime where one owner holds the index.
+//! - **Epoch**, under every [`EpochAlex`]: nodes live behind per-slot
+//!   atomic pointers with epoch-based reclamation, so the structure
 //!   can serve lock-free readers while a serialized writer publishes
 //!   copy-on-write updates — the *shared* regime.
 //!
-//! The bridge contract: [`AlexIndex::into_concurrent`] converts any
-//! index into an [`EpochAlex`] (re-homing a dense arena into epoch
-//! slots, preserving node ids); [`EpochAlex::into_inner`] hands back
-//! exclusive ownership, restoring the flavour named by the config's
-//! `store_mode`. Both directions preserve ids, contents, and
-//! statistics, so bulk-load in the cheap dense flavour and convert
-//! only when concurrency starts. Shared-regime entry points
-//! (`EpochAlex::new` / `bulk_load`, the sharded front-end, the
-//! durability layer) all funnel through this conversion, so a dense
-//! default config is always safe there too.
+//! The bridge contract: [`AlexIndex::into_concurrent`] (or
+//! [`EpochAlex::from_index`]) moves an index's nodes into epoch slots,
+//! preserving node ids; [`EpochAlex::into_inner`] hands back exclusive
+//! ownership and always moves them back to the dense arena. Both
+//! directions preserve ids, contents, and statistics, so bulk-load in
+//! the cheap dense flavour and convert only when concurrency starts.
+//! Shared-regime entry points (`EpochAlex::new` / `bulk_load`, the
+//! sharded front-end, the durability layer) all funnel through this
+//! conversion.
 //!
 //! ## Crate layout
 //! - [`index`] / [`AlexIndex`] — the public index.
@@ -101,7 +100,7 @@ pub mod stats;
 
 mod slots;
 
-pub use config::{AlexConfig, DeltaBuffer, NodeLayout, NodeParams, Placement, RmiMode, StoreMode};
+pub use config::{AlexConfig, DeltaBuffer, NodeLayout, NodeParams, Placement, RmiMode};
 pub use gapped::{GappedNode, InsertOutcome};
 pub use index::{AlexIndex, EpochAlex, EpochStats, EpochWriteStats};
 pub use iter::RangeIter;

@@ -21,9 +21,12 @@
 //! - [`layout`] — the capacity/segment/window arithmetic and the
 //!   [`layout::DensityBounds`] interpolation, shared with `alex-core`'s
 //!   model-based PMA node.
-//! - [`Pma`] — a complete, self-contained ordered container built on that
-//!   layout (classic PMA with uniform redistribution), used directly by
-//!   tests and benchmarks and as the reference implementation.
+//! - [`Pma`] — a complete, self-contained ordered set built on that
+//!   layout (classic PMA with uniform redistribution), the reference
+//!   implementation the property tests check.
+//!
+//! The paper uses the PMA as a leaf layout (`alex_core::PmaNode`), so
+//! the crate offers no key/value map of its own.
 //!
 //! # Examples
 //! ```
@@ -43,7 +46,5 @@
 pub mod layout;
 
 mod classic;
-mod map;
 
 pub use classic::{Pma, PmaStats};
-pub use map::PmaMap;

@@ -7,34 +7,24 @@
 //! same empirical-quantile trick as `alex_datasets::cdf`), so skewed
 //! datasets (lognormal, longlat) still balance.
 //!
-//! ## The two read paths
+//! ## Lock-free shards
 //!
-//! Each shard is served by one of two backends, chosen at
-//! construction via [`ReadPath`]:
-//!
-//! - [`ReadPath::Epoch`] (**the default**): each shard is an
-//!   [`EpochAlex`] — readers pin an epoch and descend the RMI with
-//!   **no lock at all**, wait-free with respect to node splits;
-//!   writers serialize per shard on an internal mutex and publish
-//!   copy-on-write replacements through the epoch machinery
-//!   (`alex_core::epoch`). Replaced nodes are retired and freed only
-//!   once no pinned reader can still hold them.
-//! - [`ReadPath::Locked`]: the pre-epoch design — each shard is an
-//!   [`AlexIndex`] behind a `std::sync::RwLock`. Reads share the lock;
-//!   a splitting writer stalls every reader of that shard.
-//!
-//! **How to choose.** `Epoch` is strictly better under read-heavy
-//! concurrency and is what the multi-threaded driver and the Figure 5
-//! thread sweeps use: readers never block, so split-induced tail
-//! latency disappears from the read path. `Locked` remains for two
-//! reasons: as the differential-testing oracle the consistency suite
-//! compares against, and for memory-constrained runs (copy-on-write
-//! keeps retired nodes alive until epochs turn, and delta buffers add
-//! a bounded side-array per leaf).
+//! Every shard is an [`EpochAlex`]: it is bulk-loaded as an exclusive
+//! `AlexIndex` on the dense arena, then moved to the epoch arena.
+//! Readers pin an epoch and descend the RMI with **no lock at all**,
+//! wait-free with respect to node splits; writers serialize per shard
+//! on an internal mutex and publish copy-on-write replacements through
+//! the epoch machinery (`alex_core::epoch`). Replaced nodes are
+//! retired and freed only once no pinned reader can still hold them.
+//! Readers never block, so split-induced tail latency stays off the
+//! read path. The price is memory: copy-on-write keeps retired nodes
+//! alive until epochs turn, and delta buffers add a bounded
+//! side-array per leaf. The test suites check this front-end against
+//! `BTreeMap` and `alex_api::baseline::LockedBTreeMap`.
 //!
 //! ## Epoch write amortization (delta buffers + run-level CoW)
 //!
-//! Epoch-path writes no longer clone a whole leaf per key. A point
+//! Shard writes do not clone a whole leaf per key. A point
 //! write lands in the owning leaf's bounded **delta buffer** — a
 //! sorted side-array published alongside the immutable leaf snapshot
 //! (capacity via [`AlexConfig::delta_buffer`] /
@@ -91,8 +81,8 @@
 //! Every individual operation is atomic with respect to its shard.
 //! A range scan that crosses shard boundaries visits one shard at a
 //! time, so it observes each shard at a (possibly) different instant —
-//! the usual relaxation for partitioned stores. On the epoch path the
-//! same relaxation applies *within* a shard at leaf granularity: scans
+//! the usual relaxation for partitioned stores. The same relaxation
+//! applies *within* a shard at leaf granularity: scans
 //! walk immutable leaf snapshots, keys stay strictly increasing, and
 //! every observed payload was live at some point (the property
 //! `tests/epoch_concurrency.rs` stresses).
@@ -108,7 +98,7 @@
 //! assert_eq!(index.get(&20_000), Some(10_000));
 //!
 //! // Reads and writes take &self: share it across threads freely.
-//! // On the (default) epoch path, these reads acquire no lock.
+//! // These reads acquire no lock.
 //! std::thread::scope(|s| {
 //!     s.spawn(|| assert!(index.contains(&40_000)));
 //!     s.spawn(|| assert!(index.insert(99, 99).is_ok()));
@@ -123,156 +113,10 @@ pub mod durable;
 #[cfg(feature = "durability")]
 pub use durable::DurableShardedAlex;
 
-use std::sync::RwLock;
-
 use alex_api::{BatchOps, ConcurrentIndex, IndexRead, IndexWrite, InsertError, SentinelKey};
 use alex_core::stats::SizeReport;
-use alex_core::{AlexConfig, AlexIndex, AlexKey, EpochAlex, EpochStats, EpochWriteStats};
+use alex_core::{AlexConfig, AlexKey, EpochAlex, EpochStats, EpochWriteStats};
 use alex_datasets::cdf_points;
-
-/// Which concurrency scheme serves a shard's reads. See the
-/// [crate-level docs](crate) for how to choose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReadPath {
-    /// Lock-free epoch-protected readers, mutex-serialized
-    /// copy-on-write writers per shard (the default).
-    #[default]
-    Epoch,
-    /// Readers and writers share a per-shard `RwLock`; splits block
-    /// the shard's readers.
-    Locked,
-}
-
-/// One shard's backend (see [`ReadPath`]).
-#[derive(Debug)]
-enum Shard<K, V> {
-    Epoch(EpochAlex<K, V>),
-    Locked(RwLock<AlexIndex<K, V>>),
-}
-
-impl<K: AlexKey, V: Clone + Default> Shard<K, V> {
-    fn new(path: ReadPath, index: AlexIndex<K, V>) -> Self {
-        match path {
-            ReadPath::Epoch => Shard::Epoch(EpochAlex::from_index(index)),
-            ReadPath::Locked => Shard::Locked(RwLock::new(index)),
-        }
-    }
-
-    fn read(lock: &RwLock<AlexIndex<K, V>>) -> std::sync::RwLockReadGuard<'_, AlexIndex<K, V>> {
-        lock.read().expect("shard lock poisoned")
-    }
-
-    fn write(lock: &RwLock<AlexIndex<K, V>>) -> std::sync::RwLockWriteGuard<'_, AlexIndex<K, V>> {
-        lock.write().expect("shard lock poisoned")
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        match self {
-            Shard::Epoch(s) => s.get(key),
-            Shard::Locked(l) => Self::read(l).get(key).cloned(),
-        }
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        match self {
-            Shard::Epoch(s) => s.contains(key),
-            Shard::Locked(l) => Self::read(l).contains_key(key),
-        }
-    }
-
-    fn insert(&self, key: K, value: V) -> Result<(), InsertError> {
-        match self {
-            Shard::Epoch(s) => s.insert(key, value),
-            Shard::Locked(l) => Self::write(l).insert(key, value),
-        }
-    }
-
-    fn remove(&self, key: &K) -> Option<V> {
-        match self {
-            Shard::Epoch(s) => s.remove(key),
-            Shard::Locked(l) => Self::write(l).remove(key),
-        }
-    }
-
-    fn update(&self, key: &K, value: V) -> Option<V> {
-        match self {
-            Shard::Epoch(s) => s.update(key, value),
-            Shard::Locked(l) => Self::write(l).update(key, value),
-        }
-    }
-
-    fn scan_from(&self, key: &K, limit: usize, f: &mut impl FnMut(&K, &V)) -> usize {
-        match self {
-            Shard::Epoch(s) => s.scan_from(key, limit, &mut *f),
-            Shard::Locked(l) => Self::read(l).scan_from(key, limit, &mut *f),
-        }
-    }
-
-    fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
-        match self {
-            Shard::Epoch(s) => s.get_many(keys),
-            Shard::Locked(l) => {
-                Self::read(l).get_many(keys).into_iter().map(|v| v.cloned()).collect()
-            }
-        }
-    }
-
-    fn bulk_insert(&self, pairs: &[(K, V)]) -> Result<usize, InsertError> {
-        match self {
-            Shard::Epoch(s) => s.bulk_insert(pairs),
-            Shard::Locked(l) => Self::write(l).bulk_insert(pairs),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Shard::Epoch(s) => s.len(),
-            Shard::Locked(l) => Self::read(l).len(),
-        }
-    }
-
-    fn size_report(&self) -> SizeReport {
-        match self {
-            Shard::Epoch(s) => s.size_report(),
-            Shard::Locked(l) => Self::read(l).size_report(),
-        }
-    }
-
-    fn read_stats(&self) -> (u64, u64, u64) {
-        match self {
-            Shard::Epoch(s) => s.read_stats(),
-            Shard::Locked(l) => Self::read(l).read_stats(),
-        }
-    }
-
-    /// The configuration this shard's index was built with (every
-    /// shard shares the `ShardedAlex` bulk-load config; the rebalance
-    /// restager reads it off the first shard to build replacements).
-    fn config(&self) -> AlexConfig {
-        match self {
-            Shard::Epoch(s) => *s.config(),
-            Shard::Locked(l) => *Self::read(l).config(),
-        }
-    }
-
-    /// Visit every live pair in key order — a full walk needing no
-    /// start key (the rebalance planner's rank probe; shard 0 has no
-    /// lower boundary to scan from).
-    fn for_each_pair(&self, f: &mut impl FnMut(&K, &V)) {
-        match self {
-            Shard::Epoch(s) => s.leaf_snapshots(|pairs| {
-                for (k, v) in pairs {
-                    f(k, v);
-                }
-            }),
-            Shard::Locked(l) => {
-                for (k, v) in Self::read(l).iter() {
-                    f(k, v);
-                }
-            }
-        }
-    }
-}
 
 /// One shard's read-counter snapshot (see
 /// [`ShardedAlex::shard_read_stats`]). All zero when the `read-stats`
@@ -313,24 +157,22 @@ pub struct RebalanceReport {
     pub bands: usize,
 }
 
-/// Range-partitioned ALEX shards with a lock-free (epoch) or locked
-/// read path per shard.
+/// Range-partitioned ALEX shards, each an [`EpochAlex`] with
+/// lock-free readers.
 ///
-/// See the [crate-level docs](crate) for the design, the two read
-/// paths, and the consistency model.
+/// See the [crate-level docs](crate) for the design and the
+/// consistency model.
 #[derive(Debug)]
 pub struct ShardedAlex<K, V> {
-    shards: Vec<Shard<K, V>>,
+    shards: Vec<EpochAlex<K, V>>,
     /// `boundaries[i]` is the smallest key owned by shard `i + 1`
     /// (strictly increasing, `len() == shards.len() - 1`).
     boundaries: Vec<K>,
-    path: ReadPath,
 }
 
 impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     /// Bulk-load `pairs` (sorted, strictly increasing by key) into
-    /// `num_shards` shards with boundaries drawn from the sample CDF,
-    /// on the default (epoch) read path.
+    /// `num_shards` shards with boundaries drawn from the sample CDF.
     ///
     /// Duplicate quantiles (heavily skewed data with few distinct
     /// sample points) are merged, so the effective shard count can be
@@ -340,16 +182,6 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     /// Panics if `num_shards == 0`, or (debug builds) if `pairs` is not
     /// strictly increasing by key.
     pub fn bulk_load(pairs: &[(K, V)], num_shards: usize, config: AlexConfig) -> Self {
-        Self::bulk_load_in(ReadPath::Epoch, pairs, num_shards, config)
-    }
-
-    /// [`ShardedAlex::bulk_load`] with an explicit [`ReadPath`].
-    pub fn bulk_load_in(
-        path: ReadPath,
-        pairs: &[(K, V)],
-        num_shards: usize,
-        config: AlexConfig,
-    ) -> Self {
         assert!(num_shards > 0, "need at least one shard");
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
@@ -361,23 +193,18 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
         for bound in &boundaries {
             let cut = rest.partition_point(|(k, _)| k < bound);
             let (run, tail) = rest.split_at(cut);
-            shards.push(Shard::new(path, AlexIndex::bulk_load(run, config)));
+            shards.push(EpochAlex::bulk_load(run, config));
             rest = tail;
         }
-        shards.push(Shard::new(path, AlexIndex::bulk_load(rest, config)));
-        Self {
-            shards,
-            boundaries,
-            path,
-        }
+        shards.push(EpochAlex::bulk_load(rest, config));
+        Self { shards, boundaries }
     }
 
     /// Bulk-load from an iterator of **globally sorted blocks** (each
     /// block sorted, every key in block `i+1` greater than every key in
     /// block `i`) — e.g. `alex_datasets::SortedBlocks`. Only one
     /// shard's worth of pairs is buffered at a time, so loads never
-    /// need the whole dataset in one `Vec`. Uses the default (epoch)
-    /// read path.
+    /// need the whole dataset in one `Vec`.
     ///
     /// `boundaries` must be strictly increasing; shard `i + 1` owns
     /// keys `>= boundaries[i]`. The final shard count is always
@@ -398,24 +225,12 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
         boundaries: Vec<K>,
         config: AlexConfig,
     ) -> Self {
-        Self::bulk_load_blocks_in(ReadPath::Epoch, blocks, boundaries, config)
-    }
-
-    /// [`ShardedAlex::bulk_load_blocks`] with an explicit
-    /// [`ReadPath`]. Same contract, including the release-mode
-    /// boundary-monotonicity panic.
-    pub fn bulk_load_blocks_in(
-        path: ReadPath,
-        blocks: impl IntoIterator<Item = Vec<(K, V)>>,
-        boundaries: Vec<K>,
-        config: AlexConfig,
-    ) -> Self {
         assert!(
             boundaries.windows(2).all(|w| w[0] < w[1]),
             "shard boundaries must be strictly increasing"
         );
         let num_shards = boundaries.len() + 1;
-        let mut shards: Vec<Shard<K, V>> = Vec::with_capacity(num_shards);
+        let mut shards: Vec<EpochAlex<K, V>> = Vec::with_capacity(num_shards);
         let mut buffer: Vec<(K, V)> = Vec::new();
         let mut prev_key: Option<K> = None;
         for block in blocks {
@@ -426,7 +241,7 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
                 );
                 prev_key = Some(key);
                 while shards.len() < boundaries.len() && key >= boundaries[shards.len()] {
-                    shards.push(Shard::new(path, AlexIndex::bulk_load(&buffer, config)));
+                    shards.push(EpochAlex::bulk_load(&buffer, config));
                     buffer.clear();
                 }
                 buffer.push((key, value));
@@ -434,40 +249,26 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
         }
         // Flush the tail and any remaining empty shards.
         while shards.len() < num_shards {
-            shards.push(Shard::new(path, AlexIndex::bulk_load(&buffer, config)));
+            shards.push(EpochAlex::bulk_load(&buffer, config));
             buffer.clear();
         }
-        Self {
-            shards,
-            boundaries,
-            path,
-        }
+        Self { shards, boundaries }
     }
 
     /// An empty index with `boundaries.len() + 1` shards split at
     /// `boundaries` (cold start; every shard grows by
-    /// inserts/splits), on the default (epoch) read path.
+    /// inserts/splits).
     ///
     /// # Panics
     /// Panics (all build profiles) if `boundaries` is not strictly
     /// increasing — see [`ShardedAlex::bulk_load_blocks`].
     pub fn new(boundaries: Vec<K>, config: AlexConfig) -> Self {
-        Self::new_in(ReadPath::Epoch, boundaries, config)
-    }
-
-    /// [`ShardedAlex::new`] with an explicit [`ReadPath`].
-    pub fn new_in(path: ReadPath, boundaries: Vec<K>, config: AlexConfig) -> Self {
-        Self::bulk_load_blocks_in(path, core::iter::empty(), boundaries, config)
+        Self::bulk_load_blocks(core::iter::empty(), boundaries, config)
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Which read path this index was built with.
-    pub fn read_path(&self) -> ReadPath {
-        self.path
     }
 
     /// The shard boundaries (shard `i + 1` owns keys `>= boundaries[i]`).
@@ -481,8 +282,8 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
         route_key(&self.boundaries, key)
     }
 
-    /// Look up `key`, cloning the payload out of the shard. On the
-    /// epoch path this takes no lock.
+    /// Look up `key`, cloning the payload out of the shard. Takes no
+    /// lock.
     pub fn get(&self, key: &K) -> Option<V> {
         self.shards[self.shard_for(key)].get(key)
     }
@@ -539,8 +340,8 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     }
 
     /// Sorted-batch lookup: keys are split into per-shard runs, each
-    /// served by the shard's native `get_many` (one epoch pin, or one
-    /// lock acquisition, per run).
+    /// served by the shard's native `get_many` (one epoch pin per
+    /// run).
     ///
     /// # Panics
     /// Panics (debug builds) if `keys` is not sorted non-decreasing.
@@ -588,7 +389,7 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     /// Total number of stored entries (sums shard lengths; each shard
     /// is read at a possibly different instant).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
+        self.shards.iter().map(EpochAlex::len).sum()
     }
 
     /// Whether the index is empty.
@@ -598,7 +399,7 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
 
     /// Entry counts per shard (load-balance diagnostics).
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(Shard::len).collect()
+        self.shards.iter().map(EpochAlex::len).collect()
     }
 
     /// Aggregated §5.1 size accounting across shards.
@@ -614,50 +415,38 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
         total
     }
 
-    /// Aggregated epoch write-amplification counters across shards
-    /// (all zero on the locked path, which writes in place under its
-    /// `RwLock`): full leaf clones, delta-buffer hits, and flushes.
+    /// Aggregated epoch write-amplification counters across shards:
+    /// full leaf clones, delta-buffer hits, and flushes.
     pub fn write_stats(&self) -> EpochWriteStats {
         let mut total = EpochWriteStats::default();
         for shard in &self.shards {
-            if let Shard::Epoch(s) = shard {
-                let stats = s.write_stats();
-                total.leaf_clones += stats.leaf_clones;
-                total.delta_hits += stats.delta_hits;
-                total.flushes += stats.flushes;
-            }
+            let stats = shard.write_stats();
+            total.leaf_clones += stats.leaf_clones;
+            total.delta_hits += stats.delta_hits;
+            total.flushes += stats.flushes;
         }
         total
     }
 
-    /// Aggregated epoch-reclamation counters across shards (all zero
-    /// on the locked path; `global_epoch` is the maximum over shards).
+    /// Aggregated epoch-reclamation counters across shards
+    /// (`global_epoch` is the maximum over shards).
     pub fn epoch_stats(&self) -> EpochStats {
         let mut total = EpochStats::default();
         for shard in &self.shards {
-            if let Shard::Epoch(s) = shard {
-                let stats = s.epoch_stats();
-                total.global_epoch = total.global_epoch.max(stats.global_epoch);
-                total.pending += stats.pending;
-                total.retired_total += stats.retired_total;
-                total.freed_total += stats.freed_total;
-            }
+            let stats = shard.epoch_stats();
+            total.global_epoch = total.global_epoch.max(stats.global_epoch);
+            total.pending += stats.pending;
+            total.retired_total += stats.retired_total;
+            total.freed_total += stats.freed_total;
         }
         total
     }
 
     /// Drive every shard's retire list toward empty; returns the
     /// number of nodes still pending across shards. At quiescence (no
-    /// concurrent readers) this reaches 0 on the epoch path, and is
-    /// trivially 0 on the locked path.
+    /// concurrent readers) this reaches 0.
     pub fn flush_retired(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| match shard {
-                Shard::Epoch(s) => s.flush_retired(),
-                Shard::Locked(_) => 0,
-            })
-            .sum()
+        self.shards.iter().map(EpochAlex::flush_retired).sum()
     }
 
     // ------------------------------------------------------------------
@@ -748,12 +537,14 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
             if next_cut >= cuts.len() {
                 break;
             }
-            s.for_each_pair(&mut |k, _| {
-                if next_cut < cuts.len() && rank == cuts[next_cut] {
-                    boundaries.push(*k);
-                    next_cut += 1;
+            s.leaf_snapshots(|pairs| {
+                for (k, _) in pairs {
+                    if next_cut < cuts.len() && rank == cuts[next_cut] {
+                        boundaries.push(*k);
+                        next_cut += 1;
+                    }
+                    rank += 1;
                 }
-                rank += 1;
             });
         }
         // Concurrent removals can shrink shards under the walk; a
@@ -797,12 +588,11 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
             plan.boundaries.windows(2).all(|w| w[0] < w[1]),
             "plan boundaries must be strictly increasing"
         );
-        let path = self.path;
-        let config = self.shards[0].config();
+        // Every shard was built with the same config.
+        let config = *self.shards[0].config();
         let num_shards = self.shards.len();
-        let empty = |path, config| Shard::new(path, AlexIndex::bulk_load(&[], config));
 
-        let mut new_shards: Vec<Shard<K, V>> = Vec::with_capacity(num_shards);
+        let mut new_shards: Vec<EpochAlex<K, V>> = Vec::with_capacity(num_shards);
         let mut staging: Vec<(K, V)> = Vec::new();
         let mut report = RebalanceReport::default();
         // A band is a maximal run of moved keys sharing one
@@ -813,32 +603,34 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
             // Take the source shard out so it can be freed the moment
             // its keys are staged — the peak holds one old shard plus
             // one staging buffer beyond the already-rebuilt prefix.
-            let old = std::mem::replace(&mut self.shards[src], empty(path, config));
-            old.for_each_pair(&mut |k, v| {
-                while new_shards.len() < plan.boundaries.len()
-                    && *k >= plan.boundaries[new_shards.len()]
-                {
-                    new_shards.push(Shard::new(path, AlexIndex::bulk_load(&staging, config)));
-                    staging.clear();
-                }
-                let dst = new_shards.len();
-                if dst == src {
-                    prev_move = None;
-                } else {
-                    report.moved_keys += 1;
-                    if prev_move != Some((src, dst)) {
-                        report.bands += 1;
+            let old = std::mem::replace(&mut self.shards[src], EpochAlex::bulk_load(&[], config));
+            old.leaf_snapshots(|pairs| {
+                for (k, v) in pairs {
+                    while new_shards.len() < plan.boundaries.len()
+                        && *k >= plan.boundaries[new_shards.len()]
+                    {
+                        new_shards.push(EpochAlex::bulk_load(&staging, config));
+                        staging.clear();
                     }
-                    prev_move = Some((src, dst));
+                    let dst = new_shards.len();
+                    if dst == src {
+                        prev_move = None;
+                    } else {
+                        report.moved_keys += 1;
+                        if prev_move != Some((src, dst)) {
+                            report.bands += 1;
+                        }
+                        prev_move = Some((src, dst));
+                    }
+                    staging.push((*k, v.clone()));
                 }
-                staging.push((*k, v.clone()));
             });
             drop(old);
         }
         // Flush the tail, then top up with empty shards for any plan
         // boundaries the walk never reached.
         while new_shards.len() < num_shards {
-            new_shards.push(Shard::new(path, AlexIndex::bulk_load(&staging, config)));
+            new_shards.push(EpochAlex::bulk_load(&staging, config));
             staging.clear();
         }
         self.shards = new_shards;
@@ -980,10 +772,7 @@ impl<K: AlexKey, V: Clone + Default> IndexRead<K, V> for ShardedAlex<K, V> {
     }
 
     fn label(&self) -> String {
-        match self.path {
-            ReadPath::Epoch => format!("ShardedAlex[{}]", self.num_shards()),
-            ReadPath::Locked => format!("ShardedAlex[{};locked]", self.num_shards()),
-        }
+        format!("ShardedAlex[{}]", self.num_shards())
     }
 }
 
@@ -1006,7 +795,7 @@ where
         V: Clone,
     {
         // Native path: per-shard runs, and per-leaf runs within each
-        // epoch shard (one CoW publication per leaf run).
+        // shard (one CoW publication per leaf run).
         ShardedAlex::bulk_insert(self, pairs)
     }
 }
@@ -1059,64 +848,53 @@ where
 mod tests {
     use super::*;
 
-    const BOTH_PATHS: [ReadPath; 2] = [ReadPath::Epoch, ReadPath::Locked];
-
     fn pairs(n: u64, stride: u64) -> Vec<(u64, u64)> {
         (0..n).map(|k| (k * stride, k)).collect()
     }
 
     #[test]
     fn bulk_load_partitions_evenly_on_uniform_keys() {
-        for path in BOTH_PATHS {
-            let index = ShardedAlex::bulk_load_in(path, &pairs(40_000, 2), 4, AlexConfig::ga_armi());
-            assert_eq!(index.num_shards(), 4);
-            assert_eq!(index.read_path(), path);
-            assert_eq!(index.len(), 40_000);
-            for len in index.shard_lens() {
-                assert!((8000..=12_000).contains(&len), "shard sizes {:?}", index.shard_lens());
-            }
+        let index = ShardedAlex::bulk_load(&pairs(40_000, 2), 4, AlexConfig::ga_armi());
+        assert_eq!(index.num_shards(), 4);
+        assert_eq!(index.len(), 40_000);
+        for len in index.shard_lens() {
+            assert!((8000..=12_000).contains(&len), "shard sizes {:?}", index.shard_lens());
         }
     }
 
     #[test]
     fn get_routes_across_boundaries() {
-        for path in BOTH_PATHS {
-            let index = ShardedAlex::bulk_load_in(path, &pairs(10_000, 3), 8, AlexConfig::ga_armi());
-            for k in (0..10_000u64).step_by(7) {
-                assert_eq!(index.get(&(k * 3)), Some(k), "key {}", k * 3);
-                assert_eq!(index.get(&(k * 3 + 1)), None);
-            }
+        let index = ShardedAlex::bulk_load(&pairs(10_000, 3), 8, AlexConfig::ga_armi());
+        for k in (0..10_000u64).step_by(7) {
+            assert_eq!(index.get(&(k * 3)), Some(k), "key {}", k * 3);
+            assert_eq!(index.get(&(k * 3 + 1)), None);
         }
     }
 
     #[test]
     fn insert_remove_update_roundtrip() {
-        for path in BOTH_PATHS {
-            let index = ShardedAlex::bulk_load_in(path, &pairs(1000, 2), 4, AlexConfig::ga_armi());
-            assert!(index.insert(1001, 7).is_ok());
-            assert!(index.insert(1001, 8).is_err(), "duplicate must be rejected");
-            assert_eq!(index.get(&1001), Some(7));
-            assert_eq!(index.update(&1001, 9), Some(7));
-            assert_eq!(index.remove(&1001), Some(9));
-            assert_eq!(index.get(&1001), None);
-            assert_eq!(index.len(), 1000);
-        }
+        let index = ShardedAlex::bulk_load(&pairs(1000, 2), 4, AlexConfig::ga_armi());
+        assert!(index.insert(1001, 7).is_ok());
+        assert!(index.insert(1001, 8).is_err(), "duplicate must be rejected");
+        assert_eq!(index.get(&1001), Some(7));
+        assert_eq!(index.update(&1001, 9), Some(7));
+        assert_eq!(index.remove(&1001), Some(9));
+        assert_eq!(index.get(&1001), None);
+        assert_eq!(index.len(), 1000);
     }
 
     #[test]
     fn scan_crosses_shard_boundaries() {
-        for path in BOTH_PATHS {
-            let index = ShardedAlex::bulk_load_in(path, &pairs(10_000, 1), 4, AlexConfig::ga_armi());
-            // Start 300 keys below the last shard boundary so the 500-entry
-            // window must cross into the next shard.
-            let boundary = index.boundaries()[2];
-            let start = boundary - 300;
-            let mut seen = Vec::new();
-            let visited = index.scan_from(&start, 500, |k, _| seen.push(*k));
-            assert_eq!(visited, 500);
-            assert_eq!(seen, (start..start + 500).collect::<Vec<u64>>());
-            assert!(start + 500 > boundary, "window must span two shards");
-        }
+        let index = ShardedAlex::bulk_load(&pairs(10_000, 1), 4, AlexConfig::ga_armi());
+        // Start 300 keys below the last shard boundary so the 500-entry
+        // window must cross into the next shard.
+        let boundary = index.boundaries()[2];
+        let start = boundary - 300;
+        let mut seen = Vec::new();
+        let visited = index.scan_from(&start, 500, |k, _| seen.push(*k));
+        assert_eq!(visited, 500);
+        assert_eq!(seen, (start..start + 500).collect::<Vec<u64>>());
+        assert!(start + 500 > boundary, "window must span two shards");
     }
 
     #[test]
@@ -1133,40 +911,36 @@ mod tests {
 
     #[test]
     fn get_many_and_bulk_insert_span_shards() {
-        for path in BOTH_PATHS {
-            let index = ShardedAlex::bulk_load_in(path, &pairs(10_000, 4), 4, AlexConfig::ga_armi());
-            let queries: Vec<u64> = (0..20_000u64).step_by(3).collect();
-            let got = index.get_many(&queries);
-            for (q, v) in queries.iter().zip(&got) {
-                assert_eq!(*v, index.get(q), "key {q}");
-            }
-            let fresh: Vec<(u64, u64)> = (0..10_000u64).map(|k| (k * 4 + 1, k)).collect();
-            assert_eq!(index.bulk_insert(&fresh), Ok(10_000));
-            assert_eq!(index.bulk_insert(&fresh), Ok(0), "second pass is all duplicates");
-            assert_eq!(index.len(), 20_000);
+        let index = ShardedAlex::bulk_load(&pairs(10_000, 4), 4, AlexConfig::ga_armi());
+        let queries: Vec<u64> = (0..20_000u64).step_by(3).collect();
+        let got = index.get_many(&queries);
+        for (q, v) in queries.iter().zip(&got) {
+            assert_eq!(*v, index.get(q), "key {q}");
         }
+        let fresh: Vec<(u64, u64)> = (0..10_000u64).map(|k| (k * 4 + 1, k)).collect();
+        assert_eq!(index.bulk_insert(&fresh), Ok(10_000));
+        assert_eq!(index.bulk_insert(&fresh), Ok(0), "second pass is all duplicates");
+        assert_eq!(index.len(), 20_000);
     }
 
     #[test]
     fn concurrent_readers_and_writers() {
-        for path in BOTH_PATHS {
-            let index = ShardedAlex::bulk_load_in(path, &pairs(10_000, 2), 4, AlexConfig::ga_armi());
-            std::thread::scope(|s| {
-                for t in 0..4u64 {
-                    let index = &index;
-                    s.spawn(move || {
-                        for k in 0..2000u64 {
-                            // Reads of stable keys must always succeed.
-                            assert_eq!(index.get(&(k * 2)), Some(k));
-                            // Writes land in disjoint per-thread key ranges.
-                            assert!(index.insert(100_000 + t * 10_000 + k, k).is_ok());
-                        }
-                    });
-                }
-            });
-            assert_eq!(index.len(), 10_000 + 4 * 2000);
-            assert_eq!(index.flush_retired(), 0, "retire lists drain at quiescence");
-        }
+        let index = ShardedAlex::bulk_load(&pairs(10_000, 2), 4, AlexConfig::ga_armi());
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let index = &index;
+                s.spawn(move || {
+                    for k in 0..2000u64 {
+                        // Reads of stable keys must always succeed.
+                        assert_eq!(index.get(&(k * 2)), Some(k));
+                        // Writes land in disjoint per-thread key ranges.
+                        assert!(index.insert(100_000 + t * 10_000 + k, k).is_ok());
+                    }
+                });
+            }
+        });
+        assert_eq!(index.len(), 10_000 + 4 * 2000);
+        assert_eq!(index.flush_retired(), 0, "retire lists drain at quiescence");
     }
 
     #[test]
@@ -1201,21 +975,17 @@ mod tests {
 
     #[test]
     fn empty_and_cold_start() {
-        for path in BOTH_PATHS {
-            let empty: ShardedAlex<u64, u64> =
-                ShardedAlex::bulk_load_in(path, &[], 4, AlexConfig::ga_armi());
-            assert!(empty.is_empty());
-            assert_eq!(empty.get(&1), None);
+        let empty: ShardedAlex<u64, u64> = ShardedAlex::bulk_load(&[], 4, AlexConfig::ga_armi());
+        assert!(empty.is_empty());
+        assert_eq!(empty.get(&1), None);
 
-            let cold: ShardedAlex<u64, u64> =
-                ShardedAlex::new_in(path, vec![100, 200], AlexConfig::ga_armi());
-            assert_eq!(cold.num_shards(), 3);
-            for k in 0..300u64 {
-                assert!(cold.insert(k, k).is_ok());
-            }
-            assert_eq!(cold.len(), 300);
-            assert_eq!(cold.shard_lens(), vec![100, 100, 100]);
+        let cold: ShardedAlex<u64, u64> = ShardedAlex::new(vec![100, 200], AlexConfig::ga_armi());
+        assert_eq!(cold.num_shards(), 3);
+        for k in 0..300u64 {
+            assert!(cold.insert(k, k).is_ok());
         }
+        assert_eq!(cold.len(), 300);
+        assert_eq!(cold.shard_lens(), vec![100, 100, 100]);
     }
 
     #[test]
@@ -1234,8 +1004,7 @@ mod tests {
 
     #[test]
     fn epoch_path_retires_nodes_under_split_churn() {
-        let index: ShardedAlex<u64, u64> = ShardedAlex::new_in(
-            ReadPath::Epoch,
+        let index: ShardedAlex<u64, u64> = ShardedAlex::new(
             vec![5000, 10_000],
             AlexConfig::ga_armi().with_max_node_keys(128).with_splitting(),
         );
@@ -1250,23 +1019,6 @@ mod tests {
         for k in (0..15_000u64).step_by(17) {
             assert_eq!(index.get(&k), Some(k * 7));
         }
-    }
-
-    #[test]
-    fn locked_path_reports_zero_epoch_activity() {
-        let index = ShardedAlex::bulk_load_in(ReadPath::Locked, &pairs(1000, 1), 2, AlexConfig::ga_armi());
-        assert!(index.insert(5000, 1).is_ok());
-        assert_eq!(index.epoch_stats(), EpochStats::default());
-        assert_eq!(
-            index.write_stats(),
-            EpochWriteStats::default(),
-            "locked shards write in place: no clones, no buffers"
-        );
-        assert_eq!(index.flush_retired(), 0);
-        assert_eq!(
-            IndexRead::<u64, u64>::label(&index),
-            "ShardedAlex[2;locked]"
-        );
     }
 
     #[test]
@@ -1318,21 +1070,18 @@ mod tests {
     #[test]
     fn empty_blocks_with_boundaries_keep_the_shard_contract() {
         // Corner 1: no data at all — still boundaries.len() + 1 shards.
-        for path in BOTH_PATHS {
-            let index: ShardedAlex<u64, u64> = ShardedAlex::bulk_load_blocks_in(
-                path,
-                core::iter::empty::<Vec<(u64, u64)>>(),
-                vec![100, 200, 300],
-                AlexConfig::ga_armi(),
-            );
-            assert_eq!(index.num_shards(), 4, "boundaries.len() + 1 even with no blocks");
-            assert_eq!(index.shard_lens(), vec![0, 0, 0, 0]);
-            // Routing still works: inserts land in the right shards.
-            for k in [50u64, 150, 250, 350] {
-                assert!(index.insert(k, k).is_ok());
-            }
-            assert_eq!(index.shard_lens(), vec![1, 1, 1, 1]);
+        let index: ShardedAlex<u64, u64> = ShardedAlex::bulk_load_blocks(
+            core::iter::empty::<Vec<(u64, u64)>>(),
+            vec![100, 200, 300],
+            AlexConfig::ga_armi(),
+        );
+        assert_eq!(index.num_shards(), 4, "boundaries.len() + 1 even with no blocks");
+        assert_eq!(index.shard_lens(), vec![0, 0, 0, 0]);
+        // Routing still works: inserts land in the right shards.
+        for k in [50u64, 150, 250, 350] {
+            assert!(index.insert(k, k).is_ok());
         }
+        assert_eq!(index.shard_lens(), vec![1, 1, 1, 1]);
     }
 
     #[test]
@@ -1400,32 +1149,30 @@ mod tests {
     #[cfg(feature = "read-stats")]
     #[test]
     fn apply_rebalance_preserves_every_pair() {
-        for path in BOTH_PATHS {
-            let data = pairs(20_000, 3);
-            let mut index = ShardedAlex::bulk_load_in(path, &data, 4, AlexConfig::ga_armi());
-            let hot_end = index.boundaries()[0];
-            for k in 0..5000u64 {
-                let _ = index.get(&((k * 3) % hot_end));
-            }
-            let plan = index.rebalance_plan().expect("skew produces a plan");
-            let report = index.apply_rebalance(&plan);
-            assert!(report.moved_keys > 0, "boundaries moved, so keys moved");
-            assert!(report.bands > 0);
-            assert_eq!(index.boundaries(), &plan.boundaries[..]);
-            assert_eq!(index.len(), data.len(), "rebalance loses nothing");
-            // Pair-for-pair: every key still answers with its payload,
-            // through the *new* routing.
-            for (k, v) in &data {
-                assert_eq!(index.get(k), Some(*v), "key {k}");
-            }
-            // Shard lengths match the new boundaries exactly.
-            let lens = index.shard_lens();
-            let mut expect = vec![0usize; index.num_shards()];
-            for (k, _) in &data {
-                expect[route_key(index.boundaries(), k)] += 1;
-            }
-            assert_eq!(lens, expect, "no stragglers in old shards");
+        let data = pairs(20_000, 3);
+        let mut index = ShardedAlex::bulk_load(&data, 4, AlexConfig::ga_armi());
+        let hot_end = index.boundaries()[0];
+        for k in 0..5000u64 {
+            let _ = index.get(&((k * 3) % hot_end));
         }
+        let plan = index.rebalance_plan().expect("skew produces a plan");
+        let report = index.apply_rebalance(&plan);
+        assert!(report.moved_keys > 0, "boundaries moved, so keys moved");
+        assert!(report.bands > 0);
+        assert_eq!(index.boundaries(), &plan.boundaries[..]);
+        assert_eq!(index.len(), data.len(), "rebalance loses nothing");
+        // Pair-for-pair: every key still answers with its payload,
+        // through the *new* routing.
+        for (k, v) in &data {
+            assert_eq!(index.get(k), Some(*v), "key {k}");
+        }
+        // Shard lengths match the new boundaries exactly.
+        let lens = index.shard_lens();
+        let mut expect = vec![0usize; index.num_shards()];
+        for (k, _) in &data {
+            expect[route_key(index.boundaries(), k)] += 1;
+        }
+        assert_eq!(lens, expect, "no stragglers in old shards");
     }
 
     #[test]

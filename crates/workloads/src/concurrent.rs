@@ -5,12 +5,12 @@
 //! inside a `std::thread::scope`, against any [`ConcurrentIndex`] — an
 //! index whose operations (including inserts and removes) take `&self`
 //! and are safe under concurrent callers. The flagship backend is
-//! `alex_sharded::ShardedAlex` on its default **epoch read path**
+//! `alex_sharded::ShardedAlex`, whose shards are epoch-protected
 //! (reads never take a lock; splits retire nodes through
-//! `alex_core::epoch`), with the per-shard-`RwLock` path and the
-//! reference [`LockedBTreeMap`](alex_api::LockedBTreeMap) as the
-//! blocking baselines — `fig5_threads --read-path both` sweeps the
-//! comparison.
+//! `alex_core::epoch`), with the reference
+//! [`LockedBTreeMap`](alex_api::LockedBTreeMap) as the blocking
+//! baseline; `fig5_threads` sweeps thread counts over the sharded
+//! index.
 //!
 //! The op budget is split evenly across threads; the insert-key pool is
 //! partitioned so threads never race on the same key. Each thread draws

@@ -1,8 +1,8 @@
 //! The `alex-api` conformance suite, instantiated for every backend in
 //! the workspace: all ALEX variants' representative (GA-ARMI with a
 //! tight leaf bound, so batches cross leaves), the B+Tree and Learned
-//! Index baselines, the classic-PMA map, the sharded concurrent
-//! front-end, and the locked-`BTreeMap` reference.
+//! Index baselines, the sharded concurrent front-end, and the
+//! locked-`BTreeMap` reference.
 //!
 //! Each instantiation stamps out the same five `#[test]`s
 //! (get-after-insert, remove-returns-value, range order vs. a
@@ -13,17 +13,16 @@
 //! Internally synchronized backends additionally instantiate the
 //! `concurrent` section (scoped readers vs. one writer, payload
 //! equality at quiescence, and `&self` batch writes under reader load
-//! ≡ per-key inserts): the sharded front-end on *both* read paths,
-//! the raw epoch-protected `EpochAlex` (whose batch path publishes
-//! once per leaf run), and the locked-map reference.
+//! ≡ per-key inserts): the sharded front-end, the raw
+//! epoch-protected `EpochAlex` (whose batch path publishes once per
+//! leaf run), and the locked-map reference.
 
 use alex_repro::alex_api;
 use alex_repro::alex_api::{Composite, FixedStr};
 use alex_repro::alex_btree::BPlusTree;
-use alex_repro::alex_core::{AlexConfig, AlexIndex, EpochAlex, StoreMode};
+use alex_repro::alex_core::{AlexConfig, AlexIndex, EpochAlex};
 use alex_repro::alex_learned_index::LearnedIndex;
-use alex_repro::alex_pma::PmaMap;
-use alex_repro::alex_sharded::{ReadPath, ShardedAlex};
+use alex_repro::alex_sharded::ShardedAlex;
 use alex_repro::alex_workloads::LockedBTreeMap;
 
 alex_api::conformance_suite!(alex_ga_armi, |pairs: &[(u64, u64)]| {
@@ -38,30 +37,6 @@ alex_api::conformance_suite!(alex_split_on_insert, |pairs: &[(u64, u64)]| {
     AlexIndex::bulk_load(pairs, AlexConfig::ga_armi().with_max_node_keys(128).with_splitting())
 });
 
-// The two arena flavours of the exclusive index, pinned explicitly
-// (the unsuffixed instantiations above run dense too — it is the
-// default — but these stay meaningful if the default ever changes).
-// Splitting on, so the contract covers each arena's split applier.
-alex_api::conformance_suite!(alex_dense_arena, |pairs: &[(u64, u64)]| {
-    AlexIndex::bulk_load(
-        pairs,
-        AlexConfig::ga_armi()
-            .with_max_node_keys(128)
-            .with_splitting()
-            .with_store_mode(StoreMode::Dense),
-    )
-});
-
-alex_api::conformance_suite!(alex_epoch_arena_exclusive, |pairs: &[(u64, u64)]| {
-    AlexIndex::bulk_load(
-        pairs,
-        AlexConfig::ga_armi()
-            .with_max_node_keys(128)
-            .with_splitting()
-            .with_store_mode(StoreMode::Epoch),
-    )
-});
-
 alex_api::conformance_suite!(btree, |pairs: &[(u64, u64)]| {
     BPlusTree::bulk_load(pairs, 32, 32, 0.7)
 });
@@ -70,25 +45,10 @@ alex_api::conformance_suite!(learned_index, |pairs: &[(u64, u64)]| {
     LearnedIndex::bulk_load(pairs, 16)
 });
 
-alex_api::conformance_suite!(pma_map, |pairs: &[(u64, u64)]| PmaMap::from_sorted(pairs));
-
 alex_api::conformance_suite!(
     sharded_alex,
     |pairs: &[(u64, u64)]| {
         ShardedAlex::bulk_load(pairs, 4, AlexConfig::ga_armi().with_max_node_keys(256))
-    },
-    concurrent
-);
-
-alex_api::conformance_suite!(
-    sharded_alex_locked,
-    |pairs: &[(u64, u64)]| {
-        ShardedAlex::bulk_load_in(
-            ReadPath::Locked,
-            pairs,
-            4,
-            AlexConfig::ga_armi().with_max_node_keys(256),
-        )
     },
     concurrent
 );
@@ -145,14 +105,6 @@ alex_api::conformance_suite!(learned_index_string, |pairs: &[(StrKey, u64)]| {
 
 alex_api::conformance_suite!(learned_index_composite, |pairs: &[(TenantKey, u64)]| {
     LearnedIndex::bulk_load(pairs, 16)
-});
-
-alex_api::conformance_suite!(pma_map_string, |pairs: &[(StrKey, u64)]| {
-    PmaMap::from_sorted(pairs)
-});
-
-alex_api::conformance_suite!(pma_map_composite, |pairs: &[(TenantKey, u64)]| {
-    PmaMap::from_sorted(pairs)
 });
 
 alex_api::conformance_suite!(

@@ -13,7 +13,6 @@ use alex_repro::alex_datasets::{
     lognormal_keys, longitudes_keys, longlat_keys, sorted, ycsb_keys,
 };
 use alex_repro::alex_learned_index::LearnedIndex;
-use alex_repro::alex_pma::PmaMap;
 use alex_repro::alex_sharded::ShardedAlex;
 use alex_repro::alex_workloads::LockedBTreeMap;
 
@@ -36,7 +35,6 @@ fn check_dataset_u64(keys: Vec<u64>, name: &str) {
     let baselines: Vec<Box<dyn IndexRead<u64, u64>>> = vec![
         Box::new(BPlusTree::bulk_load(&data, 64, 64, 0.7)),
         Box::new(LearnedIndex::bulk_load(&data, 64)),
-        Box::new(PmaMap::from_sorted(&data)),
         Box::new(ShardedAlex::bulk_load(&data, 4, AlexConfig::ga_armi())),
         Box::new(LockedBTreeMap::from_pairs(&data)),
     ];

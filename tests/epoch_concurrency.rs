@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use alex_repro::alex_api::{ConcurrentIndex, IndexRead, LockedBTreeMap};
 use alex_repro::alex_core::{AlexConfig, EpochAlex, EpochStats};
-use alex_repro::alex_sharded::{ReadPath, ShardedAlex};
+use alex_repro::alex_sharded::ShardedAlex;
 
 /// Keys loaded initially: evens `0, 2, …, 2·(INITIAL_KEYS − 1)`.
 const INITIAL_KEYS: u64 = 4096;
@@ -231,22 +231,10 @@ fn sharded_epoch_readers_race_split_churn() {
     // Fixed boundaries inside the initial range so writer churn and
     // scans constantly cross shards.
     let boundaries = vec![2 * INITIAL_KEYS / 3, 4 * INITIAL_KEYS / 3];
-    let index: ShardedAlex<u64, u64> =
-        ShardedAlex::new_in(ReadPath::Epoch, boundaries, splitting_config());
+    let index: ShardedAlex<u64, u64> = ShardedAlex::new(boundaries, splitting_config());
     stress(&index, "ShardedAlex[epoch]");
     let pending = index.flush_retired();
     assert_reclamation_clean("ShardedAlex[epoch]", pending, index.epoch_stats());
-}
-
-#[test]
-fn sharded_locked_passes_the_same_stress() {
-    // Differential coverage: the locked oracle path must satisfy the
-    // identical observation discipline (sans epoch accounting).
-    let boundaries = vec![2 * INITIAL_KEYS / 3, 4 * INITIAL_KEYS / 3];
-    let index: ShardedAlex<u64, u64> =
-        ShardedAlex::new_in(ReadPath::Locked, boundaries, splitting_config());
-    stress(&index, "ShardedAlex[locked]");
-    assert_eq!(index.flush_retired(), 0);
 }
 
 #[test]

@@ -1,6 +1,5 @@
-//! Consistency suite for the sharded concurrent front-end — every
-//! check parameterized over **both read paths** (`ReadPath::Epoch`,
-//! the lock-free default, and `ReadPath::Locked`, the RwLock oracle):
+//! Consistency suite for the sharded concurrent front-end, whose
+//! shards are lock-free `EpochAlex` indexes:
 //!
 //! 1. `ShardedAlex` must agree with `std::collections::BTreeMap` (and
 //!    the other indexes, via the shared `alex-api` interface) on
@@ -19,21 +18,19 @@ use std::collections::BTreeMap;
 use alex_repro::alex_core::{AlexConfig, AlexIndex};
 use alex_repro::alex_datasets::{lognormal_keys, sorted, ycsb_keys};
 use alex_repro::alex_api::{IndexRead, IndexWrite};
-use alex_repro::alex_sharded::{ReadPath, ShardedAlex};
+use alex_repro::alex_sharded::ShardedAlex;
 use proptest::prelude::*;
-
-const BOTH_PATHS: [ReadPath; 2] = [ReadPath::Epoch, ReadPath::Locked];
 
 // ----------------------------------------------------------------------
 // 1. Sequential cross-checks via the alex-api write surface
 // ----------------------------------------------------------------------
 
-fn check_against_btreemap(keys: Vec<u64>, num_shards: usize, path: ReadPath, name: &str) {
+fn check_against_btreemap(keys: Vec<u64>, num_shards: usize, name: &str) {
     let init_sorted = sorted(keys);
     let (init, extra) = init_sorted.split_at(init_sorted.len() * 3 / 4);
     let data: Vec<(u64, u64)> = init.iter().map(|&k| (k, k ^ 0xF00D)).collect();
     let mut reference: BTreeMap<u64, u64> = data.iter().copied().collect();
-    let mut index = ShardedAlex::bulk_load_in(path, &data, num_shards, AlexConfig::ga_armi());
+    let mut index = ShardedAlex::bulk_load(&data, num_shards, AlexConfig::ga_armi());
 
     // Drive everything through the trait the workload driver uses —
     // value-returning `get`, not membership bools.
@@ -71,19 +68,15 @@ fn check_against_btreemap(keys: Vec<u64>, num_shards: usize, path: ReadPath, nam
 
 #[test]
 fn sharded_matches_btreemap_on_lognormal() {
-    for path in BOTH_PATHS {
-        for shards in [1, 3, 8] {
-            check_against_btreemap(lognormal_keys(20_000, 21), shards, path, "lognormal");
-        }
+    for shards in [1, 3, 8] {
+        check_against_btreemap(lognormal_keys(20_000, 21), shards, "lognormal");
     }
 }
 
 #[test]
 fn sharded_matches_btreemap_on_ycsb() {
-    for path in BOTH_PATHS {
-        for shards in [2, 5] {
-            check_against_btreemap(ycsb_keys(20_000, 22), shards, path, "ycsb");
-        }
+    for shards in [2, 5] {
+        check_against_btreemap(ycsb_keys(20_000, 22), shards, "ycsb");
     }
 }
 
@@ -100,12 +93,6 @@ fn sharded_label_reports_shard_count() {
 
 #[test]
 fn concurrent_readers_see_stable_keys_and_final_state_matches() {
-    for path in BOTH_PATHS {
-        concurrent_readers_check(path);
-    }
-}
-
-fn concurrent_readers_check(path: ReadPath) {
     const N: u64 = 20_000;
     const WRITERS: u64 = 4;
 
@@ -113,7 +100,7 @@ fn concurrent_readers_check(path: ReadPath) {
     // removes evens with k % 8 == t — all write sets disjoint. Evens
     // with k % 8 >= 4 are never touched: readers assert on those.
     let data: Vec<(u64, u64)> = (0..N).map(|k| (k * 2, k)).collect();
-    let index = ShardedAlex::bulk_load_in(path, &data, 4, AlexConfig::ga_armi());
+    let index = ShardedAlex::bulk_load(&data, 4, AlexConfig::ga_armi());
 
     std::thread::scope(|s| {
         for t in 0..WRITERS {
@@ -241,9 +228,9 @@ proptest! {
     /// Remove-then-reinsert of the same keys across a split boundary:
     /// between the remove and the reinsert, a burst of fresh inserts
     /// overfills the victims' leaves so split-on-insert replaces them
-    /// (on the epoch path: retire + publish). The reinserted keys must
-    /// land with their *new* payloads and the whole state must match a
-    /// `BTreeMap` that applied the same script — on both read paths.
+    /// (retire + publish). The reinserted keys must land with their
+    /// *new* payloads and the whole state must match a `BTreeMap` that
+    /// applied the same script.
     #[test]
     fn remove_then_reinsert_survives_split_boundary(
         init in prop::collection::btree_set(0u64..2000, 50..300),
@@ -252,48 +239,46 @@ proptest! {
     ) {
         let data: Vec<(u64, u64)> = init.iter().map(|&k| (k * 8, k)).collect();
         let config = AlexConfig::ga_armi().with_max_node_keys(64).with_splitting();
-        for path in BOTH_PATHS {
-            let index = ShardedAlex::bulk_load_in(path, &data, shards, config);
-            let mut reference: BTreeMap<u64, u64> = data.iter().copied().collect();
+        let index = ShardedAlex::bulk_load(&data, shards, config);
+        let mut reference: BTreeMap<u64, u64> = data.iter().copied().collect();
 
-            // Pick victim keys by rank (duplicates dedup via the map).
-            let keys: Vec<u64> = data.iter().map(|(k, _)| *k).collect();
-            let victim_keys: BTreeMap<u64, u64> = victims
-                .iter()
-                .map(|&r| keys[r % keys.len()])
-                .map(|k| (k, k ^ 0xBEEF))
-                .collect();
+        // Pick victim keys by rank (duplicates dedup via the map).
+        let keys: Vec<u64> = data.iter().map(|(k, _)| *k).collect();
+        let victim_keys: BTreeMap<u64, u64> = victims
+            .iter()
+            .map(|&r| keys[r % keys.len()])
+            .map(|k| (k, k ^ 0xBEEF))
+            .collect();
 
-            // Phase 1: remove the victims.
-            for &k in victim_keys.keys() {
-                prop_assert_eq!(index.remove(&k), reference.remove(&k), "remove {}", k);
-                prop_assert_eq!(index.get(&k), None, "removed key {} resurfaced", k);
-            }
-
-            // Phase 2: overfill the victims' neighbourhoods so their
-            // leaves split (fresh keys interleave at +1..+7 offsets).
-            for &k in victim_keys.keys() {
-                for off in 1..8u64 {
-                    let fresh = k + off;
-                    let ok = index.insert(fresh, fresh).is_ok();
-                    prop_assert_eq!(ok, reference.insert(fresh, fresh).is_none(), "fresh {}", fresh);
-                }
-            }
-
-            // Phase 3: reinsert the victims with new payloads — they
-            // must route into the freshly split leaves.
-            for (&k, &v) in &victim_keys {
-                prop_assert!(index.insert(k, v).is_ok(), "reinsert {} after split", k);
-                reference.insert(k, v);
-                prop_assert_eq!(index.get(&k), Some(v), "reinserted payload {}", k);
-            }
-
-            prop_assert_eq!(index.len(), reference.len());
-            let mut got = Vec::with_capacity(reference.len());
-            index.scan_from(&0, usize::MAX, |k, v| got.push((*k, *v)));
-            let expect: Vec<(u64, u64)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
-            prop_assert_eq!(got, expect, "state diverged on {:?}", path);
-            prop_assert_eq!(index.flush_retired(), 0);
+        // Phase 1: remove the victims.
+        for &k in victim_keys.keys() {
+            prop_assert_eq!(index.remove(&k), reference.remove(&k), "remove {}", k);
+            prop_assert_eq!(index.get(&k), None, "removed key {} resurfaced", k);
         }
+
+        // Phase 2: overfill the victims' neighbourhoods so their
+        // leaves split (fresh keys interleave at +1..+7 offsets).
+        for &k in victim_keys.keys() {
+            for off in 1..8u64 {
+                let fresh = k + off;
+                let ok = index.insert(fresh, fresh).is_ok();
+                prop_assert_eq!(ok, reference.insert(fresh, fresh).is_none(), "fresh {}", fresh);
+            }
+        }
+
+        // Phase 3: reinsert the victims with new payloads — they
+        // must route into the freshly split leaves.
+        for (&k, &v) in &victim_keys {
+            prop_assert!(index.insert(k, v).is_ok(), "reinsert {} after split", k);
+            reference.insert(k, v);
+            prop_assert_eq!(index.get(&k), Some(v), "reinserted payload {}", k);
+        }
+
+        prop_assert_eq!(index.len(), reference.len());
+        let mut got = Vec::with_capacity(reference.len());
+        index.scan_from(&0, usize::MAX, |k, v| got.push((*k, *v)));
+        let expect: Vec<(u64, u64)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
+        prop_assert_eq!(got, expect, "state diverged");
+        prop_assert_eq!(index.flush_retired(), 0);
     }
 }
