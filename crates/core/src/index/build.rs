@@ -66,7 +66,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     /// Two-level static RMI: a linear root over `num_leaf_nodes` data
     /// nodes.
     fn build_static(&mut self, pairs: &[(K, V)], lsq: &PrefixLsq, num_leaf_nodes: usize) -> NodeId {
-        let model = lsq.fit_partitions(0..pairs.len(), num_leaf_nodes);
+        let model = cached_route(lsq, 0..pairs.len(), num_leaf_nodes);
         let parts = partition_by_cached_model(lsq, 0..pairs.len(), &model, num_leaf_nodes);
         let mut children = Vec::with_capacity(num_leaf_nodes);
         for range in parts {
@@ -100,7 +100,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         } else {
             inner_fanout
         };
-        let model = lsq.fit_partitions(range.clone(), num_partitions);
+        let model = cached_route(lsq, range.clone(), num_partitions);
         let parts = partition_by_cached_model(lsq, range.clone(), &model, num_partitions);
         let mut children = Vec::with_capacity(num_partitions);
         let mut i = 0usize;
@@ -162,6 +162,39 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
                 }
             }
         }
+    }
+}
+
+/// Make a routing model monotone. Partitions are cut with
+/// `partition_point` and lookups route with the same model, so a
+/// negative (or NaN) slope files keys under one child and looks them
+/// up under another. The closed-form least-squares fit can produce one
+/// for sorted keys: on keys packed close together far from zero,
+/// `n·Σx² − (Σx)²` cancels to rounding noise. Such a model falls back
+/// to the line through the first and last key of the range, `first`
+/// and `last` as `f64`.
+pub(super) fn monotone_route(model: LinearModel, first: f64, last: f64, parts: usize) -> LinearModel {
+    if model.slope >= 0.0 {
+        return model;
+    }
+    if last > first {
+        let slope = parts as f64 / (last - first);
+        LinearModel {
+            slope,
+            intercept: -slope * first,
+        }
+    } else {
+        LinearModel::default()
+    }
+}
+
+/// The monotone routing model over the global index range `range` of
+/// the cached keys.
+fn cached_route(lsq: &PrefixLsq, range: Range<usize>, parts: usize) -> LinearModel {
+    let model = lsq.fit_partitions(range.clone(), parts);
+    match &lsq.xs()[range] {
+        [] => model,
+        xs => monotone_route(model, xs[0], xs[xs.len() - 1], parts),
     }
 }
 

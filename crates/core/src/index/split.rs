@@ -33,7 +33,7 @@ use crate::data_node::DataNode;
 use crate::key::AlexKey;
 use crate::model::LinearModel;
 
-use super::build::{partition_by_model, root_partition_model};
+use super::build::{monotone_route, partition_by_model, root_partition_model};
 use super::store::{InnerNode, LeafNode, Node, NodeId};
 use super::AlexIndex;
 
@@ -134,12 +134,16 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         };
         // Rescale the leaf's slot-space model to child-index space.
         let scale = fanout as f64 / capacity.max(1) as f64;
-        let mut route = old_model.scaled(scale);
+        let (first, last) = match (pairs.first(), pairs.last()) {
+            (Some(a), Some(b)) => (a.0.as_f64(), b.0.as_f64()),
+            _ => (0.0, 0.0),
+        };
+        let mut route = monotone_route(old_model.scaled(scale), first, last, fanout);
         let mut parts = partition_by_model(&pairs, &route, fanout);
         if parts.iter().any(|r| r.len() == pairs.len()) {
             // The inherited model routes everything to one child; retry
             // with a freshly fitted partition model before giving up.
-            route = root_partition_model(&pairs, fanout);
+            route = monotone_route(root_partition_model(&pairs, fanout), first, last, fanout);
             parts = partition_by_model(&pairs, &route, fanout);
             if parts.iter().any(|r| r.len() == pairs.len()) {
                 return None;
