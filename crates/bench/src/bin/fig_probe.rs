@@ -8,9 +8,10 @@
 //!    errors. The block-wise probe compares eight keys per iteration
 //!    with a mask reduction, so it should win at the small errors a
 //!    trained model actually produces.
-//! 2. **Per-node-type attribution** — for a gapped-array leaf and a
-//!    PMA leaf, model-predict cost vs. full `get` cost. The difference
-//!    is the local-search share, which is what group 1 optimises.
+//! 2. **Per-layout attribution** — for a `DataNode` leaf in the
+//!    gapped-array and in the PMA layout, model-predict cost vs. full
+//!    `get` cost. The difference is the local-search share, which is
+//!    what group 1 optimises.
 //! 3. **Full index in the `&mut` regime** — point gets and fresh
 //!    inserts on an exclusive `AlexIndex` (dense `Vec` arena): the
 //!    full-index reference the per-leaf costs of groups 1 and 2 are
@@ -30,7 +31,7 @@ use alex_bench::cli::Args;
 use alex_bench::harness::{emit_metric, METRIC_CSV_HEADER};
 use alex_bench::DEFAULT_SEED;
 use alex_core::search::{blockwise_search_lower_bound, exponential_search_lower_bound};
-use alex_core::{AlexConfig, AlexIndex, GappedNode, LinearModel, NodeParams, PmaNode, PrefixLsq};
+use alex_core::{AlexConfig, AlexIndex, DataNode, LinearModel, NodeLayout, NodeParams, PrefixLsq};
 use alex_datasets::uniform_dense_keys;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -118,28 +119,20 @@ fn main() {
     emit("blockwise", "ns_per_search@mixed", format!("{block:.1}"));
     emit("exponential", "ns_per_search@mixed", format!("{exp:.1}"));
 
-    // ---- 2. per-node-type attribution: predict vs local search ----
+    // ---- 2. per-layout attribution: predict vs local search -------
     if !csv {
         println!("\n-- leaf cost attribution (ns/op, {probe_n}-key leaf) --");
     }
     let leaf_pairs: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
     let lookups: Vec<u64> =
         (0..searches).map(|_| leaf_pairs[rng.random_range(0..leaf_pairs.len())].0).collect();
-    {
-        let ga = GappedNode::bulk_load(&leaf_pairs, NodeParams::default());
-        let predict = time_ns(&lookups, |k| ga.predict(k));
-        let get = time_ns(&lookups, |k| ga.get(k).map_or(0, |v| *v as usize));
-        emit("ga-leaf", "ns_model_predict", format!("{predict:.1}"));
-        emit("ga-leaf", "ns_get", format!("{get:.1}"));
-        emit("ga-leaf", "ns_local_search", format!("{:.1}", (get - predict).max(0.0)));
-    }
-    {
-        let pma = PmaNode::bulk_load(&leaf_pairs, NodeParams::default());
-        let predict = time_ns(&lookups, |k| pma.predict(k));
-        let get = time_ns(&lookups, |k| pma.get(k).map_or(0, |v| *v as usize));
-        emit("pma-leaf", "ns_model_predict", format!("{predict:.1}"));
-        emit("pma-leaf", "ns_get", format!("{get:.1}"));
-        emit("pma-leaf", "ns_local_search", format!("{:.1}", (get - predict).max(0.0)));
+    for (label, layout) in [("ga-leaf", NodeLayout::Gapped), ("pma-leaf", NodeLayout::Pma)] {
+        let leaf = DataNode::bulk_load(&leaf_pairs, layout, NodeParams::default());
+        let predict = time_ns(&lookups, |k| leaf.predict(k));
+        let get = time_ns(&lookups, |k| leaf.get(k).map_or(0, |v| *v as usize));
+        emit(label, "ns_model_predict", format!("{predict:.1}"));
+        emit(label, "ns_get", format!("{get:.1}"));
+        emit(label, "ns_local_search", format!("{:.1}", (get - predict).max(0.0)));
     }
 
     // ---- 3. full index, exclusive (&mut) regime --------------------

@@ -1,7 +1,7 @@
 //! Configuration: the four ALEX variants of §5.1 (GA/PMA × SRMI/ARMI)
 //! and the space-time knobs of §3.3.1 and §5.3.1.
 
-use alex_pma::layout::DensityBounds;
+use crate::pma_layout::DensityBounds;
 
 /// How keys are placed when a node is (re)built — the ablation knob
 /// for §3.2's *model-based insertion* ("model-based insertion has much
@@ -29,12 +29,13 @@ pub struct NodeParams {
     /// (Algorithm 1). Defaults to `sqrt(init_density)` so expansion
     /// restores `init_density`.
     pub upper_density: f64,
-    /// Density below which a node contracts after deletes.
+    /// Density below which a node contracts after deletes (in either
+    /// layout).
     pub lower_density: f64,
     /// Below this many keys a node skips its model and binary-searches
     /// ("cold start", §3.3.3).
     pub min_model_keys: usize,
-    /// Implicit-tree density bounds for PMA nodes (§3.3.2).
+    /// Implicit-tree upper density bounds for the PMA layout (§3.3.2).
     pub pma_bounds: DensityBounds,
     /// Key-placement strategy on (re)build (ablation knob; ALEX uses
     /// model-based placement).
@@ -77,12 +78,17 @@ impl NodeParams {
     }
 }
 
-/// Which leaf layout to use (§3.3).
+/// Which layout every [`DataNode`](crate::DataNode) uses (§3.3). Both
+/// layouts place keys with the node's model and search from the
+/// predicted slot; they differ only in how an insert makes room.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeLayout {
-    /// Gapped Array: best lookups, `O(n)` worst-case inserts.
+    /// Gapped Array (Algorithm 1): shift to the nearest gap, expand by
+    /// `1/d` at density `d`. Best lookups, `O(n)` worst-case inserts.
     Gapped,
-    /// Packed Memory Array: `O(log² n)` worst-case inserts.
+    /// Packed Memory Array (Algorithm 2): rebalance the smallest window
+    /// within its density bound ([`NodeParams::pma_bounds`]), double
+    /// at the root bound. `O(log² n)` worst-case inserts.
     Pma,
 }
 

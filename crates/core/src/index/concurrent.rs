@@ -112,7 +112,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use alex_api::{BatchOps, ConcurrentIndex, IndexRead, IndexWrite, InsertError};
 
 use crate::config::{AlexConfig, RmiMode};
-use crate::gapped::InsertOutcome;
+use crate::data_node::InsertOutcome;
 use crate::key::AlexKey;
 use crate::stats::SizeReport;
 

@@ -16,7 +16,7 @@ use core::sync::atomic::Ordering;
 use alex_api::InsertError;
 
 use crate::config::RmiMode;
-use crate::gapped::InsertOutcome;
+use crate::data_node::InsertOutcome;
 use crate::iter::RangeIter;
 use crate::key::AlexKey;
 

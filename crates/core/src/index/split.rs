@@ -126,7 +126,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
             // delta buffers.
             (
                 l.to_pairs_merged(),
-                l.data.model(),
+                l.data.model,
                 l.data.capacity(),
                 l.prev,
                 l.next,

@@ -24,9 +24,9 @@
 //! against real key comparisons. A locally constant projection (shared
 //! string prefixes, dense `u64`s past 2⁵³) only degrades the model —
 //! data nodes detect that at (re)train time and flip to uniform
-//! placement + binary search (see `gapped`/`pma_node` degradation
-//! guard), so lookups degrade to O(log n), never to linear scans or
-//! quadratic shift storms.
+//! placement + binary search (see the degradation guard in
+//! `data_node`), so lookups degrade to O(log n), never to linear scans
+//! or quadratic shift storms.
 
 use alex_api::{composite_projection, Composite, FixedStr, SentinelKey};
 

@@ -11,9 +11,12 @@
 //!
 //! The two design dimensions of §3 are both implemented:
 //!
-//! - **Flexible node layout** (§3.3): [`config::NodeLayout::Gapped`]
-//!   (Gapped Array — fastest lookups) or [`config::NodeLayout::Pma`]
-//!   (Packed Memory Array — bounded worst-case inserts).
+//! - **Flexible node layout** (§3.3): one [`DataNode`] type in either
+//!   layout, [`config::NodeLayout::Gapped`] (Gapped Array — fastest
+//!   lookups) or [`config::NodeLayout::Pma`] (Packed Memory Array —
+//!   bounded worst-case inserts). The layouts share the model,
+//!   model-based placement and search, and differ only in how an
+//!   insert makes room.
 //! - **Static vs. adaptive RMI** (§3.4): [`config::RmiMode::Static`]
 //!   (two levels, fixed leaf count) or [`config::RmiMode::Adaptive`]
 //!   (Algorithm 4 initialization, optional node splitting on inserts).
@@ -66,7 +69,9 @@
 //!
 //! ## Crate layout
 //! - [`index`] / [`AlexIndex`] — the public index.
-//! - [`gapped`] / [`pma_node`] — the two data-node layouts.
+//! - [`data_node`] — the leaf data node in both layouts;
+//!   [`pma_layout`] — the PMA layout's window geometry and density
+//!   bounds.
 //! - [`model`], [`search`], [`bitmap`] — the primitives (linear models,
 //!   exponential search, occupancy bitmaps).
 //! - [`analysis`] — the direct-hit bounds of §4 (Theorems 1–3).
@@ -89,24 +94,22 @@ pub mod data_node;
 // state the crate-internal contract the rest of the code upholds.
 #[allow(unsafe_code)]
 pub mod epoch;
-pub mod gapped;
 pub mod index;
 pub mod iter;
 pub mod key;
 pub mod model;
-pub mod pma_node;
+pub mod pma_layout;
 pub mod search;
 pub mod stats;
 
 mod slots;
 
 pub use config::{AlexConfig, DeltaBuffer, NodeLayout, NodeParams, Placement, RmiMode};
-pub use gapped::{GappedNode, InsertOutcome};
+pub use data_node::{DataNode, InsertOutcome};
 pub use index::{AlexIndex, EpochAlex, EpochStats, EpochWriteStats};
 pub use iter::RangeIter;
 pub use key::{ordered_bits, ordered_bits_inverse, AlexKey};
 pub use model::{LinearModel, PrefixLsq};
-pub use pma_node::PmaNode;
 pub use stats::{ReadStats, SizeReport, WriteStats};
 
 // Re-export the key-model vocabulary so downstream crates can name

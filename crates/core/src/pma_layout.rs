@@ -1,4 +1,7 @@
-//! Capacity, segment, and window arithmetic for Packed Memory Arrays.
+//! Capacity, segment, and window arithmetic for the Packed Memory
+//! Array layout of a data node (§3.3.2), after Bender & Hu, *An
+//! adaptive packed-memory array*, TODS 2007 — reference \[6\] of the
+//! ALEX paper.
 //!
 //! A PMA of capacity `2^k` is divided into `2^s` segments of equal
 //! power-of-two size. An implicit binary tree is built over the segments:
@@ -6,25 +9,29 @@
 //! root) to the whole array. Every depth has an upper density bound,
 //! linearly interpolated between a permissive bound at the leaves and a
 //! strict bound at the root, so that no region of the array can become
-//! too packed before a redistribution spreads it out again.
+//! too packed before a redistribution spreads it out again. An insert
+//! that would push its segment over the bound walks up the tree to the
+//! smallest window within bounds and respreads it; when even the root
+//! window is over its bound the array doubles. Under random inserts
+//! that costs `O(log n)` amortized moves per insert and `O(log² n)` in
+//! the worst case — the bound the paper's PMA layout relies on.
 
 /// Density bounds for the implicit window tree.
 ///
 /// `upper_leaf` is the maximum fill fraction a single segment may reach;
 /// `upper_root` the maximum for the whole array. Bounds at intermediate
-/// depths are linear interpolations. `lower_root` supports contraction on
-/// deletes (a root density below it halves the array).
+/// depths are linear interpolations. A PMA node contracts on deletes at
+/// [`NodeParams::lower_density`](crate::NodeParams::lower_density), like
+/// a gapped one, so there is no lower bound here.
 ///
 /// The classic choice (and our default) is `upper_leaf = 0.92`,
-/// `upper_root = 0.7`, `lower_root = 0.3`.
+/// `upper_root = 0.7`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DensityBounds {
     /// Maximum density of a leaf window (single segment).
     pub upper_leaf: f64,
     /// Maximum density of the root window (entire array).
     pub upper_root: f64,
-    /// Minimum density of the root window before the array contracts.
-    pub lower_root: f64,
 }
 
 impl Default for DensityBounds {
@@ -32,27 +39,21 @@ impl Default for DensityBounds {
         Self {
             upper_leaf: 0.92,
             upper_root: 0.7,
-            lower_root: 0.3,
         }
     }
 }
 
 impl DensityBounds {
-    /// Create bounds, validating that `0 < lower_root < upper_root <=
-    /// upper_leaf <= 1`.
+    /// Create bounds, validating that `0 < upper_root <= upper_leaf <= 1`.
     ///
     /// # Panics
     /// Panics if the ordering constraint is violated.
-    pub fn new(upper_leaf: f64, upper_root: f64, lower_root: f64) -> Self {
+    pub fn new(upper_leaf: f64, upper_root: f64) -> Self {
         assert!(
-            0.0 < lower_root && lower_root < upper_root && upper_root <= upper_leaf && upper_leaf <= 1.0,
-            "invalid density bounds: lower_root={lower_root}, upper_root={upper_root}, upper_leaf={upper_leaf}"
+            0.0 < upper_root && upper_root <= upper_leaf && upper_leaf <= 1.0,
+            "invalid density bounds: upper_root={upper_root}, upper_leaf={upper_leaf}"
         );
-        Self {
-            upper_leaf,
-            upper_root,
-            lower_root,
-        }
+        Self { upper_leaf, upper_root }
     }
 
     /// Upper density bound for a window at `depth`, where depth `0` is the
@@ -225,7 +226,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid density bounds")]
     fn density_bounds_validate() {
-        let _ = DensityBounds::new(0.5, 0.9, 0.3);
+        let _ = DensityBounds::new(0.5, 0.9);
     }
 
     #[test]

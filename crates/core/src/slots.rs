@@ -1,4 +1,4 @@
-//! The gapped slot array shared by both data-node layouts.
+//! The gapped slot array under every data node, in both layouts.
 //!
 //! Keys, values, and an occupancy bitmap over `capacity` slots. The key
 //! array stays **non-decreasing across every slot**, including gaps:

@@ -10,8 +10,6 @@
 //!   baseline, and the `conformance_suite!` macro every backend
 //!   instantiates.
 //! - [`alex_core`] — the ALEX index itself (the paper's contribution).
-//! - [`alex_pma`] — a standalone Packed Memory Array (Bender & Hu), the
-//!   substrate behind ALEX's PMA node layout.
 //! - [`alex_btree`] — an in-memory B+Tree baseline (STX-style).
 //! - [`alex_learned_index`] — a reimplementation of the static Learned
 //!   Index of Kraska et al. (two-level linear RMI over a dense sorted
@@ -21,8 +19,8 @@
 //! - [`alex_workloads`] — YCSB-style workload drivers (single- and
 //!   multi-threaded), generic over the [`alex_api`] traits.
 //! - [`alex_sharded`] — the sharded concurrent front-end: the key space
-//!   range-partitioned across `AlexIndex` shards behind per-shard
-//!   reader-writer locks.
+//!   range-partitioned across `EpochAlex` shards, each with lock-free
+//!   epoch-protected readers and one serialized copy-on-write writer.
 //! - [`alex_wal`] — durability for the epoch index: an LSN'd
 //!   write-ahead log with group commit, copy-on-write leaf snapshots
 //!   in slotted pages, and crash recovery (`DurableAlex`).
@@ -37,7 +35,6 @@ pub use alex_btree;
 pub use alex_core;
 pub use alex_datasets;
 pub use alex_learned_index;
-pub use alex_pma;
 pub use alex_server;
 pub use alex_sharded;
 pub use alex_wal;

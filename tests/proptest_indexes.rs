@@ -1,5 +1,5 @@
 //! Property-based tests: random operation sequences against a
-//! `BTreeMap` model, for every ALEX variant plus the two baselines,
+//! `BTreeMap` model, for every ALEX variant plus the B+Tree baseline,
 //! and invariant checks on the §4 theory bounds.
 
 use std::collections::BTreeMap;
@@ -9,7 +9,6 @@ use alex_repro::alex_core::analysis::{
     base_slope, measure_direct_hits, theorem2_upper_bound, theorem3_lower_bound,
 };
 use alex_repro::alex_core::{AlexConfig, AlexIndex, EpochAlex};
-use alex_repro::alex_pma::Pma;
 use proptest::prelude::*;
 
 /// A random index operation.
@@ -210,18 +209,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    #[test]
-    fn pma_matches_btreeset(keys in prop::collection::vec(0u64..5000, 1..600)) {
-        let mut pma: Pma<u64> = Pma::new();
-        let mut model = std::collections::BTreeSet::new();
-        for &k in &keys {
-            prop_assert_eq!(pma.insert(k), model.insert(k));
-        }
-        let got: Vec<u64> = pma.iter().copied().collect();
-        let expect: Vec<u64> = model.iter().copied().collect();
-        prop_assert_eq!(got, expect);
     }
 
     #[test]
