@@ -143,50 +143,6 @@ impl RmiMode {
 /// write path — see [`AlexConfig::delta_buffer`].
 pub const DEFAULT_DELTA_BUFFER_CAPACITY: usize = 32;
 
-/// Smallest capacity the adaptive controller will shrink to. Below
-/// this the flush overhead dominates and every shared write is close
-/// to a full leaf clone again.
-pub const MIN_ADAPTIVE_DELTA_CAPACITY: usize = 8;
-
-/// Largest capacity the adaptive controller will grow to. Above this
-/// the sorted side-array merge on every read costs more than the
-/// clones it saves.
-pub const MAX_ADAPTIVE_DELTA_CAPACITY: usize = 1024;
-
-/// Sizing policy for the per-leaf delta buffer of the shared (epoch)
-/// write path — see [`AlexConfig::delta_buffer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaBuffer {
-    /// A static per-leaf capacity. `Fixed(0)` disables buffering:
-    /// every shared write clones the full leaf (the pre-delta
-    /// behaviour).
-    Fixed(usize),
-    /// Self-tuning: start at [`DEFAULT_DELTA_BUFFER_CAPACITY`] and let
-    /// `EpochAlex` re-derive the cap from its observed
-    /// `write_stats()` (clones-per-write vs flush rate) at flush
-    /// boundaries, clamped to
-    /// [`MIN_ADAPTIVE_DELTA_CAPACITY`]..=[`MAX_ADAPTIVE_DELTA_CAPACITY`].
-    /// Requires the `read-stats` feature for the read-traffic signal;
-    /// without it the cap stays at the static default.
-    Adaptive,
-}
-
-impl DeltaBuffer {
-    /// The capacity the epoch write path starts with (and, for
-    /// [`DeltaBuffer::Fixed`], keeps forever).
-    pub fn initial_capacity(&self) -> usize {
-        match self {
-            DeltaBuffer::Fixed(capacity) => *capacity,
-            DeltaBuffer::Adaptive => DEFAULT_DELTA_BUFFER_CAPACITY,
-        }
-    }
-
-    /// Whether the epoch write path may re-derive the cap at runtime.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, DeltaBuffer::Adaptive)
-    }
-}
-
 /// Full configuration for an [`crate::AlexIndex`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AlexConfig {
@@ -196,18 +152,15 @@ pub struct AlexConfig {
     pub rmi: RmiMode,
     /// Data-node parameters.
     pub node: NodeParams,
-    /// Sizing policy of the per-leaf delta buffer used by the shared
-    /// (epoch) write path (`EpochAlex`): point writes land in a small
-    /// sorted side-array published alongside the leaf snapshot and are
-    /// folded into the gapped array only when the buffer fills or the
-    /// leaf splits, amortizing the copy-on-write leaf clone to
-    /// `O(leaf / capacity)` per write. [`DeltaBuffer::Fixed`] pins the
-    /// capacity (`Fixed(0)` disables buffering — every shared write
-    /// clones the full leaf, the pre-delta behaviour);
-    /// [`DeltaBuffer::Adaptive`] lets `EpochAlex` re-derive it from
-    /// observed write stats at flush boundaries. Ignored by the
-    /// exclusive (`&mut`) write path, which edits in place.
-    pub delta_buffer: DeltaBuffer,
+    /// Per-leaf delta-buffer capacity of the shared (epoch) write path
+    /// (`EpochAlex`): point writes land in a small sorted side-array
+    /// published alongside the leaf snapshot and are folded into the
+    /// gapped array only when the buffer fills or the leaf splits,
+    /// amortizing the copy-on-write leaf clone to `O(leaf / capacity)`
+    /// per write. `0` disables buffering: every shared write clones
+    /// the full leaf, the pre-delta behaviour. Ignored by the exclusive
+    /// (`&mut`) write path, which edits in place.
+    pub delta_buffer: usize,
 }
 
 impl Default for AlexConfig {
@@ -223,7 +176,7 @@ impl AlexConfig {
             layout: NodeLayout::Gapped,
             rmi: RmiMode::Static { num_leaf_nodes },
             node: NodeParams::default(),
-            delta_buffer: DeltaBuffer::Fixed(DEFAULT_DELTA_BUFFER_CAPACITY),
+            delta_buffer: DEFAULT_DELTA_BUFFER_CAPACITY,
         }
     }
 
@@ -233,7 +186,7 @@ impl AlexConfig {
             layout: NodeLayout::Gapped,
             rmi: RmiMode::adaptive(),
             node: NodeParams::default(),
-            delta_buffer: DeltaBuffer::Fixed(DEFAULT_DELTA_BUFFER_CAPACITY),
+            delta_buffer: DEFAULT_DELTA_BUFFER_CAPACITY,
         }
     }
 
@@ -243,7 +196,7 @@ impl AlexConfig {
             layout: NodeLayout::Pma,
             rmi: RmiMode::Static { num_leaf_nodes },
             node: NodeParams::default(),
-            delta_buffer: DeltaBuffer::Fixed(DEFAULT_DELTA_BUFFER_CAPACITY),
+            delta_buffer: DEFAULT_DELTA_BUFFER_CAPACITY,
         }
     }
 
@@ -253,7 +206,7 @@ impl AlexConfig {
             layout: NodeLayout::Pma,
             rmi: RmiMode::adaptive(),
             node: NodeParams::default(),
-            delta_buffer: DeltaBuffer::Fixed(DEFAULT_DELTA_BUFFER_CAPACITY),
+            delta_buffer: DEFAULT_DELTA_BUFFER_CAPACITY,
         }
     }
 
@@ -283,21 +236,11 @@ impl AlexConfig {
         self
     }
 
-    /// Pin the per-leaf delta-buffer capacity of the shared (epoch)
+    /// Set the per-leaf delta-buffer capacity of the shared (epoch)
     /// write path (`0` disables buffering — every shared write copies
-    /// the whole leaf). Shorthand for
-    /// `delta_buffer(DeltaBuffer::Fixed(capacity))`.
+    /// the whole leaf).
     pub fn with_delta_buffer(mut self, capacity: usize) -> Self {
-        self.delta_buffer = DeltaBuffer::Fixed(capacity);
-        self
-    }
-
-    /// Override the delta-buffer sizing policy (see [`DeltaBuffer`]).
-    /// `delta_buffer(DeltaBuffer::Adaptive)` lets `EpochAlex`
-    /// re-derive the cap from observed write stats at flush
-    /// boundaries.
-    pub fn delta_buffer(mut self, mode: DeltaBuffer) -> Self {
-        self.delta_buffer = mode;
+        self.delta_buffer = capacity;
         self
     }
 
@@ -369,13 +312,8 @@ mod tests {
     #[test]
     fn delta_buffer_modes() {
         let cfg = AlexConfig::ga_armi();
-        assert_eq!(cfg.delta_buffer, DeltaBuffer::Fixed(DEFAULT_DELTA_BUFFER_CAPACITY));
-        assert!(!cfg.delta_buffer.is_adaptive());
-        assert_eq!(cfg.with_delta_buffer(7).delta_buffer, DeltaBuffer::Fixed(7));
-        assert_eq!(DeltaBuffer::Fixed(0).initial_capacity(), 0);
-
-        let adaptive = cfg.delta_buffer(DeltaBuffer::Adaptive);
-        assert!(adaptive.delta_buffer.is_adaptive());
-        assert_eq!(adaptive.delta_buffer.initial_capacity(), DEFAULT_DELTA_BUFFER_CAPACITY);
+        assert_eq!(cfg.delta_buffer, DEFAULT_DELTA_BUFFER_CAPACITY);
+        assert_eq!(cfg.with_delta_buffer(7).delta_buffer, 7);
+        assert_eq!(cfg.with_delta_buffer(0).delta_buffer, 0);
     }
 }

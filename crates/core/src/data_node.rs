@@ -568,7 +568,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "read-stats")]
     fn degraded_lookups_count_probes_and_no_direct_hits() {
         // Dense keys past 2^53 collapse the projection, so both layouts
         // degrade at bulk load and hint with an exact binary search.
@@ -750,7 +749,6 @@ mod tests {
         }
 
         #[test]
-        #[cfg(feature = "read-stats")]
         fn read_stats_count_direct_hits() {
             let node = bulk_load(&sorted_pairs(1000, 5));
             for k in 0..1000u64 {

@@ -42,24 +42,6 @@
 //! (non-empty buffers folded in) so tests and the `fig_write_amp`
 //! bench can assert the amortization actually happened.
 //!
-//! ## Adaptive capacity (`DeltaBuffer::Adaptive`)
-//!
-//! With [`crate::DeltaBuffer::Adaptive`] the per-leaf cap is not a
-//! constant: at every 16th flush the writer re-derives it from the
-//! same counters `write_stats` exposes. The steady-state clone rate of
-//! a buffered point workload is `≈ 1/(cap+1)` clones per write, so the
-//! controller steers toward a target of 1/64: a window whose observed
-//! `leaf_clones / writes` overshoots 1.5× the target doubles the cap
-//! (write amplification too high), and one that undershoots 0.5× the
-//! target *while lookups outnumber writes* halves it (readers are
-//! paying the delta-merge probe for headroom the writers don't use).
-//! The cap is clamped to
-//! [`crate::config::MIN_ADAPTIVE_DELTA_CAPACITY`]`..=`[`crate::config::MAX_ADAPTIVE_DELTA_CAPACITY`]
-//! and only ever read at write time, so the tuner costs the read path
-//! nothing. The read-traffic signal needs the `read-stats` feature;
-//! without it the controller is compiled out and `Adaptive` behaves
-//! exactly like the static default capacity.
-//!
 //! ## Why a pinned reader can never observe a freed node
 //!
 //! A reader pins the global epoch `e` before loading any pointer, and
@@ -119,7 +101,7 @@ use crate::stats::SizeReport;
 use super::delta::DeltaOp;
 use super::store::{LeafNode, Node};
 use super::AlexIndex;
-use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU64, Ordering};
 
 /// An [`AlexIndex`] with lock-free, epoch-protected readers and
 /// mutex-serialized, delta-buffered copy-on-write writers. The
@@ -137,39 +119,7 @@ pub struct EpochAlex<K, V> {
     writer: Mutex<()>,
     /// Write-amplification counters (see [`EpochWriteStats`]).
     writes: WriteAmp,
-    /// Effective per-leaf delta capacity: the configured constant for
-    /// `DeltaBuffer::Fixed`, the tuner's current output for
-    /// `Adaptive`. Only the write path reads it.
-    delta_cap: AtomicUsize,
-    /// Flush-boundary self-tuning state (see the module docs); inert
-    /// for `DeltaBuffer::Fixed`.
-    tuner: Tuner,
 }
-
-/// Counter snapshots from the last adaptation, letting the controller
-/// reason about the *window* since then rather than lifetime totals.
-/// Mutated only under the writer mutex; atomics keep the struct
-/// `Sync` without another lock.
-#[derive(Debug, Default)]
-#[cfg_attr(not(feature = "read-stats"), allow(dead_code))]
-struct Tuner {
-    enabled: bool,
-    last_flushes: AtomicU64,
-    last_delta_hits: AtomicU64,
-    last_leaf_clones: AtomicU64,
-    last_lookups: AtomicU64,
-    adaptations: AtomicU64,
-}
-
-/// Flushes between adaptation checks: long enough to smooth out the
-/// burst right after a capacity change, short enough to converge
-/// within a few thousand writes.
-#[cfg(feature = "read-stats")]
-const ADAPT_FLUSH_INTERVAL: u64 = 16;
-
-/// Clone-rate setpoint: one full leaf copy per 64 point writes.
-#[cfg(feature = "read-stats")]
-const TARGET_CLONES_PER_WRITE: f64 = 1.0 / 64.0;
 
 /// Reclamation diagnostics for one [`EpochAlex`] (or one shard).
 ///
@@ -251,16 +201,10 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     /// concurrent.
     pub fn from_index(mut index: AlexIndex<K, V>) -> Self {
         index.store.ensure_epoch();
-        let mode = index.config().delta_buffer;
         Self {
             index,
             writer: Mutex::new(()),
             writes: WriteAmp::default(),
-            delta_cap: AtomicUsize::new(mode.initial_capacity()),
-            tuner: Tuner {
-                enabled: mode.is_adaptive(),
-                ..Tuner::default()
-            },
         }
     }
 
@@ -268,9 +212,8 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     /// reader or writer can still be active). Pending delta buffers
     /// are flushed and the retire lists drained, so the returned
     /// index is delta-free with a clean arena — and its nodes move
-    /// back to the dense arena, making
-    /// [`AlexIndex::into_concurrent`]/`into_inner` a lossless
-    /// round trip.
+    /// back to the dense arena, making [`EpochAlex::from_index`] then
+    /// `into_inner` a lossless round trip.
     pub fn into_inner(self) -> AlexIndex<K, V> {
         let mut index = self.index;
         index.flush_deltas();
@@ -298,27 +241,6 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
         self.writer
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Effective per-leaf delta-buffer capacity (0 = buffering off):
-    /// the configured constant, or the tuner's current output under
-    /// `DeltaBuffer::Adaptive`.
-    fn delta_capacity(&self) -> usize {
-        self.delta_cap.load(Ordering::Relaxed)
-    }
-
-    /// The per-leaf delta capacity the write path is using right now.
-    /// Equals `config().delta_buffer.initial_capacity()` for
-    /// `DeltaBuffer::Fixed` (always) and `Adaptive` (until the first
-    /// adaptation); the differential suite asserts convergence
-    /// through this.
-    pub fn current_delta_capacity(&self) -> usize {
-        self.delta_cap.load(Ordering::Relaxed)
-    }
-
-    /// How many times the adaptive controller has changed the cap.
-    pub fn delta_adaptations(&self) -> u64 {
-        self.tuner.adaptations.load(Ordering::Relaxed)
     }
 
     // ------------------------------------------------------------------
@@ -412,11 +334,10 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     }
 
     /// Aggregated read counters `(lookups, comparisons, direct_hits)`
-    /// summed over the current leaf snapshots. All zero without the
-    /// `read-stats` feature. Counters ride the leaf snapshots, so a
-    /// concurrent flush (which rebuilds the base array) may fold a
-    /// leaf's tallies — treat the numbers as advisory load signals,
-    /// which is all the shard rebalancer needs.
+    /// summed over the current leaf snapshots. Counters ride the leaf
+    /// snapshots, so a concurrent flush (which rebuilds the base array)
+    /// may fold a leaf's tallies — treat the numbers as advisory load
+    /// signals, which is all the shard rebalancer needs.
     pub fn read_stats(&self) -> (u64, u64, u64) {
         let _guard = self.index.store.pin();
         self.index.read_stats()
@@ -452,7 +373,7 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
             }
             fresh.delta_net -= 1;
             self.writes.delta_hit();
-        } else if fresh.delta.len() < self.delta_capacity() {
+        } else if fresh.delta.len() < self.index.config().delta_buffer {
             // Base occupant (live_get saw no tombstone): buffer it.
             fresh.delta.tombstone(*key);
             fresh.delta_net -= 1;
@@ -476,7 +397,7 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
         let mut fresh = leaf.clone();
         // An existing buffered put is replaced in place, so only a new
         // shadow entry counts against the capacity.
-        if fresh.delta.contains(key) || fresh.delta.len() < self.delta_capacity() {
+        if fresh.delta.contains(key) || fresh.delta.len() < self.index.config().delta_buffer {
             fresh.delta.put(*key, value);
             self.writes.delta_hit();
         } else {
@@ -622,7 +543,7 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
             // A tombstoned key re-inserts by flipping its entry in
             // place, so only genuinely new entries count against the
             // capacity.
-            if fresh.delta.contains(&key) || fresh.delta.len() < self.delta_capacity() {
+            if fresh.delta.contains(&key) || fresh.delta.len() < self.index.config().delta_buffer {
                 fresh.delta.put(key, value);
                 fresh.delta_net += 1;
                 self.writes.delta_hit();
@@ -659,63 +580,7 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
         // touches the published snapshot.
         let _ = Arc::make_mut(&mut fresh.data);
         self.writes.leaf_clones.fetch_add(1, Ordering::Relaxed);
-        self.maybe_adapt();
     }
-
-    /// The `DeltaBuffer::Adaptive` controller (see the module docs).
-    /// Runs at flush boundaries only — the caller holds the writer
-    /// mutex and an epoch pin, so the snapshot state in `self.tuner`
-    /// needs no further synchronization. Every
-    /// [`ADAPT_FLUSH_INTERVAL`] flushes it compares the window's
-    /// observed clone rate against [`TARGET_CLONES_PER_WRITE`] and
-    /// doubles or halves the cap within the configured clamps.
-    #[cfg(feature = "read-stats")]
-    fn maybe_adapt(&self) {
-        if !self.tuner.enabled {
-            return;
-        }
-        let stats = self.writes.snapshot();
-        let last_flushes = self.tuner.last_flushes.load(Ordering::Relaxed);
-        if stats.flushes.saturating_sub(last_flushes) < ADAPT_FLUSH_INTERVAL {
-            return;
-        }
-        let clones = stats.leaf_clones - self.tuner.last_leaf_clones.load(Ordering::Relaxed);
-        let hits = stats.delta_hits - self.tuner.last_delta_hits.load(Ordering::Relaxed);
-        let (lookups, _, _) = self.index.read_stats();
-        let window_lookups = lookups.saturating_sub(self.tuner.last_lookups.load(Ordering::Relaxed));
-        // Every point write is either a delta hit or part of a clone,
-        // so the window's write count is their sum. (A bulk_insert run
-        // counts as one clone for the whole run — batch traffic thus
-        // reads as clone-heavy and keeps the cap from shrinking, which
-        // is the conservative direction.)
-        let writes = clones + hits;
-        self.tuner.last_flushes.store(stats.flushes, Ordering::Relaxed);
-        self.tuner.last_leaf_clones.store(stats.leaf_clones, Ordering::Relaxed);
-        self.tuner.last_delta_hits.store(stats.delta_hits, Ordering::Relaxed);
-        self.tuner.last_lookups.store(lookups, Ordering::Relaxed);
-        if writes == 0 {
-            return;
-        }
-        let observed = clones as f64 / writes as f64;
-        let cap = self.delta_cap.load(Ordering::Relaxed);
-        let next = if observed > 1.5 * TARGET_CLONES_PER_WRITE {
-            (cap * 2).min(crate::config::MAX_ADAPTIVE_DELTA_CAPACITY)
-        } else if observed < 0.5 * TARGET_CLONES_PER_WRITE && window_lookups > writes {
-            (cap / 2).max(crate::config::MIN_ADAPTIVE_DELTA_CAPACITY)
-        } else {
-            cap
-        };
-        if next != cap {
-            self.delta_cap.store(next, Ordering::Relaxed);
-            self.tuner.adaptations.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Without the `read-stats` feature the lookup counters read zero,
-    /// so the controller would have no read-traffic signal; `Adaptive`
-    /// degrades to the static default capacity.
-    #[cfg(not(feature = "read-stats"))]
-    fn maybe_adapt(&self) {}
 
     // ------------------------------------------------------------------
     // Diagnostics
@@ -1099,11 +964,11 @@ mod tests {
     }
 
     #[test]
-    fn into_concurrent_round_trip_restores_dense_arena() {
+    fn from_index_round_trip_restores_dense_arena() {
         // Every index builds dense; wrapping upgrades to epoch.
         let index = AlexIndex::bulk_load(&pairs(2000, 2), splitting_config());
         assert!(!index.store.is_epoch());
-        let shared = index.into_concurrent();
+        let shared = EpochAlex::from_index(index);
         assert!(shared.index.store.is_epoch());
         std::thread::scope(|s| {
             let idx = &shared;

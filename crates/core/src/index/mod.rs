@@ -130,15 +130,6 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         index
     }
 
-    /// Upgrade this exclusive index into an internally synchronized
-    /// [`EpochAlex`], moving its nodes from the dense arena to the
-    /// epoch arena. The bulk-load → serve bridge: build dense
-    /// (fastest), then go concurrent. [`EpochAlex::into_inner`] is the
-    /// inverse and always moves the nodes back to the dense arena.
-    pub fn into_concurrent(self) -> EpochAlex<K, V> {
-        EpochAlex::from_index(self)
-    }
-
     /// Number of keys stored.
     #[inline]
     pub fn len(&self) -> usize {
@@ -157,11 +148,10 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         &self.config
     }
 
-    /// Fold every leaf's pending delta buffer into its base array
-    /// (exclusive regime). After this, reads and writes touch the
-    /// gapped arrays directly; [`EpochAlex::into_inner`] calls it so
-    /// the recovered index is always delta-free.
-    pub fn flush_deltas(&mut self) {
+    /// Fold every leaf's pending delta buffer into its base array.
+    /// Only the shared write path buffers, so [`EpochAlex::into_inner`]
+    /// is the one caller: the index it returns is always delta-free.
+    pub(super) fn flush_deltas(&mut self) {
         for id in 0..self.store.node_count() {
             if matches!(self.store.node(id), Node::Leaf(_)) {
                 self.store.leaf_mut(id).flush_delta();

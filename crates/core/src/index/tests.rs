@@ -235,7 +235,6 @@ fn prediction_errors_small_on_linear_data() {
 }
 
 #[test]
-#[cfg(feature = "read-stats")]
 fn read_stats_aggregate() {
     let index = AlexIndex::bulk_load(&pairs(1000, 3), AlexConfig::ga_srmi(8));
     for k in 0..1000u64 {

@@ -57,10 +57,10 @@
 //!   can serve lock-free readers while a serialized writer publishes
 //!   copy-on-write updates — the *shared* regime.
 //!
-//! The bridge contract: [`AlexIndex::into_concurrent`] (or
-//! [`EpochAlex::from_index`]) moves an index's nodes into epoch slots,
-//! preserving node ids; [`EpochAlex::into_inner`] hands back exclusive
-//! ownership and always moves them back to the dense arena. Both
+//! The bridge contract: [`EpochAlex::from_index`] moves an index's
+//! nodes into epoch slots, preserving node ids; [`EpochAlex::into_inner`]
+//! hands back exclusive ownership and always moves them back to the
+//! dense arena. Both
 //! directions preserve ids, contents, and statistics, so bulk-load in
 //! the cheap dense flavour and convert only when concurrency starts.
 //! Shared-regime entry points (`EpochAlex::new` / `bulk_load`, the
@@ -104,7 +104,7 @@ pub mod stats;
 
 mod slots;
 
-pub use config::{AlexConfig, DeltaBuffer, NodeLayout, NodeParams, Placement, RmiMode};
+pub use config::{AlexConfig, NodeLayout, NodeParams, Placement, RmiMode};
 pub use data_node::{DataNode, InsertOutcome};
 pub use index::{AlexIndex, EpochAlex, EpochStats, EpochWriteStats};
 pub use iter::RangeIter;

@@ -58,11 +58,11 @@ impl WriteStats {
 /// instrumentation: under concurrent readers each increment lands
 /// atomically but the three fields are not updated as one transaction.
 ///
-/// The atomic RMWs sit on the lookup hot path (and, under parallel
-/// Zipf-skewed readers, contend on hot leaves' counter cache lines),
-/// so the default-on `read-stats` cargo feature can be disabled to
-/// compile [`ReadStats::record`] down to a no-op for peak-throughput
-/// runs; all counter reads then return zero.
+/// The counters are always on: the paper's drilldowns (comparisons
+/// per lookup, direct hits; Figures 7 and 11) read them in every
+/// build. The atomic RMWs sit on the lookup hot path (and, under
+/// parallel Zipf-skewed readers, contend on hot leaves' counter cache
+/// lines).
 #[derive(Debug, Default)]
 pub struct ReadStats {
     lookups: AtomicU64,
@@ -86,16 +86,11 @@ impl ReadStats {
     /// model-predicted slot (§4).
     #[inline]
     pub fn record(&self, comparisons: u32, direct: bool) {
-        #[cfg(feature = "read-stats")]
-        {
-            self.lookups.fetch_add(1, Relaxed);
-            self.comparisons.fetch_add(u64::from(comparisons), Relaxed);
-            if direct {
-                self.direct_hits.fetch_add(1, Relaxed);
-            }
+        self.lookups.fetch_add(1, Relaxed);
+        self.comparisons.fetch_add(u64::from(comparisons), Relaxed);
+        if direct {
+            self.direct_hits.fetch_add(1, Relaxed);
         }
-        #[cfg(not(feature = "read-stats"))]
-        let _ = (comparisons, direct);
     }
 
     /// Total lookups recorded.
@@ -162,7 +157,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(feature = "read-stats")]
     fn read_stats_record() {
         let r = ReadStats::default();
         r.record(1, true);

@@ -1,10 +1,10 @@
 //! The storage abstraction workers execute against.
 //!
 //! [`ServeBackend`] is the narrow waist between the worker pool and
-//! the index: the in-memory [`ShardedAlex`] and (behind the
-//! `durability` feature) the WAL-backed `DurableShardedAlex` both
-//! implement it, so the whole serving stack — queues, batching,
-//! the load generator, the differential tests — is written once.
+//! the index: the in-memory [`ShardedAlex`] and the WAL-backed
+//! [`DurableShardedAlex`] both implement it, so the whole serving
+//! stack — queues, batching, the load generator, the differential
+//! tests — is written once.
 //!
 //! Durable-backend I/O errors surface as panics: the serving tier has
 //! no story for a half-applied batch whose WAL append failed, so
@@ -12,7 +12,7 @@
 //! acknowledged writes.
 
 use alex_core::{AlexKey, InsertError};
-use alex_sharded::{RebalanceReport, ShardedAlex};
+use alex_sharded::{DurableShardedAlex, RebalanceReport, ShardedAlex};
 use alex_wal::WalCodec;
 
 /// Key bound for everything in this crate: the index's key contract
@@ -56,7 +56,7 @@ pub trait ServeBackend<K: ServerKey, V: ServerValue>: Send + Sync + 'static {
     ///
     /// Returns `None` when the backend declines — no skew worth
     /// moving for, or boundaries that cannot move at all. The default
-    /// declines unconditionally: notably `DurableShardedAlex` keeps
+    /// declines unconditionally: notably [`DurableShardedAlex`] keeps
     /// it, because its boundary set is pinned by the on-disk `SHARDS`
     /// file at creation time and per-shard WALs cannot migrate keys
     /// across shard directories.
@@ -100,58 +100,52 @@ impl<K: ServerKey, V: ServerValue> ServeBackend<K, V> for ShardedAlex<K, V> {
     }
 }
 
-#[cfg(feature = "durability")]
-mod durable {
-    use super::{InsertError, ServeBackend, ServerKey, ServerValue};
-    use alex_sharded::durable::DurableShardedAlex;
+/// The durable stack surfaces a refused sentinel as
+/// `io::ErrorKind::InvalidInput` (rejected *before* anything hits
+/// the log); anything else is a real WAL I/O failure, which the
+/// serving tier has no story for — panic, per the module contract.
+fn classify(e: std::io::Error) -> InsertError {
+    if e.kind() == std::io::ErrorKind::InvalidInput {
+        InsertError::UnsupportedKey
+    } else {
+        panic!("WAL append failed: {e}")
+    }
+}
 
-    /// The durable stack surfaces a refused sentinel as
-    /// `io::ErrorKind::InvalidInput` (rejected *before* anything hits
-    /// the log); anything else is a real WAL I/O failure, which the
-    /// serving tier has no story for — panic, per the module contract.
-    fn classify(e: std::io::Error) -> InsertError {
-        if e.kind() == std::io::ErrorKind::InvalidInput {
-            InsertError::UnsupportedKey
-        } else {
-            panic!("WAL append failed: {e}")
+impl<K: ServerKey, V: ServerValue> ServeBackend<K, V> for DurableShardedAlex<K, V> {
+    fn boundaries(&self) -> &[K] {
+        DurableShardedAlex::boundaries(self)
+    }
+
+    fn get(&self, key: &K) -> Option<V> {
+        DurableShardedAlex::get(self, key)
+    }
+
+    fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
+        DurableShardedAlex::get_many(self, keys)
+    }
+
+    fn insert(&self, key: K, value: V) -> Result<(), InsertError> {
+        match DurableShardedAlex::insert(self, key, value) {
+            Ok(true) => Ok(()),
+            Ok(false) => Err(InsertError::DuplicateKey),
+            Err(e) => Err(classify(e)),
         }
     }
 
-    impl<K: ServerKey, V: ServerValue> ServeBackend<K, V> for DurableShardedAlex<K, V> {
-        fn boundaries(&self) -> &[K] {
-            DurableShardedAlex::boundaries(self)
-        }
+    fn bulk_insert(&self, pairs: &[(K, V)]) -> Result<usize, InsertError> {
+        DurableShardedAlex::bulk_insert(self, pairs).map_err(classify)
+    }
 
-        fn get(&self, key: &K) -> Option<V> {
-            DurableShardedAlex::get(self, key)
-        }
+    fn remove(&self, key: &K) -> Option<V> {
+        DurableShardedAlex::remove(self, key).expect("WAL append failed")
+    }
 
-        fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
-            DurableShardedAlex::get_many(self, keys)
-        }
+    fn scan_from(&self, key: &K, limit: usize, f: &mut dyn FnMut(&K, &V)) -> usize {
+        DurableShardedAlex::scan_from(self, key, limit, f)
+    }
 
-        fn insert(&self, key: K, value: V) -> Result<(), InsertError> {
-            match DurableShardedAlex::insert(self, key, value) {
-                Ok(true) => Ok(()),
-                Ok(false) => Err(InsertError::DuplicateKey),
-                Err(e) => Err(classify(e)),
-            }
-        }
-
-        fn bulk_insert(&self, pairs: &[(K, V)]) -> Result<usize, InsertError> {
-            DurableShardedAlex::bulk_insert(self, pairs).map_err(classify)
-        }
-
-        fn remove(&self, key: &K) -> Option<V> {
-            DurableShardedAlex::remove(self, key).expect("WAL append failed")
-        }
-
-        fn scan_from(&self, key: &K, limit: usize, f: &mut dyn FnMut(&K, &V)) -> usize {
-            DurableShardedAlex::scan_from(self, key, limit, f)
-        }
-
-        fn flush(&self) {
-            DurableShardedAlex::flush_all(self).expect("WAL flush failed");
-        }
+    fn flush(&self) {
+        DurableShardedAlex::flush_all(self).expect("WAL flush failed");
     }
 }

@@ -27,8 +27,8 @@
 //!   workers, and flushes the backend.
 //! - [`backend`] — the [`ServeBackend`] trait the workers execute
 //!   against: [`ShardedAlex`](alex_sharded::ShardedAlex) in memory,
-//!   or `DurableShardedAlex` (WAL + snapshots per shard) behind the
-//!   `durability` feature.
+//!   or [`DurableShardedAlex`](alex_sharded::DurableShardedAlex)
+//!   (WAL + snapshots per shard).
 //! - [`histogram`] — a lock-free log-bucketed latency histogram
 //!   (~3% relative error, p50/p99/p999 by interpolation).
 //! - [`loadgen`] — closed-loop (issue-wait-issue, measures RTT) and

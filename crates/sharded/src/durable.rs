@@ -1,4 +1,4 @@
-//! One log per shard: [`DurableShardedAlex`] (feature `durability`).
+//! One log per shard: [`DurableShardedAlex`].
 //!
 //! Each shard is a full [`DurableAlex`] in its own subdirectory
 //! (`shard-0000`, `shard-0001`, …) with its own WAL, snapshots, and

@@ -27,14 +27,11 @@
 //! Shard writes do not clone a whole leaf per key. A point
 //! write lands in the owning leaf's bounded **delta buffer** — a
 //! sorted side-array published alongside the immutable leaf snapshot
-//! (capacity via [`AlexConfig::delta_buffer`] /
-//! `AlexConfig::with_delta_buffer`, `Fixed(0)` restores
-//! clone-per-write, `Adaptive` lets each shard's `EpochAlex` re-derive
-//! its own cap from observed write stats) —
-//! and the buffer is folded into a fresh gapped array only when it
-//! fills or the leaf splits; each flush retires the replaced leaf
-//! node to the epoch garbage list, exactly like any other
-//! publication. Readers merge base + buffer on the fly, so a
+//! (capacity via [`AlexConfig::with_delta_buffer`]; `0` restores
+//! clone-per-write) — and the buffer is folded into a fresh gapped
+//! array only when it fills or the leaf splits; each flush retires
+//! the replaced leaf node to the epoch garbage list, exactly like any
+//! other publication. Readers merge base + buffer on the fly, so a
 //! buffered write is visible the instant it is published.
 //! [`ShardedAlex::bulk_insert`] additionally groups each shard's
 //! sorted run by owning leaf and clones/publishes once per run.
@@ -54,7 +51,7 @@
 //! *traffic*: under a zipfian read mix one shard can absorb most
 //! lookups while its neighbours idle. [`ShardedAlex::rebalance_plan`]
 //! turns the per-shard lookup counters
-//! ([`ShardedAlex::shard_read_stats`], `read-stats` feature) into a
+//! ([`ShardedAlex::shard_read_stats`]) into a
 //! replacement boundary set that equalizes estimated lookup mass, and
 //! [`ShardedAlex::apply_rebalance`] restages the whole index in one
 //! ordered pass: each new shard is staged and bulk-loaded exactly
@@ -68,14 +65,20 @@
 //! not a background daemon: call `rebalance_plan` after a
 //! representative traffic window and apply it when the plan is
 //! `Some` — the plan is `None` when there is no lookup signal (no
-//! traffic yet, or `read-stats` compiled out), fewer than two shards,
-//! or the skew is too small to move any boundary. `apply_rebalance`
+//! traffic yet), fewer than two shards, or the skew is too small to
+//! move any boundary. `apply_rebalance`
 //! takes `&mut self` (a quiesced index); `alex-server` exposes it as
 //! a server-level maintenance op that drains the worker pool, applies
 //! the plan, and restarts workers on the new boundaries. Typical
 //! cadence: once after a workload shift — e.g. when
 //! `shard_read_stats` shows the hottest shard taking several times
 //! the mean — rather than on a timer.
+//!
+//! ## Durable shards
+//!
+//! [`DurableShardedAlex`] gives every shard its own `alex-wal`
+//! write-ahead log and snapshots under one directory, with the same
+//! range partitioning (see the [`durable`] module docs).
 //!
 //! ## Consistency model
 //! Every individual operation is atomic with respect to its shard.
@@ -108,9 +111,7 @@
 //! assert_eq!(index.flush_retired(), 0);
 //! ```
 
-#[cfg(feature = "durability")]
 pub mod durable;
-#[cfg(feature = "durability")]
 pub use durable::DurableShardedAlex;
 
 use alex_api::{BatchOps, ConcurrentIndex, IndexRead, IndexWrite, InsertError, SentinelKey};
@@ -119,8 +120,7 @@ use alex_core::{AlexConfig, AlexKey, EpochAlex, EpochStats, EpochWriteStats};
 use alex_datasets::cdf_points;
 
 /// One shard's read-counter snapshot (see
-/// [`ShardedAlex::shard_read_stats`]). All zero when the `read-stats`
-/// feature of `alex-core` is off.
+/// [`ShardedAlex::shard_read_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardReadStats {
     /// Lookups served by this shard.
@@ -454,9 +454,8 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     // ------------------------------------------------------------------
 
     /// Per-shard read counters, in shard order. Counters are advisory
-    /// load signals (they ride leaf snapshots and relaxed atomics) and
-    /// are all zero without the `read-stats` feature; take before/after
-    /// snapshots to measure one traffic window.
+    /// load signals (they ride leaf snapshots and relaxed atomics);
+    /// take before/after snapshots to measure one traffic window.
     pub fn shard_read_stats(&self) -> Vec<ShardReadStats> {
         self.shards
             .iter()
@@ -479,8 +478,8 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     /// extra space.
     ///
     /// Returns `None` when there is nothing to do: fewer than two
-    /// shards, no recorded lookups (no traffic yet, or `read-stats`
-    /// compiled out), fewer stored keys than shards, or a plan
+    /// shards, no recorded lookups (no traffic yet), fewer stored keys
+    /// than shards, or a plan
     /// identical to the current boundaries.
     pub fn rebalance_plan(&self) -> Option<RebalancePlan<K>> {
         let num_shards = self.shards.len();
@@ -641,7 +640,7 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
 
 /// Which shard owns `key` under `boundaries` (shard `i + 1` owns keys
 /// `>= boundaries[i]`) — the single routing rule shared by
-/// [`ShardedAlex`], `DurableShardedAlex`, and external routers such as
+/// [`ShardedAlex`], [`DurableShardedAlex`], and external routers such as
 /// `alex-server`'s request dispatcher. `boundaries` must be strictly
 /// increasing.
 #[inline]
@@ -1119,7 +1118,6 @@ mod tests {
         assert_eq!(single.len(), 2);
     }
 
-    #[cfg(feature = "read-stats")]
     #[test]
     fn rebalance_plan_narrows_the_hot_shard() {
         let index = ShardedAlex::bulk_load(&pairs(40_000, 1), 4, AlexConfig::ga_armi());
@@ -1146,7 +1144,6 @@ mod tests {
         assert_eq!(plan.shard_lookups, stats.iter().map(|s| s.lookups).collect::<Vec<_>>());
     }
 
-    #[cfg(feature = "read-stats")]
     #[test]
     fn apply_rebalance_preserves_every_pair() {
         let data = pairs(20_000, 3);

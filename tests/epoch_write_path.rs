@@ -299,6 +299,58 @@ fn readers_race_delta_buffered_writers_against_locked_mirror() {
     assert_eq!(recovered, expect, "into_inner changed the observable state");
 }
 
+/// A churn differential on the default delta capacity and leaf size:
+/// writers mirror every insert and a trickle of removes into the
+/// oracle while readers hammer `get`; at quiescence the full ordered
+/// scan must equal the oracle's, byte for byte.
+#[test]
+fn default_capacity_stays_byte_identical_to_the_oracle_under_churn() {
+    const PER_WRITER: u64 = 30_000;
+
+    let index: EpochAlex<u64, u64> = EpochAlex::new(AlexConfig::ga_armi().with_splitting());
+    let oracle: LockedBTreeMap<u64, u64> = LockedBTreeMap::new();
+
+    std::thread::scope(|s| {
+        let (index, oracle) = (&index, &oracle);
+        for t in 0..WRITERS {
+            s.spawn(move || {
+                for i in 0..PER_WRITER {
+                    // Disjoint key stripes per writer: every insert is
+                    // fresh, removes hit only the writer's own keys.
+                    let k = WRITERS * i + t;
+                    index.insert(k, k * 7).expect("fresh stripe key");
+                    oracle.insert(k, k * 7).expect("oracle stripe key");
+                    if i % 16 == 0 && i > 0 {
+                        let victim = WRITERS * (i - 3) + t;
+                        let a = index.remove(&victim);
+                        let b = oracle.remove(&victim);
+                        assert_eq!(a, b, "writer {t}: divergent remove of {victim}");
+                    }
+                }
+            });
+        }
+        for r in 0..READERS {
+            s.spawn(move || {
+                let mut probe = r + 1;
+                for _ in 0..40_000 {
+                    probe = probe.wrapping_mul(6364136223846793005).wrapping_add(99);
+                    let key = probe % (WRITERS * PER_WRITER);
+                    if let Some(v) = index.get(&key) {
+                        assert_eq!(v, key * 7, "payload corrupt under churn");
+                    }
+                }
+            });
+        }
+    });
+
+    let mut expect: Vec<(u64, u64)> = Vec::new();
+    oracle.scan_from(&0, usize::MAX, &mut |k, v| expect.push((*k, *v)));
+    assert_eq!(index.len(), expect.len());
+    let mut got: Vec<(u64, u64)> = Vec::with_capacity(expect.len());
+    index.scan_from(&0, usize::MAX, |k, v| got.push((*k, *v)));
+    assert_eq!(got, expect, "index diverged from the oracle");
+}
+
 // ----------------------------------------------------------------------
 // Mid-scan flushes
 // ----------------------------------------------------------------------

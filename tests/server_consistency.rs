@@ -5,7 +5,7 @@
 //! `get_many`/`bulk_insert` runs is an optimization, never a
 //! semantics change.
 //!
-//! Three angles:
+//! Four angles:
 //!
 //! 1. **Serial**: one client, strict call/response over dependent
 //!    sequences (insert → get → remove → get the same key, scans,
@@ -18,6 +18,9 @@
 //!    key range while reading the shared preload, so every thread's
 //!    expected responses are deterministic. After shutdown, the
 //!    quiescent index must equal the oracle pair-for-pair.
+//! 4. **Durable**: the same checks over a WAL-backed
+//!    `DurableShardedAlex`, whose reopened state after a graceful
+//!    shutdown must equal the oracle pair-for-pair.
 
 use std::sync::Arc;
 
@@ -28,8 +31,9 @@ use alex_repro::alex_core::AlexConfig;
 use alex_repro::alex_server::{
     encode_response, Request, Response, Server, ServerConfig, REJECT_UNSUPPORTED_KEY,
 };
-use alex_repro::alex_sharded::ShardedAlex;
-use alex_repro::alex_wal::WalCodec;
+use alex_repro::alex_sharded::{DurableShardedAlex, ShardedAlex};
+use alex_repro::alex_wal::tempdir::TempDir;
+use alex_repro::alex_wal::{SyncPolicy, WalCodec, WalOptions};
 
 type Req = Request<u64, u64>;
 
@@ -410,4 +414,48 @@ fn sentinel_writes_are_rejected_end_to_end() {
     assert_eq!(client.call(Request::Get { key: 100 }), Response::Value(Some(9)));
     let index = server.shutdown();
     assert_eq!(index.len(), oracle.len() + 1, "only the post-refusal insert landed");
+}
+
+// ----------------------------------------------------------------------
+// Durable serving: graceful shutdown makes every acknowledged write
+// recoverable
+// ----------------------------------------------------------------------
+
+/// A 4-shard `DurableShardedAlex` behind the worker pool, with 64-op
+/// group commit and no fsync, so each shard's WAL holds an uncommitted
+/// tail until `shutdown` flushes it. Every insert and remove answer
+/// must match the oracle, and the store reopened from its directory
+/// must scan equal to the oracle pair for pair.
+#[test]
+fn durable_backend_answers_match_the_oracle_and_survive_reopen() {
+    let dir = TempDir::new("server-durable");
+    let config = AlexConfig::ga_armi();
+    let opts = WalOptions { sync: SyncPolicy::Never, group_commit_ops: 64, ..WalOptions::default() };
+    let pairs = preload(4000);
+    let backend = DurableShardedAlex::create(dir.path(), &pairs, 4, config, opts).unwrap();
+    let server = Server::start(backend, ServerConfig { queue_capacity: 256, max_batch: 32 });
+    let oracle = LockedBTreeMap::from_pairs(&pairs);
+    let client = server.client();
+
+    // Keys below 8000 mix preloaded odd keys with fresh even ones, so
+    // inserts both land and collide, and removes both hit and miss.
+    for i in 0..3000u64 {
+        let key = mix(i) % 10_000;
+        let request = if mix(i * 7).is_multiple_of(3) {
+            Request::Remove { key }
+        } else {
+            Request::Insert { key, value: i }
+        };
+        let want = oracle_exec(&oracle, &request);
+        assert_same_bytes(i, &client.call(request), &want, "durable");
+    }
+    drop(server.shutdown());
+
+    let (reopened, _) = DurableShardedAlex::<u64, u64>::open(dir.path(), config, opts).unwrap();
+    let mut want = Vec::new();
+    oracle.scan_from(&0, usize::MAX, &mut |k, v| want.push((*k, *v)));
+    let mut got = Vec::with_capacity(want.len());
+    reopened.scan_from(&0, usize::MAX, |k, v| got.push((*k, *v)));
+    assert_eq!(got.len(), want.len(), "recovered pair count");
+    assert_eq!(got, want, "recovered state diverged from the oracle");
 }

@@ -12,12 +12,15 @@
 //!    counterparts, on both `AlexIndex` and `ShardedAlex`; and
 //!    remove-then-reinsert of the same keys survives the leaf splits
 //!    a burst of fresh inserts forces between the two.
+//! 4. Read-skew rebalancing (`rebalance_plan` / `apply_rebalance`)
+//!    between traffic phases preserves pair-for-pair equality with a
+//!    `LockedBTreeMap` oracle.
 
 use std::collections::BTreeMap;
 
 use alex_repro::alex_core::{AlexConfig, AlexIndex};
 use alex_repro::alex_datasets::{lognormal_keys, sorted, ycsb_keys};
-use alex_repro::alex_api::{IndexRead, IndexWrite};
+use alex_repro::alex_api::{ConcurrentIndex, IndexRead, IndexWrite, LockedBTreeMap};
 use alex_repro::alex_sharded::ShardedAlex;
 use proptest::prelude::*;
 
@@ -280,5 +283,71 @@ proptest! {
         let expect: Vec<(u64, u64)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
         prop_assert_eq!(got, expect, "state diverged");
         prop_assert_eq!(index.flush_retired(), 0);
+    }
+}
+
+// ----------------------------------------------------------------------
+// 4. Rebalancing between traffic phases
+// ----------------------------------------------------------------------
+
+/// Skewed reads produce a plan, applying it re-cuts the boundaries,
+/// and a second traffic phase (reads *and* writes through the new
+/// routing) still ends pair-for-pair equal to the oracle.
+#[test]
+fn rebalance_preserves_oracle_equality_across_traffic_phases() {
+    let data: Vec<(u64, u64)> = (0..40_000u64).map(|k| (3 * k, k)).collect();
+    let mut index = ShardedAlex::bulk_load(&data, 4, AlexConfig::ga_armi());
+    let oracle = LockedBTreeMap::from_pairs(&data);
+
+    // Phase 1: concurrent skewed reads (plus a writer) against the
+    // original boundaries.
+    let hot_end = index.boundaries()[0];
+    std::thread::scope(|s| {
+        let (index, oracle) = (&index, &oracle);
+        s.spawn(move || {
+            for k in 0..6000u64 {
+                let _ = index.get(&((k * 3) % hot_end));
+            }
+        });
+        s.spawn(move || {
+            for k in 0..3000u64 {
+                index.insert(3 * k + 1, k).expect("fresh phase-1 key");
+                oracle.insert(3 * k + 1, k).expect("oracle phase-1 key");
+            }
+        });
+    });
+
+    // Maintenance window: exclusive ownership, boundary move.
+    let plan = index.rebalance_plan().expect("skewed phase must produce a plan");
+    let old_boundaries = index.boundaries().to_vec();
+    let report = index.apply_rebalance(&plan);
+    assert!(report.moved_keys > 0);
+    assert_ne!(index.boundaries(), &old_boundaries[..]);
+
+    // Phase 2: traffic through the re-cut boundaries.
+    std::thread::scope(|s| {
+        let (index, oracle) = (&index, &oracle);
+        s.spawn(move || {
+            for k in 0..6000u64 {
+                let _ = index.get(&(3 * k));
+            }
+        });
+        s.spawn(move || {
+            for k in 3000..6000u64 {
+                index.insert(3 * k + 1, k).expect("fresh phase-2 key");
+                oracle.insert(3 * k + 1, k).expect("oracle phase-2 key");
+            }
+        });
+    });
+
+    // Pair-for-pair equality, via both point gets and the full scan.
+    let mut expect: Vec<(u64, u64)> = Vec::new();
+    oracle.scan_from(&0, usize::MAX, &mut |k, v| expect.push((*k, *v)));
+    assert_eq!(index.len(), expect.len());
+    let mut got: Vec<(u64, u64)> = Vec::with_capacity(expect.len());
+    index.scan_from(&0, usize::MAX, |k, v| got.push((*k, *v)));
+    assert_eq!(got, expect, "rebalanced index diverged from the oracle");
+    for (k, v) in expect.iter().take(2000) {
+        assert_eq!(index.get(k), Some(*v));
     }
 }
