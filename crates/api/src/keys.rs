@@ -25,10 +25,13 @@ pub trait SentinelKey: PartialEq + Sized {
     /// The reserved maximum sentinel.
     const MAX_KEY: Self;
 
-    /// Whether this key is the reserved sentinel.
+    /// Whether a write must refuse this key: it is the reserved
+    /// sentinel, or it is not equal to itself (an `f64` NaN, or a
+    /// [`Composite`] holding one), which no ordered index can place.
     #[inline]
+    #[allow(clippy::eq_op)] // `self != self` is the NaN test for any `PartialEq`
     fn is_sentinel(&self) -> bool {
-        *self == Self::MAX_KEY
+        *self == Self::MAX_KEY || *self != *self
     }
 }
 
@@ -323,6 +326,9 @@ mod tests {
         assert!(f64::INFINITY.is_sentinel());
         assert!(!0u64.is_sentinel());
         assert!(!f64::MAX.is_sentinel());
+        // Writes refuse NaN the same way, alone or inside a composite.
+        assert!(f64::NAN.is_sentinel());
+        assert!(Composite::new(3, f64::NAN).is_sentinel());
         assert_eq!(i64::MAX_KEY, i64::MAX);
         assert_eq!(u32::MAX_KEY, u32::MAX);
     }

@@ -279,6 +279,13 @@ fn segment_capacity(seg: usize) -> usize {
 // themselves carry no thread affinity.
 #[allow(unsafe_code)]
 unsafe impl<T: Send> Send for AtomicSlots<T> {}
+// SAFETY: through `&AtomicSlots`, `get` and `iter` hand out `&T` to
+// any thread (`T: Sync`), `push` and `publish` move a `T` in from the
+// writer's thread, and `collect` drops retired `T`s on whichever
+// thread runs it (`T: Send`). Every shared mutation goes through an
+// atomic (`segments`, the slot cells, `len`, the counters) or the
+// `garbage` mutex; the module contract's single-writer and
+// pinned-reader rules cover what those cannot.
 #[allow(unsafe_code)]
 unsafe impl<T: Send + Sync> Sync for AtomicSlots<T> {}
 
@@ -351,21 +358,6 @@ impl<T> AtomicSlots<T> {
         #[allow(unsafe_code)]
         unsafe {
             &*ptr
-        }
-    }
-
-    /// Exclusive in-place access to slot `id`. `&mut self` proves no
-    /// reader or writer runs concurrently and no shared reference into
-    /// the arena is live (they all borrow `self`).
-    #[inline]
-    pub fn get_mut(&mut self, id: u32) -> &mut T {
-        debug_assert!(id < *self.len.get_mut(), "slot {id} out of bounds");
-        let ptr = self.cell(id).load(Ordering::Relaxed);
-        // SAFETY: exclusive borrow of the arena; the box is live (only
-        // `publish` retires, and it requires a writer, excluded here).
-        #[allow(unsafe_code)]
-        unsafe {
-            &mut *ptr
         }
     }
 

@@ -1,12 +1,15 @@
 //! RMI construction: static two-level builds, adaptive initialization
 //! (Algorithm 4), and the shared partition-model helpers.
 //!
-//! All node allocation goes through [`super::store::NodeStore`]; this
-//! module owns the *shape* of the tree (how partitions recurse, merge,
-//! and link into the leaf chain) but never indexes the arena directly.
+//! All node allocation goes through the store; this module owns the
+//! *shape* of the tree (how partitions recurse, merge, and link into
+//! the leaf chain) but never indexes the arena directly.
 //!
-//! Bulk builds are exclusive-regime by definition (`&mut self`), so
-//! they allocate with `push_mut` and work on either arena flavour.
+//! Bulk builds are exclusive by definition, so they exist on the dense
+//! index only and allocate with [`super::Dense::push`]; an index that
+//! must serve shared readers is built here first and then moved onto
+//! the epoch store by `EpochAlex::from_index`. Only the in-order leaf
+//! walk ([`AlexIndex::collect_leaves`]) is written over either store.
 //!
 //! ## Cost-model caching
 //!
@@ -26,7 +29,7 @@ use crate::data_node::DataNode;
 use crate::key::AlexKey;
 use crate::model::{LinearModel, PrefixLsq};
 
-use super::store::{InnerNode, LeafNode, Node, NodeId};
+use super::store::{InnerNode, LeafNode, Node, NodeId, NodeStore};
 use super::AlexIndex;
 
 impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
@@ -56,7 +59,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
 
     /// Allocate a fresh unlinked leaf bulk-loaded from `pairs`.
     pub(super) fn push_leaf(&mut self, pairs: &[(K, V)]) -> NodeId {
-        self.store.push_mut(Node::Leaf(LeafNode::new(
+        self.store.push(Node::Leaf(LeafNode::new(
             DataNode::bulk_load(pairs, self.config.layout, self.config.node),
             None,
             None,
@@ -72,7 +75,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         for range in parts {
             children.push(self.push_leaf(&pairs[range]));
         }
-        self.store.push_mut(Node::Inner(InnerNode { model, children }))
+        self.store.push(Node::Inner(InnerNode { model, children }))
     }
 
     /// Adaptive RMI initialization (Algorithm 4) over the global index
@@ -137,7 +140,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
                 i = j;
             }
         }
-        self.store.push_mut(Node::Inner(InnerNode { model, children }))
+        self.store.push(Node::Inner(InnerNode { model, children }))
     }
 
     /// Wire the doubly-linked leaf chain in key order after a bulk
@@ -147,7 +150,9 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         self.collect_leaves(self.root, &mut order);
         self.store.link_chain(&order);
     }
+}
 
+impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
     /// In-order leaf ids (children slots may repeat a merged child).
     pub(super) fn collect_leaves(&self, id: NodeId, out: &mut Vec<NodeId>) {
         match self.store.node(id) {

@@ -1,8 +1,9 @@
 //! [`EpochAlex`]: an internally synchronized ALEX whose readers never
 //! block.
 //!
-//! The wrapper pairs the plain [`AlexIndex`] with the epoch machinery
-//! the storage layer grew ([`crate::epoch`]):
+//! The wrapper holds an [`AlexIndex`] on the [`Epoch`] store — nodes
+//! behind epoch-protected atomic slots ([`crate::epoch`]) — and is the
+//! only holder of one:
 //!
 //! - **Reads** (`get`, `get_many`, `scan_from`, stats) pin an epoch
 //!   and descend the RMI on loaded snapshots. They take no lock, are
@@ -99,7 +100,7 @@ use crate::key::AlexKey;
 use crate::stats::SizeReport;
 
 use super::delta::DeltaOp;
-use super::store::{LeafNode, Node};
+use super::store::{Dense, Epoch, LeafNode, Node, NodeStore};
 use super::AlexIndex;
 use core::sync::atomic::{AtomicU64, Ordering};
 
@@ -114,7 +115,7 @@ use core::sync::atomic::{AtomicU64, Ordering};
 /// concurrency is over.
 #[derive(Debug)]
 pub struct EpochAlex<K, V> {
-    index: AlexIndex<K, V>,
+    index: AlexIndex<K, V, Epoch<K, V>>,
     /// Mutual exclusion among writers only; readers never touch it.
     writer: Mutex<()>,
     /// Write-amplification counters (see [`EpochWriteStats`]).
@@ -194,31 +195,27 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
 
     /// Wrap an existing index (built exclusively, e.g. by
     /// [`AlexIndex::bulk_load`]) for shared use, moving its nodes from
-    /// the dense arena to the epoch arena. This is the single
-    /// chokepoint every `EpochAlex` construction funnels through, so
-    /// the shared regime always runs on atomic slots. It is the
-    /// bulk-load → serve bridge: build dense (fastest), then wrap to go
-    /// concurrent.
-    pub fn from_index(mut index: AlexIndex<K, V>) -> Self {
-        index.store.ensure_epoch();
+    /// the [`Dense`] store to the [`Epoch`] store. This is the one way
+    /// onto the epoch store, and every `EpochAlex` construction
+    /// funnels through it. It is the bulk-load → serve bridge: build
+    /// dense (fastest), then wrap to go concurrent.
+    pub fn from_index(index: AlexIndex<K, V>) -> Self {
         Self {
-            index,
+            index: index.rehouse(Dense::into_epoch),
             writer: Mutex::new(()),
             writes: WriteAmp::default(),
         }
     }
 
     /// Unwrap back into the exclusive index (consumes `self`, so no
-    /// reader or writer can still be active). Pending delta buffers
-    /// are flushed and the retire lists drained, so the returned
-    /// index is delta-free with a clean arena — and its nodes move
-    /// back to the dense arena, making [`EpochAlex::from_index`] then
-    /// `into_inner` a lossless round trip.
+    /// reader or writer can still be active). The nodes move back to
+    /// the dense store, which frees the epoch arena and its retire
+    /// list, and then every pending delta buffer is flushed, so the
+    /// returned index is delta-free — making [`EpochAlex::from_index`]
+    /// then `into_inner` a lossless round trip.
     pub fn into_inner(self) -> AlexIndex<K, V> {
-        let mut index = self.index;
+        let mut index = self.index.rehouse(Epoch::into_dense);
         index.flush_deltas();
-        index.store.flush();
-        index.store.ensure_dense();
         index
     }
 
@@ -348,7 +345,7 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     // ------------------------------------------------------------------
 
     /// Insert a pair. Errors on duplicates (stored value left
-    /// unchanged) and on the reserved sentinel key.
+    /// unchanged), on the reserved sentinel key, and on a NaN key.
     pub fn insert(&self, key: K, value: V) -> Result<(), InsertError> {
         let _writer = self.write_lock();
         self.insert_locked(key, value)
@@ -691,11 +688,10 @@ where
             return Err(InsertError::UnsupportedKey);
         }
         // Exclusive access: rebuild via Algorithm 4 with the same
-        // config (fresh arena, empty retire lists). The rebuild lands
-        // on the dense arena, so move it to the epoch arena before it
+        // config (fresh arena, empty retire list). The rebuild lands on
+        // the dense store, so move it to the epoch store before it
         // becomes shared again.
-        self.index = AlexIndex::bulk_load(pairs, *self.index.config());
-        self.index.store.ensure_epoch();
+        self.index = AlexIndex::bulk_load(pairs, *self.index.config()).rehouse(Dense::into_epoch);
         Ok(pairs.len())
     }
 }
@@ -965,11 +961,8 @@ mod tests {
 
     #[test]
     fn from_index_round_trip_restores_dense_arena() {
-        // Every index builds dense; wrapping upgrades to epoch.
         let index = AlexIndex::bulk_load(&pairs(2000, 2), splitting_config());
-        assert!(!index.store.is_epoch());
         let shared = EpochAlex::from_index(index);
-        assert!(shared.index.store.is_epoch());
         std::thread::scope(|s| {
             let idx = &shared;
             s.spawn(move || {
@@ -984,7 +977,6 @@ mod tests {
             });
         });
         let mut back = shared.into_inner();
-        assert!(!back.store.is_epoch(), "into_inner must restore the dense arena");
         assert_eq!(back.len(), 2500);
         assert_eq!(back.get(&1), Some(&0));
         back.insert(999_999, 42).unwrap();
@@ -997,7 +989,6 @@ mod tests {
         let mut index: EpochAlex<u64, u64> = EpochAlex::new(AlexConfig::ga_armi());
         let data = pairs(1000, 2);
         assert_eq!(IndexWrite::bulk_load(&mut index, &data), Ok(1000));
-        assert!(index.index.store.is_epoch());
         // The shared read/write paths (pin + publish) must still work.
         assert_eq!(index.get(&200), Some(100));
         index.insert(201, 7).unwrap();

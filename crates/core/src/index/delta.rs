@@ -32,7 +32,7 @@
 //! Deltas are created only by the shared write path
 //! ([`super::concurrent::EpochAlex`]); the exclusive (`&mut`) path
 //! flushes a leaf's delta in place before touching its base array
-//! ([`super::store::NodeStore::leaf_data_mut`]), so classic
+//! ([`super::store::Dense::leaf_data_mut`]), so classic
 //! single-threaded use never observes a non-empty buffer. A leaf split
 //! folds the delta into the redistributed children (they start with
 //! empty buffers), and `EpochAlex::into_inner` flushes every buffer so
@@ -45,7 +45,7 @@ use super::store::LeafNode;
 
 /// One pending edit riding alongside a leaf snapshot.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum DeltaOp<V> {
+pub enum DeltaOp<V> {
     /// Pending insert (key absent from the base) or payload update
     /// (key present — the delta value shadows the base value).
     Put(V),
@@ -57,7 +57,7 @@ pub(crate) enum DeltaOp<V> {
 /// entry per key; capacity is enforced by the writer (the buffer
 /// itself only stores).
 #[derive(Debug, Clone)]
-pub(crate) struct DeltaBuf<K, V> {
+pub struct DeltaBuf<K, V> {
     entries: Vec<(K, DeltaOp<V>)>,
 }
 
@@ -80,10 +80,12 @@ impl<K: AlexKey, V> DeltaBuf<K, V> {
         self.entries.is_empty()
     }
 
+    /// Binary search for `key`. A NaN probe, which writes refuse,
+    /// compares above every entry and is never found.
     #[inline]
     fn idx(&self, key: &K) -> Result<usize, usize> {
         self.entries
-            .binary_search_by(|(k, _)| k.partial_cmp(key).expect("keys are totally ordered"))
+            .binary_search_by(|(k, _)| k.partial_cmp(key).unwrap_or(core::cmp::Ordering::Less))
     }
 
     /// The buffered op for `key`, if any.

@@ -6,17 +6,26 @@
 //! adaptively (Algorithm 4), and can optionally split leaves on inserts
 //! (§3.4.2).
 //!
-//! The implementation is stratified into submodules with a strict
-//! layering — only `store` touches the node arena:
+//! [`AlexIndex`] is generic over its node store, and the store type
+//! names the access regime: [`Dense`], the default, for exclusive
+//! `&mut` ownership, and [`Epoch`] for lock-free readers beside one
+//! serialized writer, which only [`EpochAlex`] holds. The read path is
+//! written once over the sealed [`NodeStore`] trait; bulk load, the
+//! `&mut` writes and the iterators exist on the dense index only, the
+//! copy-on-write writes on the epoch one only.
 //!
-//! - `store` — `NodeStore`: arena storage (a dense `Vec` for the
-//!   exclusive [`AlexIndex`], epoch-protected atomic slots under
-//!   [`EpochAlex`]), `NodeId` allocation, publication/retirement, and
-//!   the doubly-linked leaf chain.
-//! - `build` — static/adaptive RMI construction (Algorithm 4).
+//! The implementation is stratified into submodules with a strict
+//! layering — only `store` touches a node arena:
+//!
+//! - `store` — the two store types and their trait: arena storage,
+//!   `NodeId` allocation, publication and retirement, and the
+//!   doubly-linked leaf chain.
+//! - `build` — static/adaptive RMI construction (Algorithm 4), dense
+//!   only.
 //! - `ops` — point, range, and sorted-batch operations.
-//! - `split` — node splitting on inserts (§3.4.2), published as a
-//!   single atomic replacement so concurrent readers never block.
+//! - `split` — node splitting on inserts (§3.4.2): one plan over either
+//!   store, applied in place on the dense store or as a single atomic
+//!   publication on the epoch store, so concurrent readers never block.
 //! - `concurrent` — [`EpochAlex`], the internally synchronized wrapper
 //!   whose readers pin an epoch instead of taking any lock.
 
@@ -30,6 +39,7 @@ mod store;
 #[cfg(test)]
 mod tests;
 
+use core::marker::PhantomData;
 use core::mem::size_of;
 use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -40,9 +50,15 @@ use crate::stats::{SizeReport, WriteStats};
 
 pub use concurrent::{EpochAlex, EpochStats, EpochWriteStats};
 pub(crate) use store::{LeafNode, Node, NodeId};
-use store::{InnerNode, NodeStore};
+pub use store::{Dense, Epoch, NodeStore};
+use store::InnerNode;
 
 /// An updatable adaptive learned index (the paper's contribution).
+///
+/// `S` is the node store and names the access regime. Every public
+/// constructor builds on [`Dense`], the exclusive regime this type's
+/// `&mut` API serves; [`EpochAlex::from_index`] is the one way onto
+/// [`Epoch`], and the index it holds there is never exposed.
 ///
 /// # Examples
 /// ```
@@ -57,10 +73,10 @@ use store::{InnerNode, NodeStore};
 /// assert_eq!(scan, vec![4000, 4001, 4002]);
 /// ```
 #[derive(Debug)]
-pub struct AlexIndex<K, V> {
+pub struct AlexIndex<K, V, S = Dense<K, V>> {
     /// Storage layer: node arena + leaf chain. Only `store.rs` indexes
     /// the arena directly.
-    store: NodeStore<K, V>,
+    store: S,
     root: NodeId,
     config: AlexConfig,
     /// Entry count. Atomic so the shared-write path ([`EpochAlex`])
@@ -70,10 +86,13 @@ pub struct AlexIndex<K, V> {
     /// Index-level write counters (splits; node counters are summed on
     /// demand).
     splits: AtomicU64,
+    /// The store owns the pairs; the marker lets `S`'s default,
+    /// `Dense<K, V>`, name their types.
+    pairs: PhantomData<(K, V)>,
 }
 
 impl<K: Clone, V: Clone> Clone for AlexIndex<K, V> {
-    /// Deep copy (exclusive regime: fresh arena, empty retire lists).
+    /// Deep copy: no base array is shared with the original.
     fn clone(&self) -> Self {
         Self {
             store: self.store.clone(),
@@ -81,6 +100,7 @@ impl<K: Clone, V: Clone> Clone for AlexIndex<K, V> {
             config: self.config,
             len: AtomicUsize::new(self.len.load(Ordering::Relaxed)),
             splits: AtomicU64::new(self.splits.load(Ordering::Relaxed)),
+            pairs: PhantomData,
         }
     }
 }
@@ -89,8 +109,8 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     /// An empty index ("cold start": a single empty data node that
     /// grows by splitting, §3.4.2).
     pub fn new(config: AlexConfig) -> Self {
-        let mut store = NodeStore::new_dense();
-        store.push_mut(Node::Leaf(LeafNode::new(
+        let mut store = Dense::new();
+        store.push(Node::Leaf(LeafNode::new(
             DataNode::empty(config.layout, config.node),
             None,
             None,
@@ -101,6 +121,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
             config,
             len: AtomicUsize::new(0),
             splits: AtomicU64::new(0),
+            pairs: PhantomData,
         }
     }
 
@@ -120,16 +141,63 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
             "bulk_load input must be strictly increasing"
         );
         let mut index = Self {
-            store: NodeStore::new_dense(),
+            store: Dense::new(),
             root: 0,
             config,
             len: AtomicUsize::new(pairs.len()),
             splits: AtomicU64::new(0),
+            pairs: PhantomData,
         };
         index.build(pairs);
         index
     }
 
+    /// Fold every leaf's pending delta buffer into its base array.
+    /// Only the shared write path buffers, so [`EpochAlex::into_inner`]
+    /// is the one caller: the index it returns is always delta-free.
+    pub(super) fn flush_deltas(&mut self) {
+        for id in 0..self.store.next_id() {
+            if matches!(self.store.node(id), Node::Leaf(_)) {
+                self.store.leaf_mut(id).flush_delta();
+            }
+        }
+    }
+
+    #[cfg(any(test, debug_assertions))]
+    #[allow(dead_code)] // exercised by unit, integration, and property tests
+    pub(crate) fn debug_assert_invariants(&self) {
+        let mut total = 0;
+        for leaf in self.store.leaves() {
+            leaf.data.debug_assert_invariants();
+            leaf.debug_assert_delta_invariants();
+            total += leaf.live_keys();
+        }
+        assert_eq!(total, self.len(), "len must equal sum of leaf key counts");
+        // The chain must visit every key in order.
+        let visited: Vec<K> = self.iter().map(|(k, _)| *k).collect();
+        assert_eq!(visited.len(), self.len(), "chain must cover all keys");
+        for w in visited.windows(2) {
+            assert!(w[0] < w[1], "chain out of order");
+        }
+    }
+}
+
+impl<K, V, S> AlexIndex<K, V, S> {
+    /// The same index on another store, built from this one's by `f`
+    /// (the regime bridge [`EpochAlex`] crosses both ways).
+    pub(super) fn rehouse<T>(self, f: impl FnOnce(S) -> T) -> AlexIndex<K, V, T> {
+        AlexIndex {
+            store: f(self.store),
+            root: self.root,
+            config: self.config,
+            len: self.len,
+            splits: self.splits,
+            pairs: PhantomData,
+        }
+    }
+}
+
+impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
     /// Number of keys stored.
     #[inline]
     pub fn len(&self) -> usize {
@@ -146,17 +214,6 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     #[inline]
     pub fn config(&self) -> &AlexConfig {
         &self.config
-    }
-
-    /// Fold every leaf's pending delta buffer into its base array.
-    /// Only the shared write path buffers, so [`EpochAlex::into_inner`]
-    /// is the one caller: the index it returns is always delta-free.
-    pub(super) fn flush_deltas(&mut self) {
-        for id in 0..self.store.node_count() {
-            if matches!(self.store.node(id), Node::Leaf(_)) {
-                self.store.leaf_mut(id).flush_delta();
-            }
-        }
     }
 
     // ------------------------------------------------------------------
@@ -180,7 +237,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
 
     /// Number of data (leaf) nodes.
     pub fn num_data_nodes(&self) -> usize {
-        self.store.num_leaves()
+        self.store.leaves().count()
     }
 
     /// Number of data nodes that fell back to uniform placement +
@@ -239,8 +296,8 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     /// metadata; data = key/payload arrays incl. gaps + bitmaps.
     pub fn size_report(&self) -> SizeReport {
         let mut report = SizeReport::default();
-        for node in self.store.iter() {
-            match node {
+        for id in 0..self.store.next_id() {
+            match self.store.node(id) {
                 Node::Inner(inner) => {
                     report.num_inner_nodes += 1;
                     report.index_bytes += 2 * size_of::<f64>()
@@ -256,23 +313,5 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
             }
         }
         report
-    }
-
-    #[cfg(any(test, debug_assertions))]
-    #[allow(dead_code)] // exercised by unit, integration, and property tests
-    pub(crate) fn debug_assert_invariants(&self) {
-        let mut total = 0;
-        for leaf in self.store.leaves() {
-            leaf.data.debug_assert_invariants();
-            leaf.debug_assert_delta_invariants();
-            total += leaf.live_keys();
-        }
-        assert_eq!(total, self.len(), "len must equal sum of leaf key counts");
-        // The chain must visit every key in order.
-        let visited: Vec<K> = self.iter().map(|(k, _)| *k).collect();
-        assert_eq!(visited.len(), self.len(), "chain must cover all keys");
-        for w in visited.windows(2) {
-            assert!(w[0] < w[1], "chain out of order");
-        }
     }
 }

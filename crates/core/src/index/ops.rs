@@ -1,15 +1,17 @@
 //! Point, range, and sorted-batch operations.
 //!
 //! Routing (§3.2: model predictions only, no comparisons until the
-//! leaf) lives here; storage access goes through
-//! [`super::store::NodeStore`]. The batch operations ([`AlexIndex::get_many`],
+//! leaf) lives here; storage access goes through the store types of
+//! [`super::store`]. The batch operations ([`AlexIndex::get_many`],
 //! [`AlexIndex::bulk_insert`]) exploit sorted input to route through
 //! the RMI once per *leaf run* instead of once per key.
 //!
-//! The whole read path (`get`, `range_from`, `scan_from`, `get_many`,
-//! stats reads) is `&self` and `Sync`-clean — concurrent readers are
-//! safe on a shared `&AlexIndex`, which the sharded front-end
-//! (`alex-sharded`) relies on.
+//! The descent and the snapshot reads (`get`, `get_many`,
+//! `scan_from`) are written once over [`NodeStore`] and read each
+//! node exactly once, so they are sound on the epoch store under a
+//! pin: that is how [`super::EpochAlex`], and through it every
+//! `alex-sharded` shard, serves lock-free readers. The writes and the
+//! borrowing iterators (`range_from`, `iter`) are dense-only.
 
 use core::sync::atomic::Ordering;
 
@@ -20,7 +22,7 @@ use crate::data_node::InsertOutcome;
 use crate::iter::RangeIter;
 use crate::key::AlexKey;
 
-use super::store::{LeafNode, Node, NodeId};
+use super::store::{LeafNode, Node, NodeId, NodeStore};
 use super::AlexIndex;
 
 /// Cached routing target for a run of ascending keys: a leaf plus the
@@ -74,7 +76,7 @@ impl<'a, K: AlexKey, V> LeafRunRef<'a, K, V> {
     }
 }
 
-impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
+impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
     // ------------------------------------------------------------------
     // Traversal
     // ------------------------------------------------------------------
@@ -138,17 +140,6 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         }
     }
 
-    /// Route `key` and capture the run cache for subsequent keys.
-    fn start_run(&self, key: &K) -> LeafRun<K> {
-        let id = self.find_leaf(key);
-        let leaf = self.store.leaf(id);
-        LeafRun {
-            id,
-            max_key: leaf.routing_max_key(),
-            is_tail: leaf.next.is_none(),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Point operations
     // ------------------------------------------------------------------
@@ -164,6 +155,87 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         self.get(key).is_some()
     }
 
+    // ------------------------------------------------------------------
+    // Sorted-batch operations
+    // ------------------------------------------------------------------
+
+    /// Look up a sorted (non-decreasing) batch of keys, routing through
+    /// the RMI once per leaf run instead of once per key.
+    ///
+    /// Returns one `Option<&V>` per input key, in input order.
+    ///
+    /// # Panics
+    /// Panics (debug builds) if `keys` is not sorted non-decreasing.
+    pub fn get_many(&self, keys: &[K]) -> Vec<Option<&V>> {
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] <= w[1]),
+            "get_many input must be sorted"
+        );
+        let mut out = Vec::with_capacity(keys.len());
+        let mut run: Option<LeafRunRef<'_, K, V>> = None;
+        for key in keys {
+            let leaf = match &run {
+                Some(r) if r.owns(key) => r.leaf,
+                _ => {
+                    let fresh = LeafRunRef::new(self.route_to_leaf(key).1);
+                    let leaf = fresh.leaf;
+                    run = Some(fresh);
+                    leaf
+                }
+            };
+            out.push(leaf.live_get(key));
+        }
+        out
+    }
+
+    // ------------------------------------------------------------------
+    // Range operations
+    // ------------------------------------------------------------------
+
+    /// Visit up to `limit` entries with key `>= key` in order via a
+    /// callback — the fast path for range scans (avoids per-item
+    /// iterator dispatch; used by the Figure 4d/4h benchmarks). Returns
+    /// the number of entries visited.
+    ///
+    /// The walk works on loaded snapshots: each leaf is read once, and
+    /// a `next` pointer landing on a slot that a concurrent split has
+    /// replaced with an inner node is normalized by descending to its
+    /// leftmost leaf. Keys therefore stay strictly increasing even
+    /// while writers publish.
+    pub fn scan_from(&self, key: &K, limit: usize, mut f: impl FnMut(&K, &V)) -> usize {
+        let (_, mut leaf) = self.route_to_leaf(key);
+        let mut visited = leaf.scan_merged(Some(key), limit, &mut f);
+        loop {
+            if visited >= limit {
+                return visited;
+            }
+            match leaf.next {
+                Some(next) => {
+                    leaf = self.descend_first_leaf(next).1;
+                    visited += leaf.scan_merged(None, limit - visited, &mut f);
+                }
+                None => return visited,
+            }
+        }
+    }
+}
+
+impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
+    /// Route `key` and capture the run cache for subsequent keys.
+    fn start_run(&self, key: &K) -> LeafRun<K> {
+        let id = self.find_leaf(key);
+        let leaf = self.store.leaf(id);
+        LeafRun {
+            id,
+            max_key: leaf.routing_max_key(),
+            is_tail: leaf.next.is_none(),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Point writes
+    // ------------------------------------------------------------------
+
     /// Look up `key` and return a mutable reference to its payload
     /// (payload updates, §3.2). Flushes the leaf's delta buffer first
     /// so the in-place edit and the merged view stay coherent.
@@ -173,10 +245,10 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     }
 
     /// Insert a pair. Errors on duplicates (ALEX does not support
-    /// duplicate keys, §7) and on the reserved
+    /// duplicate keys, §7), on the reserved
     /// [`alex_api::SentinelKey::MAX_KEY`] sentinel (gapped storage uses
     /// it to fill empty slots, so storing it would be indistinguishable
-    /// from a gap).
+    /// from a gap), and on a NaN key (see the [`crate::key`] docs).
     pub fn insert(&mut self, key: K, value: V) -> Result<(), InsertError> {
         if key.is_sentinel() {
             return Err(InsertError::UnsupportedKey);
@@ -226,37 +298,8 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     }
 
     // ------------------------------------------------------------------
-    // Sorted-batch operations
+    // Sorted-batch insert
     // ------------------------------------------------------------------
-
-    /// Look up a sorted (non-decreasing) batch of keys, routing through
-    /// the RMI once per leaf run instead of once per key.
-    ///
-    /// Returns one `Option<&V>` per input key, in input order.
-    ///
-    /// # Panics
-    /// Panics (debug builds) if `keys` is not sorted non-decreasing.
-    pub fn get_many(&self, keys: &[K]) -> Vec<Option<&V>> {
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] <= w[1]),
-            "get_many input must be sorted"
-        );
-        let mut out = Vec::with_capacity(keys.len());
-        let mut run: Option<LeafRunRef<'_, K, V>> = None;
-        for key in keys {
-            let leaf = match &run {
-                Some(r) if r.owns(key) => r.leaf,
-                _ => {
-                    let fresh = LeafRunRef::new(self.route_to_leaf(key).1);
-                    let leaf = fresh.leaf;
-                    run = Some(fresh);
-                    leaf
-                }
-            };
-            out.push(leaf.live_get(key));
-        }
-        out
-    }
 
     /// Insert a sorted (strictly increasing) batch of pairs, routing
     /// through the RMI once per leaf run instead of once per key.
@@ -312,7 +355,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     }
 
     // ------------------------------------------------------------------
-    // Range operations
+    // Borrowing iterators
     // ------------------------------------------------------------------
 
     /// Iterate entries with key `>= key` in order, across leaves, at
@@ -322,33 +365,6 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         let slot = leaf.data.lower_bound_slot(key);
         let didx = leaf.delta.lower_bound(key);
         RangeIter::new(self, id, slot, didx, limit)
-    }
-
-    /// Visit up to `limit` entries with key `>= key` in order via a
-    /// callback — the fast path for range scans (avoids per-item
-    /// iterator dispatch; used by the Figure 4d/4h benchmarks). Returns
-    /// the number of entries visited.
-    ///
-    /// The walk works on loaded snapshots: each leaf is read once, and
-    /// a `next` pointer landing on a slot that a concurrent split has
-    /// replaced with an inner node is normalized by descending to its
-    /// leftmost leaf. Keys therefore stay strictly increasing even
-    /// while writers publish.
-    pub fn scan_from(&self, key: &K, limit: usize, mut f: impl FnMut(&K, &V)) -> usize {
-        let (_, mut leaf) = self.route_to_leaf(key);
-        let mut visited = leaf.scan_merged(Some(key), limit, &mut f);
-        loop {
-            if visited >= limit {
-                return visited;
-            }
-            match leaf.next {
-                Some(next) => {
-                    leaf = self.descend_first_leaf(next).1;
-                    visited += leaf.scan_merged(None, limit - visited, &mut f);
-                }
-                None => return visited,
-            }
-        }
     }
 
     /// Iterate all entries in key order.

@@ -1,31 +1,29 @@
-//! Node splitting on inserts (§3.4.2), planned once, applied
-//! per-regime.
+//! Node splitting on inserts (§3.4.2), planned once over either
+//! store, applied per store type.
 //!
 //! A full leaf's model becomes an inner model routing to `fanout`
 //! fresh leaves; data is redistributed by the original model; no
-//! rebalancing. The split is factored into a read-only **plan** and a
-//! regime-specific **apply**, so both arena flavours share the
-//! partitioning logic:
+//! rebalancing. The split is factored into a read-only **plan**,
+//! written once over [`NodeStore`], and an **apply** per store type,
+//! so both regimes share the partitioning logic:
 //!
 //! 1. [`AlexIndex::plan_split`] computes the routing model and builds
 //!    the fresh leaves **fully linked** (their `prev`/`next` pointers
 //!    are computed from pre-reserved ids before they enter the arena),
 //!    so no node is ever mutated while reachable.
 //! 2. The apply step pushes the children and then installs the routing
-//!    inner node at the old leaf's id. On the shared path this is
-//!    [`NodeStore::publish`] — the **single atomic publication
-//!    point**: one atomic store flips every reader from the old leaf
-//!    to the new subtree, and the old leaf is retired to the epoch
-//!    garbage list. On the exclusive path it is a plain overwrite
-//!    (`publish_mut`), sound on either flavour because `&mut self`
-//!    proves no concurrent reader.
-//! 3. Neighbour chain pointers are *healed* afterwards (in place when
-//!    exclusive, copy-on-write when shared). Readers that raced the
-//!    heal and walked into the old id simply find the inner node and
-//!    descend to its leftmost leaf — the replacement covers the same
-//!    key range, so ordered scans stay ordered.
-//!
-//! [`NodeStore::publish`]: super::store::NodeStore::publish
+//!    inner node at the old leaf's id. On the epoch store this is
+//!    [`Epoch::publish`] — the **single atomic publication point**:
+//!    one atomic store flips every reader from the old leaf to the new
+//!    subtree, and the old leaf is retired to the epoch garbage list.
+//!    On the dense store it is a plain overwrite
+//!    ([`super::Dense::publish`]), sound because `&mut self` proves no
+//!    concurrent reader.
+//! 3. Neighbour chain pointers are *healed* afterwards (in place on
+//!    the dense store, copy-on-write on the epoch store). Readers that
+//!    raced the heal and walked into the old id simply find the inner
+//!    node and descend to its leftmost leaf — the replacement covers
+//!    the same key range, so ordered scans stay ordered.
 
 use core::sync::atomic::Ordering;
 
@@ -34,7 +32,7 @@ use crate::key::AlexKey;
 use crate::model::LinearModel;
 
 use super::build::{monotone_route, partition_by_model, root_partition_model};
-use super::store::{InnerNode, LeafNode, Node, NodeId};
+use super::store::{Epoch, InnerNode, LeafNode, Node, NodeId, NodeStore};
 use super::AlexIndex;
 
 /// A fully-computed split, ready to apply: the routing model and the
@@ -60,59 +58,7 @@ impl<K, V> SplitPlan<K, V> {
     }
 }
 
-impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
-    /// Split the leaf at `id` into `fanout` children (exclusive
-    /// regime; either arena flavour). Returns `false` when no linear
-    /// model can separate the keys (the split would make no progress).
-    pub(super) fn split_leaf(&mut self, id: NodeId, fanout: usize) -> bool {
-        let Some(plan) = self.plan_split(id, fanout) else {
-            return false;
-        };
-        let (prev, next) = (plan.prev, plan.next);
-        let (first, last) = (plan.first(), plan.last());
-        self.apply_split_mut(id, plan);
-        // Heal neighbour chain pointers in place — exclusive access
-        // means no reader can observe the intermediate state.
-        if let Some(p) = prev {
-            let (pid, _) = self.descend_last_leaf(p);
-            self.store.leaf_mut(pid).next = Some(first);
-        }
-        if let Some(n) = next {
-            let (nid, _) = self.descend_first_leaf(n);
-            self.store.leaf_mut(nid).prev = Some(last);
-        }
-        true
-    }
-
-    /// Split the leaf at `id` under the shared regime: the caller is
-    /// the single serialized writer; readers may be descending
-    /// concurrently (epoch flavour only). Chain healing goes
-    /// copy-on-write.
-    pub(crate) fn split_leaf_shared(&self, id: NodeId, fanout: usize) -> bool {
-        let Some(plan) = self.plan_split(id, fanout) else {
-            return false;
-        };
-        let prev = plan.prev;
-        let first = plan.first();
-        self.apply_split_shared(id, plan);
-        // Heal the predecessor's forward pointer so scans reach the
-        // new leaves directly instead of descending through the
-        // retired slot's inner node. Readers holding the old
-        // predecessor snapshot still work: they walk into `id`, find
-        // the inner node, and descend. `prev` pointers are write-side
-        // hints only, so the successor is left untouched. The clone
-        // here is shallow (the base array is `Arc`-shared with the
-        // retiring snapshot; only the chain pointer changes).
-        if let Some(p) = prev {
-            let (pid, pleaf) = self.descend_last_leaf(p);
-            debug_assert_eq!(pleaf.next, Some(id), "chain predecessor must point at the split leaf");
-            let mut healed = pleaf.clone();
-            healed.next = Some(first);
-            self.store.publish(pid, Node::Leaf(healed));
-        }
-        true
-    }
-
+impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
     /// Plan a split of the leaf at `id`: partition its merged contents
     /// under a routing model and build the replacement leaves, linked
     /// against pre-reserved ids. Read-only on the arena — the caller
@@ -173,21 +119,46 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
             next,
         })
     }
+}
 
-    /// Apply a planned split through exclusive access (either arena
-    /// flavour): push the children, repoint the head if the head leaf
-    /// split, and overwrite the old leaf with the routing inner node.
+impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
+    /// Split the leaf at `id` into `fanout` children in place. Returns
+    /// `false` when no linear model can separate the keys (the split
+    /// would make no progress).
+    pub(super) fn split_leaf(&mut self, id: NodeId, fanout: usize) -> bool {
+        let Some(plan) = self.plan_split(id, fanout) else {
+            return false;
+        };
+        let (prev, next) = (plan.prev, plan.next);
+        let (first, last) = (plan.first(), plan.last());
+        self.apply_split_mut(id, plan);
+        // Heal neighbour chain pointers in place — exclusive access
+        // means no reader can observe the intermediate state.
+        if let Some(p) = prev {
+            let (pid, _) = self.descend_last_leaf(p);
+            self.store.leaf_mut(pid).next = Some(first);
+        }
+        if let Some(n) = next {
+            let (nid, _) = self.descend_first_leaf(n);
+            self.store.leaf_mut(nid).prev = Some(last);
+        }
+        true
+    }
+
+    /// Apply a planned split through exclusive access: push the
+    /// children, repoint the head if the head leaf split, and overwrite
+    /// the old leaf with the routing inner node.
     fn apply_split_mut(&mut self, id: NodeId, plan: SplitPlan<K, V>) {
         debug_assert_eq!(plan.base, self.store.next_id(), "ids must not move between plan and apply");
         let first = plan.first();
         let count = plan.children.len();
         for child in plan.children {
-            self.store.push_mut(Node::Leaf(child));
+            self.store.push(Node::Leaf(child));
         }
         if plan.prev.is_none() {
             self.store.set_head(first);
         }
-        self.store.publish_mut(
+        self.store.publish(
             id,
             Node::Inner(InnerNode {
                 model: plan.route,
@@ -196,13 +167,41 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         );
         self.splits.fetch_add(1, Ordering::Relaxed);
     }
+}
 
-    /// Apply a planned split through the shared writer (`&self`, epoch
-    /// flavour): identical ordering, but the final step is the atomic
-    /// [`NodeStore::publish`] that makes the subtree visible and
-    /// retires the old leaf.
-    ///
-    /// [`NodeStore::publish`]: super::store::NodeStore::publish
+impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V, Epoch<K, V>> {
+    /// Split the leaf at `id` under the shared regime: the caller is
+    /// the single serialized writer; readers may be descending
+    /// concurrently. Chain healing goes copy-on-write.
+    pub(crate) fn split_leaf_shared(&self, id: NodeId, fanout: usize) -> bool {
+        let Some(plan) = self.plan_split(id, fanout) else {
+            return false;
+        };
+        let prev = plan.prev;
+        let first = plan.first();
+        self.apply_split_shared(id, plan);
+        // Heal the predecessor's forward pointer so scans reach the
+        // new leaves directly instead of descending through the
+        // retired slot's inner node. Readers holding the old
+        // predecessor snapshot still work: they walk into `id`, find
+        // the inner node, and descend. `prev` pointers are write-side
+        // hints only, so the successor is left untouched. The clone
+        // here is shallow (the base array is `Arc`-shared with the
+        // retiring snapshot; only the chain pointer changes).
+        if let Some(p) = prev {
+            let (pid, pleaf) = self.descend_last_leaf(p);
+            debug_assert_eq!(pleaf.next, Some(id), "chain predecessor must point at the split leaf");
+            let mut healed = pleaf.clone();
+            healed.next = Some(first);
+            self.store.publish(pid, Node::Leaf(healed));
+        }
+        true
+    }
+
+    /// Apply a planned split through the shared writer (`&self`):
+    /// identical ordering, but the final step is the atomic
+    /// [`Epoch::publish`] that makes the subtree visible and retires
+    /// the old leaf.
     fn apply_split_shared(&self, id: NodeId, plan: SplitPlan<K, V>) {
         debug_assert_eq!(plan.base, self.store.next_id(), "ids must not move between plan and apply");
         let first = plan.first();

@@ -1,52 +1,46 @@
 //! The storage layer: an arena of RMI nodes plus the doubly-linked
-//! leaf chain, in one of two flavours.
+//! leaf chain, in one store type per access regime.
 //!
-//! [`NodeStore`] is the *only* module that touches the node arena
-//! directly. Everything above it — construction ([`super::build`]),
-//! point/range operations ([`super::ops`]), and node splitting
-//! ([`super::split`]) — goes through this narrow API, so storage
+//! This is the *only* module that touches a node arena directly.
+//! Everything above it — construction ([`super::build`]), point and
+//! range operations ([`super::ops`]), and node splitting
+//! ([`super::split`]) — goes through the store types, so storage
 //! concerns (id allocation, publication, chain maintenance,
 //! reclamation) stay in one place.
 //!
-//! The arena comes in two flavours, one per access regime; the regime,
-//! not a configuration field, picks it:
+//! The index is generic over its store, `AlexIndex<K, V, S>`, and the
+//! store type *is* the regime:
 //!
-//! - **Dense** ([`Arena::Dense`]): nodes packed in a plain
-//!   `Vec<Node>` with non-atomic ids. Descents index the vector
-//!   directly — no atomic pointer hop, no epoch bookkeeping, best
-//!   cache adjacency. All mutation requires `&mut self`
-//!   ([`NodeStore::push_mut`] / [`NodeStore::publish_mut`]), so the
-//!   borrow checker itself proves no reader can race a writer. The
-//!   shared-regime (`&self`) writer methods panic on this flavour.
-//!   Every `AlexIndex` builds here.
-//! - **Epoch** ([`Arena::Epoch`]): each node behind an atomic
-//!   pointer in an [`AtomicSlots`] arena, **never overwritten in
-//!   place** on the shared path: [`NodeStore::publish`] installs a
-//!   replacement node at the same id and *retires* the old one to the
-//!   arena's epoch garbage list. This is what `EpochAlex`'s lock-free
-//!   pinned readers require.
-//!
-//! The two regimes:
-//!
-//! - **Exclusive** (`&mut AlexIndex`): the classic single-threaded
-//!   index, on the dense flavour. In-place mutation
-//!   ([`NodeStore::leaf_mut`]) and unguarded reads are sound because
-//!   no concurrent writer can exist. The `&mut` methods also work on
-//!   the epoch flavour: `EpochAlex::into_inner` flushes deltas through
-//!   [`NodeStore::leaf_mut`] before converting back.
-//! - **Shared** (`EpochAlex`, every `ShardedAlex` shard): the epoch
-//!   flavour, installed by [`NodeStore::ensure_epoch`] at wrap time.
-//!   Writers serialize on a mutex and replace nodes only via
-//!   [`NodeStore::publish`]; readers pin an epoch
-//!   ([`NodeStore::pin`]) and descend wait-free. The slot at a given
-//!   id only ever changes to a node covering the *same key range*
+//! - **[`Dense`]** (the default, under every `AlexIndex<K, V>`): nodes
+//!   packed in a plain `Vec` with sequential ids and a plain head id.
+//!   Descents index the vector directly — no atomic pointer hop, no
+//!   epoch bookkeeping. Every mutation takes `&mut self`
+//!   ([`Dense::push`], [`Dense::publish`], [`Dense::leaf_mut`]), so the
+//!   borrow checker proves no reader races a writer, and in-place
+//!   edits and unguarded reads are sound.
+//! - **[`Epoch`]** (under `EpochAlex`, hence every `ShardedAlex`
+//!   shard): each node behind an atomic pointer in an [`AtomicSlots`]
+//!   arena with its own epoch [`Collector`] and an atomic head. A
+//!   reachable node is **never overwritten in place**: the
+//!   mutex-serialized writer installs a replacement at the same id
+//!   through `&self` ([`Epoch::publish`]) and the old node is retired
+//!   to the arena's garbage list; readers pin an epoch
+//!   ([`Epoch::pin`]) and descend wait-free. The slot at a given id
+//!   only ever changes to a node covering the *same key range*
 //!   (copy-on-write leaf, or the routing inner node a split leaves
 //!   behind), so ids held in old snapshots always remain meaningful.
 //!
-//! [`NodeStore::ensure_epoch`] / [`NodeStore::ensure_dense`] convert
-//! between the flavours by re-housing every node in id order (ids are
-//! allocated sequentially in both, so they are preserved). Leaf bases
-//! are `Arc`-shared, making the conversion `O(nodes)` shallow moves or
+//! The read path needs only what both stores share — node access by
+//! id, the next id, the chain head — which is the sealed
+//! [`NodeStore`] trait; the read side of the index is written once
+//! over it. Writes are inherent methods of one store type or the
+//! other, so a shared-regime write on a dense store, or an in-place
+//! edit of an epoch arena, does not compile.
+//!
+//! [`Dense::into_epoch`] and [`Epoch::into_dense`] convert between the
+//! two by re-housing every node in id order (ids are allocated
+//! sequentially in both, so they are preserved). Leaf bases are
+//! `Arc`-shared, making the conversion `O(nodes)` shallow moves or
 //! clones — never a key-array copy.
 
 use crate::data_node::DataNode;
@@ -65,10 +59,10 @@ pub(crate) type NodeId = u32;
 ///
 /// Leaves are much larger than inner nodes, but a leaf's bulk (the
 /// gapped array) lives behind its own `Arc`, so the enum itself stays
-/// small in both arena flavours.
+/// small in both stores.
 #[derive(Debug, Clone)]
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum Node<K, V> {
+pub enum Node<K, V> {
     Inner(InnerNode),
     Leaf(LeafNode<K, V>),
 }
@@ -77,7 +71,7 @@ pub(crate) enum Node<K, V> {
 /// Adjacent child slots may point to the same node (merged partitions,
 /// Algorithm 4).
 #[derive(Debug, Clone)]
-pub(crate) struct InnerNode {
+pub struct InnerNode {
     pub model: LinearModel,
     pub children: Vec<NodeId>,
 }
@@ -90,7 +84,7 @@ pub(crate) struct InnerNode {
 /// cloning the whole gapped array per write (`Clone` on this type is
 /// therefore cheap by design; see [`super::delta`] for the merged-view
 /// contract and lifecycle). Exclusive mutation goes through
-/// [`NodeStore::leaf_data_mut`], which flushes the delta and
+/// [`Dense::leaf_data_mut`], which flushes the delta and
 /// `Arc::make_mut`s the base.
 ///
 /// Chain pointers may be *stale* after a concurrent split: the
@@ -99,7 +93,7 @@ pub(crate) struct InnerNode {
 /// stays ordered). `prev` is a write-side hint only — no read path
 /// follows it.
 #[derive(Debug, Clone)]
-pub(crate) struct LeafNode<K, V> {
+pub struct LeafNode<K, V> {
     pub data: Arc<DataNode<K, V>>,
     pub delta: DeltaBuf<K, V>,
     /// Net live-key contribution of `delta` (+pending inserts,
@@ -125,293 +119,140 @@ impl<K, V> LeafNode<K, V> {
     }
 }
 
-/// The two arena representations behind [`NodeStore`].
-// A store holds exactly one `Arena` (never collections of them), so
-// the Dense/Epoch size difference buys nothing — and boxing the epoch
-// slots would put an extra pointer hop on the shared-regime read path.
-#[allow(clippy::large_enum_variant)]
-enum Arena<K, V> {
-    /// Plain vector, exclusive regime only. Ids are indices.
-    Dense(Vec<Node<K, V>>),
-    /// Atomic-slot arena with its epoch clock, shared regime capable.
-    Epoch {
-        slots: AtomicSlots<Node<K, V>>,
-        /// Epoch clock for this arena's readers and retire lists.
-        collector: Collector,
-    },
+mod sealed {
+    /// Closes [`super::NodeStore`] to the two store types of this
+    /// module.
+    pub trait Sealed {}
+
+    impl<K, V> Sealed for super::Dense<K, V> {}
+    impl<K, V> Sealed for super::Epoch<K, V> {}
 }
 
-/// Arena storage for RMI nodes: id allocation, publication, the
-/// doubly-linked leaf chain, and (epoch flavour) epoch-based
-/// reclamation.
+/// The node store an [`AlexIndex`](super::AlexIndex) runs on, one type
+/// per access regime: [`Dense`] for exclusive `&mut` ownership,
+/// [`Epoch`] for lock-free readers beside one serialized writer (see
+/// [`EpochAlex`](super::EpochAlex)).
 ///
-/// Exclusive writers allocate with [`NodeStore::push_mut`] and replace
-/// with [`NodeStore::publish_mut`] (either flavour); shared writers —
-/// mutex-serialized `&self`, epoch flavour only — use
-/// [`NodeStore::push`] / [`NodeStore::publish`]. Ids are never reused,
-/// and a published replacement always covers the same key range as its
-/// predecessor.
-pub(crate) struct NodeStore<K, V> {
-    arena: Arena<K, V>,
-    /// First leaf in key order (entry point for full iteration). May
-    /// lag behind a head split; readers normalize by descending.
-    /// Atomic in both flavours: it is a plain id, and keeping it
-    /// atomic lets the shared regime move it through `&self`.
-    head_leaf: AtomicU32,
-}
+/// The trait is sealed and carries only what the read path needs, so
+/// the index's reads are written once over it; every write belongs to
+/// one store type.
+pub trait NodeStore<K, V>: sealed::Sealed {
+    /// The node at `id`. Under the shared regime the caller must hold
+    /// an epoch pin for as long as it uses the reference.
+    fn node(&self, id: NodeId) -> &Node<K, V>;
 
-impl<K, V> NodeStore<K, V> {
-    /// An empty dense (exclusive-regime) store. The head leaf defaults
-    /// to node 0; callers must push at least one leaf (or link a
-    /// chain) before reading it.
-    pub fn new_dense() -> Self {
-        Self {
-            arena: Arena::Dense(Vec::new()),
-            head_leaf: AtomicU32::new(0),
-        }
-    }
+    /// The id the next push will return; ids `0..next_id()` are
+    /// occupied and never reused. With a single writer this lets
+    /// splits pre-compute child ids so fresh leaves enter the store
+    /// fully linked.
+    fn next_id(&self) -> NodeId;
 
-    /// An empty epoch (shared-regime-capable) store.
-    pub fn new_epoch() -> Self {
-        Self {
-            arena: Arena::Epoch {
-                slots: AtomicSlots::new(),
-                collector: Collector::new(),
-            },
-            head_leaf: AtomicU32::new(0),
-        }
-    }
-
-    /// Whether this store is on the epoch arena (tests assert which
-    /// arena a regime picked).
-    #[cfg(test)]
-    pub fn is_epoch(&self) -> bool {
-        matches!(self.arena, Arena::Epoch { .. })
-    }
-
-    /// Convert a dense arena to the epoch flavour in place (no-op when
-    /// already epoch). Nodes are *moved* in id order — sequential
-    /// allocation in both flavours preserves every id, so the tree,
-    /// the chain, and the head stay valid. Exclusive access required
-    /// (`&mut self`), which is exactly the state the `EpochAlex`
-    /// constructors have.
-    pub fn ensure_epoch(&mut self) {
-        if let Arena::Dense(nodes) = &mut self.arena {
-            let drained = core::mem::take(nodes);
-            let slots = AtomicSlots::new();
-            for node in drained {
-                slots.push(node);
-            }
-            self.arena = Arena::Epoch {
-                slots,
-                collector: Collector::new(),
-            };
-        }
-    }
-}
-
-impl<K: Clone, V: Clone> NodeStore<K, V> {
-    /// Convert an epoch arena to the dense flavour in place (no-op
-    /// when already dense). Requires exclusive access with an empty
-    /// retire list intent: callers (`EpochAlex::into_inner`) drain the
-    /// retire list first. Nodes are shallow-cloned in id order (leaf
-    /// bases are `Arc`-shared); dropping the old arena then releases
-    /// its references, so the dense store ends up owning every base
-    /// uniquely again.
-    pub fn ensure_dense(&mut self) {
-        if let Arena::Epoch { slots, .. } = &self.arena {
-            let nodes: Vec<Node<K, V>> = slots.iter().cloned().collect();
-            self.arena = Arena::Dense(nodes);
-        }
-    }
-}
-
-impl<K, V> NodeStore<K, V> {
-    /// Pin the arena's epoch. Shared readers hold the returned guard
-    /// across their whole descent; see the [`crate::epoch`] docs.
-    ///
-    /// # Panics
-    /// Panics on a dense store — the dense flavour has no epoch clock
-    /// and must never be read through the shared regime.
-    #[inline]
-    pub fn pin(&self) -> Guard<'_> {
-        match &self.arena {
-            Arena::Epoch { collector, .. } => collector.pin(),
-            Arena::Dense(_) => unreachable!("dense arenas have no epoch clock to pin"),
-        }
-    }
-
-    /// The arena's epoch collector (diagnostics; epoch flavour only).
-    ///
-    /// # Panics
-    /// Panics on a dense store.
-    #[inline]
-    pub fn collector(&self) -> &Collector {
-        match &self.arena {
-            Arena::Epoch { collector, .. } => collector,
-            Arena::Dense(_) => unreachable!("dense arenas have no epoch collector"),
-        }
-    }
-
-    /// Allocate a node, returning its id (exclusive regime; either
-    /// flavour).
-    pub fn push_mut(&mut self, node: Node<K, V>) -> NodeId {
-        match &mut self.arena {
-            Arena::Dense(nodes) => {
-                let id = nodes.len() as NodeId;
-                nodes.push(node);
-                id
-            }
-            Arena::Epoch { slots, .. } => slots.push(node),
-        }
-    }
-
-    /// Allocate a node through `&self` (shared regime: the caller
-    /// holds the index's writer mutex; epoch flavour only).
-    ///
-    /// # Panics
-    /// Panics on a dense store — `&self` mutation of a plain `Vec`
-    /// would be unsound; the exclusive regime uses
-    /// [`NodeStore::push_mut`].
-    pub fn push(&self, node: Node<K, V>) -> NodeId {
-        match &self.arena {
-            Arena::Epoch { slots, .. } => slots.push(node),
-            Arena::Dense(_) => unreachable!("shared-regime push on a dense arena"),
-        }
-    }
-
-    /// The id the next push will return. With a single writer this
-    /// lets splits pre-compute child ids so fresh leaves can be pushed
-    /// fully linked (no post-publication fix-up).
-    #[inline]
-    pub fn next_id(&self) -> NodeId {
-        match &self.arena {
-            Arena::Dense(nodes) => nodes.len() as NodeId,
-            Arena::Epoch { slots, .. } => slots.len(),
-        }
-    }
-
-    /// Replace the node at `id` (exclusive regime; either flavour).
-    /// Dense stores overwrite in place and drop the old node
-    /// immediately — `&mut self` proves nothing can still observe it.
-    /// Epoch stores retire the old node exactly like
-    /// [`NodeStore::publish`], keeping the reclamation counters
-    /// meaningful across regimes.
-    pub fn publish_mut(&mut self, id: NodeId, node: Node<K, V>) {
-        match &mut self.arena {
-            Arena::Dense(nodes) => nodes[id as usize] = node,
-            Arena::Epoch { slots, collector } => slots.publish(id, node, collector),
-        }
-    }
-
-    /// Replace the node at `id`, retiring the old node to the epoch
-    /// garbage list (shared regime: the caller holds the index's
-    /// writer mutex; epoch flavour only). The single atomic
-    /// publication point: a split becomes visible to readers exactly
-    /// when the routing inner node lands here.
-    ///
-    /// # Panics
-    /// Panics on a dense store.
-    pub fn publish(&self, id: NodeId, node: Node<K, V>) {
-        match &self.arena {
-            Arena::Epoch { slots, collector } => slots.publish(id, node, collector),
-            Arena::Dense(_) => unreachable!("shared-regime publish on a dense arena"),
-        }
-    }
-
-    /// Node access (shared regime: caller must be pinned; exclusive
-    /// regime: always sound).
-    #[inline]
-    pub fn node(&self, id: NodeId) -> &Node<K, V> {
-        match &self.arena {
-            Arena::Dense(nodes) => &nodes[id as usize],
-            Arena::Epoch { slots, .. } => slots.get(id),
-        }
-    }
-
-    /// Node access, mutably (exclusive regime only).
-    #[inline]
-    fn node_mut(&mut self, id: NodeId) -> &mut Node<K, V> {
-        match &mut self.arena {
-            Arena::Dense(nodes) => &mut nodes[id as usize],
-            Arena::Epoch { slots, .. } => slots.get_mut(id),
-        }
-    }
+    /// First leaf in key order. After a head split this may
+    /// transiently (shared regime) name a slot that now holds an inner
+    /// node; callers descend to its leftmost leaf.
+    fn head_leaf(&self) -> NodeId;
 
     /// The leaf at `id`.
     ///
     /// # Panics
-    /// Panics if `id` refers to an inner node — only call where the
-    /// caller *knows* the slot holds a leaf (exclusive regime, or the
-    /// shared writer that is the only one publishing).
+    /// Panics if `id` holds an inner node — only call where the caller
+    /// *knows* the slot holds a leaf (exclusive regime, or the shared
+    /// writer that is the only one publishing).
     #[inline]
-    pub fn leaf(&self, id: NodeId) -> &LeafNode<K, V> {
+    fn leaf(&self, id: NodeId) -> &LeafNode<K, V> {
         match self.node(id) {
             Node::Leaf(l) => l,
             Node::Inner(_) => unreachable!("expected leaf node"),
         }
     }
 
-    /// The leaf at `id`, mutably (exclusive regime only — `&mut self`
-    /// proves no concurrent reader or writer).
+    /// Every leaf in allocation order (*not* key order — use the chain
+    /// for ordered traversal).
+    fn leaves<'a>(&'a self) -> impl Iterator<Item = &'a LeafNode<K, V>>
+    where
+        K: 'a,
+        V: 'a,
+    {
+        (0..self.next_id()).filter_map(move |id| match self.node(id) {
+            Node::Leaf(l) => Some(l),
+            Node::Inner(_) => None,
+        })
+    }
+}
+
+/// The exclusive-regime store under every `AlexIndex<K, V>`: nodes in
+/// a plain vector, every write through `&mut`.
+#[derive(Debug)]
+pub struct Dense<K, V> {
+    nodes: Vec<Node<K, V>>,
+    /// First leaf in key order (entry point for full iteration).
+    head: NodeId,
+}
+
+impl<K, V> NodeStore<K, V> for Dense<K, V> {
+    #[inline]
+    fn node(&self, id: NodeId) -> &Node<K, V> {
+        &self.nodes[id as usize]
+    }
+
+    #[inline]
+    fn next_id(&self) -> NodeId {
+        self.nodes.len() as NodeId
+    }
+
+    #[inline]
+    fn head_leaf(&self) -> NodeId {
+        self.head
+    }
+}
+
+impl<K, V> Dense<K, V> {
+    /// An empty store. The head defaults to node 0; callers must push
+    /// at least one leaf (or link a chain) before reading it.
+    pub(crate) fn new() -> Self {
+        Self {
+            nodes: Vec::new(),
+            head: 0,
+        }
+    }
+
+    /// Allocate a node, returning its id.
+    pub(crate) fn push(&mut self, node: Node<K, V>) -> NodeId {
+        let id = self.next_id();
+        self.nodes.push(node);
+        id
+    }
+
+    /// Replace the node at `id` in place, dropping the old node at
+    /// once — `&mut self` proves nothing can still observe it.
+    pub(crate) fn publish(&mut self, id: NodeId, node: Node<K, V>) {
+        self.nodes[id as usize] = node;
+    }
+
+    /// The leaf at `id`, mutably.
     ///
     /// # Panics
-    /// Panics if `id` refers to an inner node.
+    /// Panics if `id` holds an inner node.
     #[inline]
-    pub fn leaf_mut(&mut self, id: NodeId) -> &mut LeafNode<K, V> {
-        match self.node_mut(id) {
+    pub(crate) fn leaf_mut(&mut self, id: NodeId) -> &mut LeafNode<K, V> {
+        match &mut self.nodes[id as usize] {
             Node::Leaf(l) => l,
             Node::Inner(_) => unreachable!("expected leaf node"),
         }
     }
 
-    /// Number of allocated node slots (ids `0..node_count()` are
-    /// occupied; ids are never reused).
+    /// Move the chain head.
     #[inline]
-    pub fn node_count(&self) -> NodeId {
-        self.next_id()
-    }
-
-    /// First leaf in key order. After a head split this may
-    /// transiently (shared regime) name a slot that now holds an inner
-    /// node; callers descend to its leftmost leaf.
-    #[inline]
-    pub fn head_leaf(&self) -> NodeId {
-        self.head_leaf.load(Ordering::Acquire)
-    }
-
-    /// Move the chain head (writers only).
-    #[inline]
-    pub fn set_head(&self, id: NodeId) {
-        self.head_leaf.store(id, Ordering::Release);
-    }
-
-    /// Iterate every node in the arena (allocation order).
-    pub fn iter(&self) -> impl Iterator<Item = &Node<K, V>> {
-        (0..self.node_count()).map(move |id| self.node(id))
-    }
-
-    /// Iterate every leaf in the arena (allocation order, *not* key
-    /// order — use the chain for ordered traversal).
-    pub fn leaves(&self) -> impl Iterator<Item = &LeafNode<K, V>> {
-        self.iter().filter_map(|n| match n {
-            Node::Leaf(l) => Some(l),
-            Node::Inner(_) => None,
-        })
-    }
-
-    /// Number of leaf nodes.
-    pub fn num_leaves(&self) -> usize {
-        self.leaves().count()
+    pub(crate) fn set_head(&mut self, id: NodeId) {
+        self.head = id;
     }
 
     /// Wire the doubly-linked leaf chain through `order` (key order)
-    /// and point the head at the first entry. Exclusive regime (bulk
-    /// builds).
+    /// and point the head at the first entry (bulk builds).
     ///
     /// # Panics
     /// Panics if `order` is empty.
-    pub fn link_chain(&mut self, order: &[NodeId]) {
+    pub(crate) fn link_chain(&mut self, order: &[NodeId]) {
         for (i, &id) in order.iter().enumerate() {
             let prev = (i > 0).then(|| order[i - 1]);
             let next = order.get(i + 1).copied();
@@ -422,72 +263,47 @@ impl<K, V> NodeStore<K, V> {
         self.set_head(*order.first().expect("at least one leaf"));
     }
 
-    // ------------------------------------------------------------------
-    // Reclamation diagnostics (surfaced by `EpochAlex::epoch_stats`).
-    // A dense arena frees replaced nodes immediately, so it reports a
-    // permanently empty retire list rather than panicking — exclusive
-    // tests and tooling may probe these on either flavour.
-    // ------------------------------------------------------------------
-
-    /// Retired-but-not-yet-freed node count (always 0 on dense).
-    pub fn retired(&self) -> usize {
-        match &self.arena {
-            Arena::Dense(_) => 0,
-            Arena::Epoch { slots, .. } => slots.retired(),
+    /// Move every node, in id order, into a fresh epoch arena with its
+    /// own clock. Sequential allocation in both stores preserves every
+    /// id, so the tree, the chain, and the head stay valid.
+    pub(crate) fn into_epoch(self) -> Epoch<K, V> {
+        let slots = AtomicSlots::new();
+        for node in self.nodes {
+            slots.push(node);
         }
-    }
-
-    /// Drive epochs forward until the retire list drains (or a pinned
-    /// reader blocks progress); returns the nodes still pending
-    /// (always 0 on dense — replacement drops are immediate).
-    pub fn flush(&self) -> usize {
-        match &self.arena {
-            Arena::Dense(_) => 0,
-            Arena::Epoch { slots, collector } => slots.flush(collector),
-        }
-    }
-
-    /// Lifetime `(retired, freed)` counters (both 0 on dense).
-    pub fn reclamation_totals(&self) -> (u64, u64) {
-        match &self.arena {
-            Arena::Dense(_) => (0, 0),
-            Arena::Epoch { slots, .. } => slots.reclamation_totals(),
+        Epoch {
+            slots,
+            collector: Collector::new(),
+            head: AtomicU32::new(self.head),
         }
     }
 }
 
-impl<K: AlexKey, V: Clone + Default> NodeStore<K, V> {
+impl<K: AlexKey, V: Clone + Default> Dense<K, V> {
     /// Exclusive mutable access to the *base array* of the leaf at
     /// `id`: flushes any pending delta in place first (so in-place
     /// edits and the merged view stay coherent), then unshares the
-    /// base if a published snapshot still holds it.
+    /// base if anything else still holds it.
     ///
     /// # Panics
-    /// Panics if `id` refers to an inner node.
+    /// Panics if `id` holds an inner node.
     #[inline]
-    pub fn leaf_data_mut(&mut self, id: NodeId) -> &mut DataNode<K, V> {
+    pub(crate) fn leaf_data_mut(&mut self, id: NodeId) -> &mut DataNode<K, V> {
         let leaf = self.leaf_mut(id);
         leaf.flush_delta();
         Arc::make_mut(&mut leaf.data)
     }
 }
 
-impl<K: Clone, V: Clone> Clone for NodeStore<K, V> {
-    /// Deep copy for the exclusive regime, preserving the arena
-    /// flavour (a fresh arena — fresh epoch clock and empty retire
-    /// list for the epoch flavour — with unshared base arrays). Must
-    /// not race a writer — `Clone` on the shared wrapper is
-    /// deliberately not provided.
+impl<K: Clone, V: Clone> Clone for Dense<K, V> {
+    /// Deep copy with unshared base arrays: the copy must never alias
+    /// the original's data (read counters, `make_mut` behaviour).
     fn clone(&self) -> Self {
-        let mut fresh = match self.arena {
-            Arena::Dense(_) => Self::new_dense(),
-            Arena::Epoch { .. } => Self::new_epoch(),
-        };
-        for node in self.iter() {
-            fresh.push_mut(match node {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|node| match node {
                 Node::Inner(inner) => Node::Inner(inner.clone()),
-                // Unshare the base array: the copy must never alias the
-                // original's data (read counters, make_mut behaviour).
                 Node::Leaf(l) => Node::Leaf(LeafNode {
                     data: Arc::new((*l.data).clone()),
                     delta: l.delta.clone(),
@@ -495,25 +311,109 @@ impl<K: Clone, V: Clone> Clone for NodeStore<K, V> {
                     prev: l.prev,
                     next: l.next,
                 }),
-            });
+            })
+            .collect();
+        Self {
+            nodes,
+            head: self.head,
         }
-        fresh.head_leaf.store(self.head_leaf(), Ordering::Relaxed);
-        fresh
     }
 }
 
-impl<K, V> core::fmt::Debug for NodeStore<K, V> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        let mut s = f.debug_struct("NodeStore");
-        match &self.arena {
-            Arena::Dense(nodes) => s.field("mode", &"dense").field("nodes", &nodes.len()),
-            Arena::Epoch { slots, collector } => s
-                .field("mode", &"epoch")
-                .field("nodes", &slots)
-                .field("collector", &collector),
+/// The shared-regime store under every [`EpochAlex`](super::EpochAlex):
+/// nodes behind epoch-protected atomic slots, replaced only by
+/// publication.
+#[derive(Debug)]
+pub struct Epoch<K, V> {
+    slots: AtomicSlots<Node<K, V>>,
+    /// Epoch clock for this arena's readers and retire list.
+    collector: Collector,
+    /// First leaf in key order. Atomic so the serialized writer can
+    /// move it through `&self`; may lag behind a head split, which
+    /// readers normalize by descending.
+    head: AtomicU32,
+}
+
+impl<K, V> NodeStore<K, V> for Epoch<K, V> {
+    #[inline]
+    fn node(&self, id: NodeId) -> &Node<K, V> {
+        self.slots.get(id)
+    }
+
+    #[inline]
+    fn next_id(&self) -> NodeId {
+        self.slots.len()
+    }
+
+    #[inline]
+    fn head_leaf(&self) -> NodeId {
+        self.head.load(Ordering::Acquire)
+    }
+}
+
+impl<K, V> Epoch<K, V> {
+    /// Pin the arena's epoch. Shared readers hold the returned guard
+    /// across their whole descent; see the [`crate::epoch`] docs.
+    #[inline]
+    pub(crate) fn pin(&self) -> Guard<'_> {
+        self.collector.pin()
+    }
+
+    /// The arena's epoch collector (diagnostics).
+    #[inline]
+    pub(crate) fn collector(&self) -> &Collector {
+        &self.collector
+    }
+
+    /// Allocate a node, returning its id. The caller holds the index's
+    /// writer mutex.
+    pub(crate) fn push(&self, node: Node<K, V>) -> NodeId {
+        self.slots.push(node)
+    }
+
+    /// Replace the node at `id`, retiring the old node to the epoch
+    /// garbage list. The caller holds the index's writer mutex. The
+    /// single atomic publication point: a split becomes visible to
+    /// readers exactly when the routing inner node lands here.
+    pub(crate) fn publish(&self, id: NodeId, node: Node<K, V>) {
+        self.slots.publish(id, node, &self.collector);
+    }
+
+    /// Move the chain head (the serialized writer only).
+    #[inline]
+    pub(crate) fn set_head(&self, id: NodeId) {
+        self.head.store(id, Ordering::Release);
+    }
+
+    /// Retired-but-not-yet-freed node count.
+    pub(crate) fn retired(&self) -> usize {
+        self.slots.retired()
+    }
+
+    /// Drive epochs forward until the retire list drains (or a pinned
+    /// reader blocks progress); returns the nodes still pending.
+    pub(crate) fn flush(&self) -> usize {
+        self.slots.flush(&self.collector)
+    }
+
+    /// Lifetime `(retired, freed)` counters.
+    pub(crate) fn reclamation_totals(&self) -> (u64, u64) {
+        self.slots.reclamation_totals()
+    }
+}
+
+impl<K: Clone, V: Clone> Epoch<K, V> {
+    /// Copy every node, in id order, into a dense store. The copies
+    /// are shallow (leaf bases are `Arc`-shared); dropping the arena at
+    /// the end of this call frees it and its retire list and releases
+    /// their references, so the dense store owns every base uniquely
+    /// again.
+    pub(crate) fn into_dense(self) -> Dense<K, V> {
+        let nodes = self.slots.iter().cloned().collect();
+        Dense {
+            nodes,
+            head: self.head.into_inner(),
         }
-        .field("head_leaf", &self.head_leaf())
-        .finish()
     }
 }
 
@@ -532,31 +432,43 @@ mod tests {
 
     #[test]
     fn push_allocates_sequential_ids_in_both_flavours() {
-        for mut store in [NodeStore::<u64, u64>::new_dense(), NodeStore::new_epoch()] {
-            assert_eq!(store.next_id(), 0);
-            let a = store.push_mut(leaf(&[(1, 1)]));
-            let b = store.push_mut(leaf(&[(2, 2)]));
-            assert_eq!((a, b), (0, 1));
-            assert_eq!(store.next_id(), 2);
-            assert_eq!(store.num_leaves(), 2);
-        }
+        let mut dense: Dense<u64, u64> = Dense::new();
+        assert_eq!(dense.next_id(), 0);
+        let a = dense.push(leaf(&[(1, 1)]));
+        let b = dense.push(leaf(&[(2, 2)]));
+        assert_eq!((a, b), (0, 1));
+        assert_eq!(dense.next_id(), 2);
+        assert_eq!(dense.leaves().count(), 2);
+
+        let epoch: Epoch<u64, u64> = Dense::new().into_epoch();
+        assert_eq!(epoch.next_id(), 0);
+        let a = epoch.push(leaf(&[(1, 1)]));
+        let b = epoch.push(leaf(&[(2, 2)]));
+        assert_eq!((a, b), (0, 1));
+        assert_eq!(epoch.next_id(), 2);
+        assert_eq!(epoch.leaves().count(), 2);
     }
 
     #[test]
     fn link_chain_wires_prev_next_and_head() {
-        for mut store in [NodeStore::<u64, u64>::new_dense(), NodeStore::new_epoch()] {
-            let ids: Vec<NodeId> = (0..3).map(|i| store.push_mut(leaf(&[(i, i)]))).collect();
-            store.link_chain(&ids);
-            assert_eq!(store.head_leaf(), ids[0]);
-            assert_eq!(store.leaf(ids[0]).next, Some(ids[1]));
-            assert_eq!(store.leaf(ids[1]).prev, Some(ids[0]));
-            assert_eq!(store.leaf(ids[2]).next, None);
-        }
+        let mut store: Dense<u64, u64> = Dense::new();
+        let ids: Vec<NodeId> = (0..3).map(|i| store.push(leaf(&[(i, i)]))).collect();
+        store.link_chain(&ids);
+        assert_eq!(store.head_leaf(), ids[0]);
+        assert_eq!(store.leaf(ids[0]).next, Some(ids[1]));
+        assert_eq!(store.leaf(ids[1]).prev, Some(ids[0]));
+        assert_eq!(store.leaf(ids[2]).next, None);
+        // The epoch store serves the same chain.
+        let store = store.into_epoch();
+        assert_eq!(store.head_leaf(), ids[0]);
+        assert_eq!(store.leaf(ids[0]).next, Some(ids[1]));
+        assert_eq!(store.leaf(ids[1]).prev, Some(ids[0]));
+        assert_eq!(store.leaf(ids[2]).next, None);
     }
 
     #[test]
     fn publish_replaces_node_and_retires_old() {
-        let store: NodeStore<u64, u64> = NodeStore::new_epoch();
+        let store: Epoch<u64, u64> = Dense::new().into_epoch();
         let id = store.push(leaf(&[(1, 1), (2, 2)]));
         store.publish(
             id,
@@ -579,34 +491,15 @@ mod tests {
 
     #[test]
     fn dense_publish_mut_replaces_in_place() {
-        let mut store: NodeStore<u64, u64> = NodeStore::new_dense();
-        let id = store.push_mut(leaf(&[(1, 1)]));
-        store.publish_mut(id, leaf(&[(1, 2)]));
+        let mut store: Dense<u64, u64> = Dense::new();
+        let id = store.push(leaf(&[(1, 1)]));
+        store.publish(id, leaf(&[(1, 2)]));
         assert_eq!(store.leaf(id).data.get(&1), Some(&2));
-        // Dense replacement drops the old node immediately: the
-        // diagnostics report a permanently clean arena.
-        assert_eq!(store.retired(), 0);
-        assert_eq!(store.flush(), 0);
-        assert_eq!(store.reclamation_totals(), (0, 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "shared-regime push on a dense arena")]
-    fn dense_rejects_shared_push() {
-        let store: NodeStore<u64, u64> = NodeStore::new_dense();
-        store.push(leaf(&[(1, 1)]));
-    }
-
-    #[test]
-    #[should_panic(expected = "dense arenas have no epoch clock")]
-    fn dense_rejects_pin() {
-        let store: NodeStore<u64, u64> = NodeStore::new_dense();
-        let _ = store.pin();
     }
 
     #[test]
     fn pinned_reader_keeps_replaced_node_alive() {
-        let store: NodeStore<u64, u64> = NodeStore::new_epoch();
+        let store: Epoch<u64, u64> = Dense::new().into_epoch();
         let id = store.push(leaf(&[(10, 100)]));
         let guard = store.pin();
         let snapshot = store.leaf(id);
@@ -622,30 +515,20 @@ mod tests {
 
     #[test]
     fn clone_is_deep_preserves_mode_and_starts_clean() {
-        let store: NodeStore<u64, u64> = NodeStore::new_epoch();
-        let id = store.push(leaf(&[(1, 1)]));
-        store.publish(id, leaf(&[(1, 2)]));
-        let copy = store.clone();
-        assert!(copy.is_epoch());
-        assert_eq!(copy.leaf(id).data.get(&1), Some(&2));
-        assert_eq!(copy.retired(), 0, "clones start with an empty retire list");
-        assert_eq!(copy.head_leaf(), store.head_leaf());
-
-        let mut dense: NodeStore<u64, u64> = NodeStore::new_dense();
-        let id = dense.push_mut(leaf(&[(3, 3)]));
+        let mut dense: Dense<u64, u64> = Dense::new();
+        let id = dense.push(leaf(&[(3, 3)]));
         let copy = dense.clone();
-        assert!(!copy.is_epoch());
         assert_eq!(copy.leaf(id).data.get(&3), Some(&3));
+        assert_eq!(Arc::strong_count(&copy.leaf(id).data), 1, "the copy shares no base");
     }
 
     #[test]
     fn conversion_round_trip_preserves_ids_and_contents() {
-        let mut store: NodeStore<u64, u64> = NodeStore::new_dense();
-        let ids: Vec<NodeId> = (0..5u64).map(|i| store.push_mut(leaf(&[(i, i * 10)]))).collect();
+        let mut store: Dense<u64, u64> = Dense::new();
+        let ids: Vec<NodeId> = (0..5u64).map(|i| store.push(leaf(&[(i, i * 10)]))).collect();
         store.link_chain(&ids);
-        store.ensure_epoch();
-        assert!(store.is_epoch());
-        // Epoch flavour serves the same tree under a pin.
+        let store = store.into_epoch();
+        // The epoch store serves the same tree under a pin.
         {
             let _guard = store.pin();
             for &id in &ids {
@@ -655,27 +538,14 @@ mod tests {
         // Shared-regime writes now work.
         store.publish(ids[0], leaf(&[(0, 99)]));
         store.flush();
-        store.ensure_dense();
-        assert!(!store.is_epoch());
+        let store = store.into_dense();
         assert_eq!(store.leaf(ids[0]).data.get(&0), Some(&99));
         assert_eq!(store.leaf(ids[1]).next, Some(ids[2]));
         assert_eq!(store.head_leaf(), ids[0]);
-        assert_eq!(store.node_count(), 5);
+        assert_eq!(store.next_id(), 5);
         // The dense store owns every base uniquely again.
         for leaf in store.leaves() {
             assert_eq!(Arc::strong_count(&leaf.data), 1);
         }
-    }
-
-    #[test]
-    fn ensure_is_idempotent() {
-        let mut store: NodeStore<u64, u64> = NodeStore::new_dense();
-        store.push_mut(leaf(&[(1, 1)]));
-        store.ensure_dense();
-        assert!(!store.is_epoch());
-        store.ensure_epoch();
-        store.ensure_epoch();
-        assert!(store.is_epoch());
-        assert_eq!(store.node_count(), 1);
     }
 }

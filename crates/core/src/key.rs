@@ -5,7 +5,7 @@
 //!
 //! | Key type | Encoding / projection (`as_f64`) | Sentinel (`MAX_KEY`) | Projection ties? |
 //! |---|---|---|---|
-//! | `f64` | identity | `f64::INFINITY` | never (NaN is rejected by contract) |
+//! | `f64` | identity | `f64::INFINITY` | never (writes refuse NaN, see below) |
 //! | `u64` | `as f64` (rounds past 2⁵³) | `u64::MAX` | dense keys past 2⁵³ |
 //! | `i64` | `as f64` (rounds past ±2⁵³) | `i64::MAX` | dense keys past ±2⁵³ |
 //! | `u32` | exact | `u32::MAX` | never |
@@ -18,6 +18,12 @@
 //! with [`alex_api::InsertError::UnsupportedKey`] rather than storing a
 //! key that is indistinguishable from a gap. The conformance suite's
 //! `sentinel_key_is_rejected` check enforces this for all backends.
+//! [`SentinelKey::is_sentinel`] is also true for a key that is not
+//! equal to itself — an `f64` NaN, or a `Composite` holding one — so
+//! every point write refuses NaN with the same error: a NaN has no
+//! place in sorted storage, and once stored it breaks lookups and
+//! scans. Sorted batches check only their last key, where the sentinel
+//! sorts, so a NaN inside a batch is not caught.
 //!
 //! **Projection ties are never a correctness problem.** `as_f64` is a
 //! *hint* for model training and placement; search always verifies

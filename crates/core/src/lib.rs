@@ -42,30 +42,38 @@
 //! assert_eq!(first_five, vec![0, 1, 2, 3, 4]);
 //! ```
 //!
-//! ## Access regimes and arena flavours
+//! ## Access regimes and store types
 //!
-//! The node store comes in two flavours, one per access regime. The
-//! regime picks the flavour; there is no configuration field for it:
+//! [`AlexIndex`] is generic over its node store,
+//! `AlexIndex<K, V, S = Dense<K, V>>`, and the store type names the
+//! access regime. There is no configuration field for it:
 //!
-//! - **Dense**, under every [`AlexIndex`]: nodes live in a plain
-//!   `Vec`, node ids are direct indices, and every mutation goes
-//!   through `&mut self`. No atomics on the read path, no epoch
-//!   bookkeeping — the fastest single-threaded layout, for the
-//!   *exclusive* regime where one owner holds the index.
-//! - **Epoch**, under every [`EpochAlex`]: nodes live behind per-slot
-//!   atomic pointers with epoch-based reclamation, so the structure
-//!   can serve lock-free readers while a serialized writer publishes
-//!   copy-on-write updates — the *shared* regime.
+//! - [`Dense`](index::Dense), the default, under every
+//!   `AlexIndex<K, V>`: nodes live in a plain `Vec`, node ids are
+//!   direct indices, and every mutation goes through `&mut self`. No
+//!   atomics on the read path, no epoch bookkeeping — the fastest
+//!   single-threaded layout, for the *exclusive* regime where one
+//!   owner holds the index. Every public constructor builds here.
+//! - [`Epoch`](index::Epoch), under every [`EpochAlex`] and only
+//!   there: nodes live behind per-slot atomic pointers with
+//!   epoch-based reclamation, so the structure can serve lock-free
+//!   readers while a serialized writer publishes copy-on-write
+//!   updates — the *shared* regime.
 //!
-//! The bridge contract: [`EpochAlex::from_index`] moves an index's
-//! nodes into epoch slots, preserving node ids; [`EpochAlex::into_inner`]
-//! hands back exclusive ownership and always moves them back to the
-//! dense arena. Both
-//! directions preserve ids, contents, and statistics, so bulk-load in
-//! the cheap dense flavour and convert only when concurrency starts.
-//! Shared-regime entry points (`EpochAlex::new` / `bulk_load`, the
-//! sharded front-end, the durability layer) all funnel through this
-//! conversion.
+//! The read path (descent, `get`, `get_many`, `scan_from`, the size
+//! and stats reads) is written once over the sealed
+//! [`NodeStore`](index::NodeStore) trait. Bulk load, the `&mut`
+//! writes and the borrowing iterators exist on the dense index only,
+//! and the epoch pin, publication and reclamation on the epoch store
+//! only, so a shared-regime call on a dense index does not compile.
+//!
+//! The bridge: [`EpochAlex::from_index`] moves an index's nodes into
+//! epoch slots, and [`EpochAlex::into_inner`] moves them back to a
+//! dense store and flushes every pending delta. Both directions
+//! preserve node ids, contents and statistics, so bulk-load dense and
+//! convert only when concurrency starts. Shared-regime entry points
+//! (`EpochAlex::new` / `bulk_load`, the sharded front-end, the
+//! durability layer) all funnel through `from_index`.
 //!
 //! ## Crate layout
 //! - [`index`] / [`AlexIndex`] — the public index.

@@ -243,11 +243,11 @@ where
     // ------------------------------------------------------------------
 
     /// Insert a fresh pair. `Ok(false)` (duplicate) neither changes
-    /// the index nor logs anything. The reserved `MAX_KEY` sentinel is
-    /// rejected with [`io::ErrorKind::InvalidInput`] **before** any
-    /// record is appended — logging first and letting the in-memory
-    /// insert refuse would leave a record in the WAL whose effect never
-    /// happened.
+    /// the index nor logs anything. The reserved `MAX_KEY` sentinel and
+    /// a NaN key are rejected with [`io::ErrorKind::InvalidInput`]
+    /// **before** any record is appended — logging first and letting
+    /// the in-memory insert refuse would leave a record in the WAL
+    /// whose effect never happened.
     pub fn insert(&self, key: K, value: V) -> io::Result<bool> {
         reject_sentinel(&key)?;
         let mut wal = self.wal_lock();
@@ -469,8 +469,9 @@ where
     }
 }
 
-/// The shared sentinel gate for logged writes: refuse with
-/// [`io::ErrorKind::InvalidInput`] (wrapping
+/// The shared sentinel gate for logged writes: refuse a key
+/// [`alex_core::SentinelKey::is_sentinel`] refuses (the sentinel, a
+/// NaN) with [`io::ErrorKind::InvalidInput`] (wrapping
 /// [`alex_core::InsertError::UnsupportedKey`] as the source) before a
 /// record is appended.
 fn reject_sentinel<K: DurableKey>(key: &K) -> io::Result<()> {

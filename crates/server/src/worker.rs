@@ -235,6 +235,13 @@ fn flush_gets<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?Sized>(
         n => {
             stats.get_runs.fetch_add(1, Ordering::Relaxed);
             stats.get_run_ops.fetch_add(n as u64, Ordering::Relaxed);
+            // A key no write accepts (the sentinel, a NaN) is never
+            // present, and a NaN has no place in the sort: answer
+            // those first, as `execute` would.
+            for (_, reply) in gets.extract_if(.., |(key, _)| key.is_sentinel()) {
+                reply.complete(Response::Value(None));
+            }
+            let n = gets.len();
             let mut perm: Vec<usize> = (0..n).collect();
             perm.sort_by(|&a, &b| gets[a].0.partial_cmp(&gets[b].0).expect("finite keys"));
             let keys: Vec<K> = perm.iter().map(|&i| gets[i].0).collect();
@@ -265,6 +272,14 @@ fn flush_inserts<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?Sized>(
         n => {
             stats.insert_runs.fetch_add(1, Ordering::Relaxed);
             stats.insert_run_ops.fetch_add(n as u64, Ordering::Relaxed);
+            // A refused key (the sentinel, a NaN) answers Rejected on
+            // its own, before the sort that a NaN would break; it must
+            // not poison the whole coalesced run, which would turn
+            // neighbours' verdicts into refusals they didn't earn.
+            for (_, _, reply) in inserts.extract_if(.., |(key, _, _)| key.is_sentinel()) {
+                reply.complete(Response::Rejected(REJECT_UNSUPPORTED_KEY));
+            }
+            let n = inserts.len();
             let mut perm: Vec<usize> = (0..n).collect();
             // Stable by key: among equal keys, arrival order decides
             // the winner, matching one-at-a-time first-writer-wins.
@@ -275,16 +290,8 @@ fn flush_inserts<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?Sized>(
             // the check and the bulk apply.
             let present = backend.get_many(&keys);
             let mut landed = vec![false; n];
-            let mut rejected = vec![false; n];
             let mut run: Vec<(K, V)> = Vec::with_capacity(n);
             for (j, &i) in perm.iter().enumerate() {
-                // A sentinel op answers Rejected on its own; it must
-                // not poison the whole coalesced run, which would turn
-                // neighbours' verdicts into refusals they didn't earn.
-                if keys[j].is_sentinel() {
-                    rejected[i] = true;
-                    continue;
-                }
                 let dup = j > 0 && keys[j - 1] == keys[j];
                 if !dup && present[j].is_none() {
                     landed[i] = true;
@@ -294,12 +301,8 @@ fn flush_inserts<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?Sized>(
             let applied =
                 backend.bulk_insert(&run).expect("sentinels filtered, run cannot be refused");
             debug_assert_eq!(applied, run.len(), "owner exclusivity violated");
-            for (i, (_, _, reply)) in inserts.drain(..).enumerate() {
-                reply.complete(if rejected[i] {
-                    Response::Rejected(REJECT_UNSUPPORTED_KEY)
-                } else {
-                    Response::Inserted(landed[i])
-                });
+            for ((_, _, reply), landed) in inserts.drain(..).zip(landed) {
+                reply.complete(Response::Inserted(landed));
             }
         }
     }

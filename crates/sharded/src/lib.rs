@@ -10,7 +10,7 @@
 //! ## Lock-free shards
 //!
 //! Every shard is an [`EpochAlex`]: it is bulk-loaded as an exclusive
-//! `AlexIndex` on the dense arena, then moved to the epoch arena.
+//! `AlexIndex` on the dense store, then moved to the epoch store.
 //! Readers pin an epoch and descend the RMI with **no lock at all**,
 //! wait-free with respect to node splits; writers serialize per shard
 //! on an internal mutex and publish copy-on-write replacements through
@@ -294,8 +294,9 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     }
 
     /// Insert a pair; [`InsertError::DuplicateKey`] when present and
-    /// [`InsertError::UnsupportedKey`] for the reserved sentinel. Takes
-    /// `&self`: only the owning shard's writer is serialized.
+    /// [`InsertError::UnsupportedKey`] for the reserved sentinel or a
+    /// NaN key. Takes `&self`: only the owning shard's writer is
+    /// serialized.
     pub fn insert(&self, key: K, value: V) -> Result<(), InsertError> {
         self.shards[self.shard_for(&key)].insert(key, value)
     }

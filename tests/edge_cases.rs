@@ -1,8 +1,14 @@
 //! Edge-case and stress tests: extreme configurations, degenerate
 //! datasets, and failure-prone parameter corners.
 
-use alex_repro::alex_core::{AlexConfig, AlexIndex, NodeParams};
+use alex_repro::alex_api::{IndexWrite, InsertError};
+use alex_repro::alex_btree::BPlusTree;
+use alex_repro::alex_core::{AlexConfig, AlexIndex, EpochAlex, NodeParams};
 use alex_repro::alex_datasets::Payload;
+use alex_repro::alex_learned_index::LearnedIndex;
+use alex_repro::alex_sharded::ShardedAlex;
+use alex_repro::alex_wal::tempdir::TempDir;
+use alex_repro::alex_wal::{DurableAlex, WalOptions};
 
 #[test]
 fn single_key_index() {
@@ -145,4 +151,40 @@ fn cold_start_all_four_variants() {
         let keys: Vec<u64> = index.iter().map(|(k, _)| *k).collect();
         assert!(keys.windows(2).all(|w| w[0] < w[1]), "{}", cfg.variant_name());
     }
+}
+
+#[test]
+fn nan_keys_are_refused_by_every_backend() {
+    // A NaN is unequal to every key, itself included, so no sorted
+    // array has a place for it: every point write refuses it like the
+    // reserved sentinel, leaving `len` and the full scan untouched.
+    let base: Vec<(f64, u64)> = (0..2000).map(|i| (i as f64 * 0.5 - 100.0, i)).collect();
+    let base_keys: Vec<f64> = base.iter().map(|(k, _)| *k).collect();
+
+    fn check(mut index: impl IndexWrite<f64, u64>, base_keys: &[f64]) {
+        let label = index.label();
+        assert_eq!(index.insert(f64::NAN, 7), Err(InsertError::UnsupportedKey), "{label}");
+        assert_eq!(index.len(), base_keys.len(), "{label}: a refused key is not counted");
+        let mut keys = Vec::new();
+        index.scan_from(&f64::NEG_INFINITY, usize::MAX, &mut |k, _| keys.push(*k));
+        assert_eq!(keys, base_keys, "{label}: full scan");
+    }
+    let cfg = AlexConfig::ga_armi().with_max_node_keys(256).with_splitting();
+    check(AlexIndex::bulk_load(&base, cfg), &base_keys);
+    check(EpochAlex::bulk_load(&base, cfg), &base_keys);
+    check(ShardedAlex::bulk_load(&base, 4, cfg), &base_keys);
+    check(BPlusTree::bulk_load(&base, 16, 16, 0.7), &base_keys);
+    check(LearnedIndex::bulk_load(&base, 20), &base_keys);
+
+    // The durable index refuses before appending a WAL record.
+    let dir = TempDir::new("edge-nan-durable");
+    let durable = DurableAlex::create(dir.path(), &base, cfg, WalOptions::default()).unwrap();
+    let lsn = durable.last_lsn();
+    let err = durable.insert(f64::NAN, 7).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert_eq!(durable.last_lsn(), lsn, "nothing logged");
+    assert_eq!(durable.len(), base.len());
+    let mut keys = Vec::new();
+    durable.scan_from(&f64::NEG_INFINITY, usize::MAX, |k, _| keys.push(*k));
+    assert_eq!(keys, base_keys);
 }

@@ -22,7 +22,9 @@
 //!    `DurableShardedAlex`, whose reopened state after a graceful
 //!    shutdown must equal the oracle pair-for-pair.
 
+use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use alex_repro::alex_api::{
     Composite, ConcurrentIndex, IndexRead, InsertError, LockedBTreeMap, SentinelKey,
@@ -414,6 +416,73 @@ fn sentinel_writes_are_rejected_end_to_end() {
     assert_eq!(client.call(Request::Get { key: 100 }), Response::Value(Some(9)));
     let index = server.shutdown();
     assert_eq!(index.len(), oracle.len() + 1, "only the post-refusal insert landed");
+}
+
+/// The `f64` codec accepts any bit pattern, so NaN keys reach the
+/// workers. Coalesced into get and insert runs with ordinary keys, a
+/// NaN must answer what the serial path answers — a get `Value(None)`,
+/// an insert `Rejected` — without costing its neighbours their answers
+/// or the worker its life. Replies are awaited with a deadline, so a
+/// dead worker fails the test instead of hanging it.
+#[test]
+fn nan_keys_in_pipelined_runs_answer_like_the_serial_path() {
+    let pairs: Vec<(f64, u64)> = (0..2000).map(|i| (i as f64 * 0.5, i)).collect();
+    let nans = [f64::NAN, -f64::NAN, f64::from_bits(0x7FF0_0000_0000_0001)];
+    // The serial answers: a map keyed by bit pattern (no key here is
+    // -0.0, so bits and `==` agree), refusing what every write refuses.
+    let mut model: HashMap<u64, u64> = pairs.iter().map(|(k, v)| (k.to_bits(), *v)).collect();
+    let mut requests: Vec<Request<f64, u64>> = Vec::new();
+    let mut wants = Vec::new();
+    // Alternating bursts of gets and inserts, so each burst coalesces
+    // into one run; the bursts of one op put a NaN on the singleton
+    // paths too.
+    let mut i = 0u64;
+    for (burst, len) in [200u64, 1, 60, 1, 90, 1, 1, 40].into_iter().enumerate() {
+        for _ in 0..len {
+            i += 1;
+            let key = if mix(i).is_multiple_of(9) || len == 1 {
+                nans[(mix(i * 5) % 3) as usize]
+            } else {
+                (mix(i * 3) % 3000) as f64 * 0.5
+            };
+            let (request, want) = if burst % 2 == 0 {
+                let value = if key.is_sentinel() { None } else { model.get(&key.to_bits()).copied() };
+                (Request::Get { key }, Response::Value(value))
+            } else if key.is_sentinel() {
+                (Request::Insert { key, value: i }, Response::Rejected(REJECT_UNSUPPORTED_KEY))
+            } else {
+                let fresh = !model.contains_key(&key.to_bits());
+                if fresh {
+                    model.insert(key.to_bits(), i);
+                }
+                (Request::Insert { key, value: i }, Response::Inserted(fresh))
+            };
+            requests.push(request);
+            wants.push(want);
+        }
+    }
+
+    // The server lives on its own thread: if a worker dies, the
+    // deadline below fails the test without this thread dropping (and
+    // so joining) the dead pool.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let serving = std::thread::spawn(move || {
+        let index = ShardedAlex::bulk_load(&pairs, 1, AlexConfig::ga_armi());
+        let server = Server::start(index, ServerConfig { queue_capacity: 256, max_batch: 128 });
+        let client = server.client();
+        let pending: Vec<_> = requests.into_iter().map(|r| client.submit(r)).collect();
+        for reply in pending {
+            tx.send(reply.wait()).expect("the test thread waits for every reply");
+        }
+        server.shutdown().len()
+    });
+    for (op_id, want) in wants.iter().enumerate() {
+        let got = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("op {op_id}: no reply within 10 s, the worker died"));
+        assert_same_bytes(op_id as u64, &got, want, "nan");
+    }
+    assert_eq!(serving.join().expect("server thread"), model.len(), "only ordinary keys landed");
 }
 
 // ----------------------------------------------------------------------
