@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::sync::RwLock;
 
-use crate::{ConcurrentIndex, IndexRead, IndexWrite, InsertError, SentinelKey};
+use crate::{check_batch_keys, ConcurrentIndex, IndexRead, IndexWrite, InsertError, SentinelKey};
 
 /// A `BTreeMap` behind a single `RwLock`, implementing the full trait
 /// family: [`IndexRead`], [`ConcurrentIndex`] (the lock makes `&self`
@@ -151,15 +151,10 @@ where
     }
 
     fn bulk_insert(&mut self, pairs: &[(K, V)]) -> Result<usize, InsertError> {
-        if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-            return Err(InsertError::UnsupportedKey);
-        }
+        check_batch_keys(pairs)?;
         let mut map = self.write();
         let mut inserted = 0usize;
         for (k, v) in pairs {
-            if k.is_sentinel() {
-                return Err(InsertError::UnsupportedKey);
-            }
             if let btree_map::Entry::Vacant(slot) = map.entry(k.clone()) {
                 slot.insert(v.clone());
                 inserted += 1;

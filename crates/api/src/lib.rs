@@ -46,7 +46,8 @@
 //!   [`InsertError::UnsupportedKey`] — gapped backends use that value
 //!   internally as gap fill, so storing it would be indistinguishable
 //!   from an empty slot. The conformance suite checks all backends
-//!   agree.
+//!   agree. Batch entry points refuse a batch with such a key (or a
+//!   NaN) anywhere in it through [`check_batch_keys`].
 //! - [`IndexWrite::remove`] returns the evicted value.
 //! - [`BatchOps`] methods must be observationally equivalent to their
 //!   per-key counterparts on sorted input.
@@ -117,6 +118,19 @@ impl core::fmt::Display for InsertError {
 }
 
 impl std::error::Error for InsertError {}
+
+/// Refuse a write batch that holds a key no index can store: the
+/// reserved [`SentinelKey::MAX_KEY`] sentinel, or a key unequal to
+/// itself (a NaN). Every batch write entry point calls this before it
+/// checks the batch's order or applies or logs any pair, so a refused
+/// batch leaves the index unchanged.
+pub fn check_batch_keys<K: SentinelKey, V>(pairs: &[(K, V)]) -> Result<(), InsertError> {
+    if pairs.iter().any(|(k, _)| k.is_sentinel()) {
+        Err(InsertError::UnsupportedKey)
+    } else {
+        Ok(())
+    }
+}
 
 /// The entry iterator returned by [`IndexRead::range_from`].
 ///
@@ -231,19 +245,16 @@ pub trait IndexWrite<K, V>: IndexRead<K, V> {
     /// bulk-build path (e.g. ALEX's Algorithm 4) override this with a
     /// rebuild; the default inserts per pair.
     ///
-    /// A batch containing [`SentinelKey::MAX_KEY`] is rejected with
-    /// [`InsertError::UnsupportedKey`] and nothing is loaded (the
-    /// sorted-input contract puts the sentinel last, so the check is
-    /// O(1)).
+    /// A batch containing [`SentinelKey::MAX_KEY`] or a NaN anywhere is
+    /// rejected with [`InsertError::UnsupportedKey`] and nothing is
+    /// loaded (see [`check_batch_keys`]).
     fn bulk_load(&mut self, pairs: &[(K, V)]) -> Result<usize, InsertError>
     where
         K: SentinelKey + Clone,
         V: Clone,
     {
         debug_assert!(self.is_empty(), "bulk_load expects an empty index");
-        if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-            return Err(InsertError::UnsupportedKey);
-        }
+        check_batch_keys(pairs)?;
         let mut loaded = 0usize;
         for (k, v) in pairs {
             match self.insert(k.clone(), v.clone()) {
@@ -300,16 +311,15 @@ pub trait ConcurrentIndex<K, V>: IndexRead<K, V> + Sync {
     /// publication that makes each leaf's portion of the batch visible
     /// atomically — override the per-key default.
     ///
-    /// A batch containing [`SentinelKey::MAX_KEY`] is rejected with
-    /// [`InsertError::UnsupportedKey`] and nothing is applied.
+    /// A batch containing [`SentinelKey::MAX_KEY`] or a NaN anywhere is
+    /// rejected with [`InsertError::UnsupportedKey`] and nothing is
+    /// applied (see [`check_batch_keys`]).
     fn bulk_insert(&self, pairs: &[(K, V)]) -> Result<usize, InsertError>
     where
         K: SentinelKey + Clone,
         V: Clone,
     {
-        if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-            return Err(InsertError::UnsupportedKey);
-        }
+        check_batch_keys(pairs)?;
         let mut inserted = 0usize;
         for (k, v) in pairs {
             match self.insert(k.clone(), v.clone()) {
@@ -339,16 +349,15 @@ pub trait BatchOps<K, V>: IndexWrite<K, V> {
     /// Insert a sorted (non-decreasing by key) batch of pairs,
     /// skipping duplicates; returns the number inserted.
     ///
-    /// A batch containing [`SentinelKey::MAX_KEY`] is rejected with
-    /// [`InsertError::UnsupportedKey`] and nothing is applied.
+    /// A batch containing [`SentinelKey::MAX_KEY`] or a NaN anywhere is
+    /// rejected with [`InsertError::UnsupportedKey`] and nothing is
+    /// applied (see [`check_batch_keys`]).
     fn bulk_insert(&mut self, pairs: &[(K, V)]) -> Result<usize, InsertError>
     where
         K: SentinelKey + Clone,
         V: Clone,
     {
-        if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-            return Err(InsertError::UnsupportedKey);
-        }
+        check_batch_keys(pairs)?;
         let mut inserted = 0usize;
         for (k, v) in pairs {
             match self.insert(k.clone(), v.clone()) {

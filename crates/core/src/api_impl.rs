@@ -7,7 +7,7 @@
 //! [`AlexIndex::bulk_insert`]), and [`IndexWrite::bulk_load`] rebuilds
 //! via Algorithm 4 with the index's own config.
 
-use alex_api::{BatchOps, IndexRead, IndexWrite, InsertError};
+use alex_api::{check_batch_keys, BatchOps, IndexRead, IndexWrite, InsertError};
 
 use crate::key::AlexKey;
 use crate::AlexIndex;
@@ -53,9 +53,7 @@ impl<K: AlexKey, V: Clone + Default> IndexWrite<K, V> for AlexIndex<K, V> {
 
     fn bulk_load(&mut self, pairs: &[(K, V)]) -> Result<usize, InsertError> {
         debug_assert!(self.is_empty(), "bulk_load expects an empty index");
-        if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-            return Err(InsertError::UnsupportedKey);
-        }
+        check_batch_keys(pairs)?;
         *self = AlexIndex::bulk_load(pairs, *self.config());
         Ok(pairs.len())
     }

@@ -92,7 +92,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use alex_api::{BatchOps, ConcurrentIndex, IndexRead, IndexWrite, InsertError};
+use alex_api::{check_batch_keys, BatchOps, ConcurrentIndex, IndexRead, IndexWrite, InsertError};
 
 use crate::config::{AlexConfig, RmiMode};
 use crate::data_node::InsertOutcome;
@@ -414,9 +414,10 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     /// batch path uses, so a run of `r` keys landing in one leaf costs
     /// `O(leaf + r)` instead of `r` full clones. Duplicates are
     /// skipped; returns the number inserted, or
-    /// [`InsertError::UnsupportedKey`] — with nothing applied — if the
-    /// batch contains the reserved sentinel (sorted input puts it
-    /// last, so the check is O(1)).
+    /// [`InsertError::UnsupportedKey`] — with nothing applied — if any
+    /// key in the batch is the reserved sentinel or a NaN
+    /// ([`check_batch_keys`], which runs before the debug-build order
+    /// check).
     ///
     /// Readers see each run chunk atomically (a single publication
     /// per chunk; a run is split into chunks only when it overflows a
@@ -426,13 +427,11 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     /// # Panics
     /// Panics (debug builds) if `pairs` is not sorted by key.
     pub fn bulk_insert(&self, pairs: &[(K, V)]) -> Result<usize, InsertError> {
+        check_batch_keys(pairs)?;
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 <= w[1].0),
             "bulk_insert input must be sorted by key"
         );
-        if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-            return Err(InsertError::UnsupportedKey);
-        }
         let _writer = self.write_lock();
         let _guard = self.index.store.pin();
         let mut inserted = 0usize;
@@ -684,9 +683,7 @@ where
 
     fn bulk_load(&mut self, pairs: &[(K, V)]) -> Result<usize, InsertError> {
         debug_assert!(self.is_empty(), "bulk_load expects an empty index");
-        if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-            return Err(InsertError::UnsupportedKey);
-        }
+        check_batch_keys(pairs)?;
         // Exclusive access: rebuild via Algorithm 4 with the same
         // config (fresh arena, empty retire list). The rebuild lands on
         // the dense store, so move it to the epoch store before it

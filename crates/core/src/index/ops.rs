@@ -15,7 +15,7 @@
 
 use core::sync::atomic::Ordering;
 
-use alex_api::InsertError;
+use alex_api::{check_batch_keys, InsertError};
 
 use crate::config::RmiMode;
 use crate::data_node::InsertOutcome;
@@ -305,9 +305,10 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     /// through the RMI once per leaf run instead of once per key.
     /// Duplicates (against the index *or* repeated within the batch)
     /// are skipped. Returns the number of pairs actually inserted, or
-    /// [`InsertError::UnsupportedKey`] — with nothing applied — if the
-    /// batch contains the reserved sentinel (sorted input puts it
-    /// last, so the check is O(1)).
+    /// [`InsertError::UnsupportedKey`] — with nothing applied — if any
+    /// key in the batch is the reserved sentinel or a NaN
+    /// ([`check_batch_keys`], which runs before the debug-build order
+    /// check).
     ///
     /// Equivalent to calling [`AlexIndex::insert`] per pair, including
     /// split-on-insert behaviour.
@@ -316,13 +317,11 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     /// Panics (debug builds) if `pairs` is not sorted non-decreasing by
     /// key.
     pub fn bulk_insert(&mut self, pairs: &[(K, V)]) -> Result<usize, InsertError> {
+        check_batch_keys(pairs)?;
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 <= w[1].0),
             "bulk_insert input must be sorted by key"
         );
-        if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-            return Err(InsertError::UnsupportedKey);
-        }
         let mut inserted = 0usize;
         let mut run: Option<LeafRun<K>> = None;
         for (key, value) in pairs {

@@ -22,8 +22,9 @@
 //! equal to itself — an `f64` NaN, or a `Composite` holding one — so
 //! every point write refuses NaN with the same error: a NaN has no
 //! place in sorted storage, and once stored it breaks lookups and
-//! scans. Sorted batches check only their last key, where the sentinel
-//! sorts, so a NaN inside a batch is not caught.
+//! scans. Batch writes test every key through
+//! [`alex_api::check_batch_keys`] before anything else, so a batch
+//! with a sentinel or NaN anywhere in it is refused whole.
 //!
 //! **Projection ties are never a correctness problem.** `as_f64` is a
 //! *hint* for model training and placement; search always verifies

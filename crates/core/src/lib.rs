@@ -121,6 +121,8 @@ pub use model::{LinearModel, PrefixLsq};
 pub use stats::{ReadStats, SizeReport, WriteStats};
 
 // Re-export the key-model vocabulary so downstream crates can name
-// the pluggable key types and write errors without a direct `alex_api`
-// dependency edge in every use site.
-pub use alex_api::{composite_projection, Composite, FixedStr, InsertError, SentinelKey};
+// the pluggable key types, write errors and the batch key check
+// without a direct `alex_api` dependency edge in every use site.
+pub use alex_api::{
+    check_batch_keys, composite_projection, Composite, FixedStr, InsertError, SentinelKey,
+};

@@ -324,15 +324,13 @@ where
     /// # Panics
     /// Panics (debug builds) if `pairs` is not sorted by key.
     pub fn bulk_insert(&self, pairs: &[(K, V)]) -> io::Result<usize> {
+        // Refuse the whole batch before logging anything.
+        alex_core::check_batch_keys(pairs)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 <= w[1].0),
             "bulk_insert input must be sorted by key"
         );
-        // Sorted input puts the sentinel last; reject the whole batch
-        // before logging anything.
-        if let Some((last, _)) = pairs.last() {
-            reject_sentinel(last)?;
-        }
         let mut wal = self.wal_lock();
         let keys: Vec<K> = pairs.iter().map(|(k, _)| *k).collect();
         let present = self.inner.get_many(&keys);

@@ -6,7 +6,7 @@
 //! to look bad here. [`IndexWrite::bulk_load`] retrains over the new
 //! array with the current model count.
 
-use alex_api::{BatchOps, IndexRead, IndexWrite, InsertError, SentinelKey};
+use alex_api::{check_batch_keys, BatchOps, IndexRead, IndexWrite, InsertError, SentinelKey};
 
 use crate::{Key, LearnedIndex};
 
@@ -67,9 +67,7 @@ impl<K: Key + SentinelKey, V: Clone> IndexWrite<K, V> for LearnedIndex<K, V> {
         V: Clone,
     {
         debug_assert!(self.is_empty(), "bulk_load expects an empty index");
-        if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-            return Err(InsertError::UnsupportedKey);
-        }
+        check_batch_keys(pairs)?;
         *self = LearnedIndex::bulk_load(pairs, self.num_models().max(1));
         Ok(pairs.len())
     }

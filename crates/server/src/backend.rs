@@ -13,16 +13,16 @@
 
 use alex_core::{AlexKey, InsertError};
 use alex_sharded::{DurableShardedAlex, RebalanceReport, ShardedAlex};
-use alex_wal::WalCodec;
+use alex_wal::{DurableKey, WalCodec};
 
 /// Key bound for everything in this crate: the index's key contract
-/// plus the wire codec and thread-safety. Blanket-implemented.
-pub trait ServerKey: AlexKey + WalCodec + Send + Sync + 'static {}
-impl<K: AlexKey + WalCodec + Send + Sync + 'static> ServerKey for K {}
+/// plus thread-safety. Blanket-implemented.
+pub trait ServerKey: AlexKey + Send + Sync + 'static {}
+impl<K: AlexKey + Send + Sync + 'static> ServerKey for K {}
 
-/// Value bound: cloneable payload with a wire form. Blanket-implemented.
-pub trait ServerValue: Clone + Default + WalCodec + Send + Sync + 'static {}
-impl<V: Clone + Default + WalCodec + Send + Sync + 'static> ServerValue for V {}
+/// Value bound: a cloneable, thread-safe payload. Blanket-implemented.
+pub trait ServerValue: Clone + Default + Send + Sync + 'static {}
+impl<V: Clone + Default + Send + Sync + 'static> ServerValue for V {}
 
 /// What a worker needs from the index it owns a key-range of.
 ///
@@ -112,7 +112,11 @@ fn classify(e: std::io::Error) -> InsertError {
     }
 }
 
-impl<K: ServerKey, V: ServerValue> ServeBackend<K, V> for DurableShardedAlex<K, V> {
+/// The durable backend also needs the WAL's byte form of its keys and
+/// values.
+impl<K: ServerKey + DurableKey, V: ServerValue + WalCodec> ServeBackend<K, V>
+    for DurableShardedAlex<K, V>
+{
     fn boundaries(&self) -> &[K] {
         DurableShardedAlex::boundaries(self)
     }

@@ -1,17 +1,15 @@
 //! `alex-server`: the serving front-end for the ALEX reproduction —
 //! what production embedding of the index looks like end-to-end,
-//! modeled in-process first.
+//! modeled in-process.
 //!
 //! The paper evaluates the index under a driver that calls it
-//! directly; a deployed index instead sits behind a request protocol,
-//! a queue, and a scheduler, and those layers decide whether the
-//! index's batch operations ([`get_many`], [`bulk_insert`]) ever see
-//! batches at all. This crate builds that serving stack:
+//! directly; a deployed index instead sits behind a request queue and
+//! a scheduler, and those layers decide whether the index's batch
+//! operations ([`get_many`], [`bulk_insert`]) ever see batches at all.
+//! This crate builds that serving stack:
 //!
-//! - [`protocol`] — a framed binary request/response codec
-//!   (`[len][crc32][body]`, same framing discipline as the WAL), with
-//!   typed [`Request`]/[`Response`] enums so an eventual socket
-//!   adapter stays a thin translation layer.
+//! - [`protocol`] — the typed [`Request`]/[`Response`] enums a client
+//!   hands to the workers in process; nothing is serialized.
 //! - [`queue`] — a bounded blocking MPSC queue whose batch drain is
 //!   the mechanism behind load-adaptive batching: the deeper the
 //!   backlog, the larger the batch a worker takes in one lock hold.
@@ -77,10 +75,7 @@ pub mod worker;
 pub use backend::{ServeBackend, ServerKey, ServerValue};
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use loadgen::{run_load, Arrival, LoadReport, LoadSpec};
-pub use protocol::{
-    decode_request, decode_response, encode_request, encode_response, MessageOutcome, Request,
-    Response, REJECT_UNSUPPORTED_KEY,
-};
+pub use protocol::{Request, Response};
 pub use queue::BoundedQueue;
 pub use server::{Client, Pending, Server, ServerConfig, ServerStats};
 pub use worker::{WorkerStats, WorkerStatsSnapshot};

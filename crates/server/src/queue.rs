@@ -93,11 +93,6 @@ impl<T> BoundedQueue<T> {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-
-    /// Items currently queued (racy; for stats only).
-    pub fn depth(&self) -> usize {
-        self.inner.lock().expect("queue lock").items.len()
-    }
 }
 
 #[cfg(test)]

@@ -32,11 +32,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use alex_core::check_batch_keys;
 use alex_sharded::{route_key, split_sorted_runs};
 
 use crate::backend::{ServeBackend, ServerKey, ServerValue};
 use crate::histogram::LatencyHistogram;
-use crate::protocol::{Request, Response, REJECT_UNSUPPORTED_KEY};
+use crate::protocol::{Request, Response};
 use crate::queue::BoundedQueue;
 use crate::worker::{run_worker, Envelope, Rendezvous, Reply, WorkerStats, WorkerStatsSnapshot};
 
@@ -103,11 +104,6 @@ impl<K: ServerKey, V: ServerValue, B: ServeBackend<K, V>> Server<K, V, B> {
     /// Point-in-time per-worker counters.
     pub fn stats(&self) -> ServerStats {
         ServerStats { per_worker: self.stats.iter().map(|s| s.snapshot()).collect() }
-    }
-
-    /// Current queue depths (racy; for monitoring).
-    pub fn queue_depths(&self) -> Vec<usize> {
-        self.queues.iter().map(|q| q.depth()).collect()
     }
 
     /// Graceful shutdown: refuse new work, drain accepted work, join
@@ -205,7 +201,7 @@ impl<K, V> Pending<K, V> {
                         // of split batches, but a part-level refusal
                         // must still dominate the merge rather than
                         // masquerade as a zero count.
-                        Response::Rejected(code) => return Response::Rejected(code),
+                        Response::Rejected(e) => return Response::Rejected(e),
                         _ => unreachable!("BatchInsert part answered with a non-count response"),
                     }
                 }
@@ -254,20 +250,19 @@ impl<K: ServerKey, V: ServerValue> Client<K, V> {
                 self.dispatch(parts, Merge::Values)
             }
             Request::BatchInsert { pairs } => {
+                // Refuse a batch with a sentinel or NaN anywhere before
+                // splitting it: per-part refusal alone could not keep
+                // the batch all-or-nothing, because the owners of the
+                // other parts would already have applied their runs.
+                if let Err(e) = check_batch_keys(&pairs) {
+                    let rendezvous = Arc::new(Rendezvous::new(1));
+                    rendezvous.complete(0, Response::Rejected(e));
+                    return Pending { rendezvous, merge: Merge::Single };
+                }
                 debug_assert!(
                     pairs.windows(2).all(|w| w[0].0 <= w[1].0),
                     "BatchInsert pairs must be sorted ascending by key"
                 );
-                // Refuse a sentinel-bearing batch before splitting it:
-                // the sentinel sorts last and would reach its owner
-                // only after earlier owners applied their runs, so
-                // per-part rejection alone could not keep the batch
-                // all-or-nothing.
-                if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-                    let rendezvous = Arc::new(Rendezvous::new(1));
-                    rendezvous.complete(0, Response::Rejected(REJECT_UNSUPPORTED_KEY));
-                    return Pending { rendezvous, merge: Merge::Single };
-                }
                 let mut parts: Vec<(usize, Request<K, V>)> = Vec::new();
                 split_sorted_runs(&self.boundaries, &pairs, |p| &p.0, |shard, run| {
                     parts.push((shard, Request::BatchInsert { pairs: run.to_vec() }));

@@ -25,7 +25,7 @@ use alex_core::InsertError;
 
 use crate::backend::{ServeBackend, ServerKey, ServerValue};
 use crate::histogram::LatencyHistogram;
-use crate::protocol::{Request, Response, REJECT_UNSUPPORTED_KEY};
+use crate::protocol::{Request, Response};
 use crate::queue::BoundedQueue;
 
 /// A multi-part response meeting point: one per client request, with
@@ -186,13 +186,13 @@ impl WorkerStatsSnapshot {
     }
 }
 
-/// One point insert's verdict as a wire response: landed, duplicate,
-/// or refused (reserved key).
+/// One point insert's verdict as a response: landed, duplicate, or
+/// refused (reserved key).
 fn insert_response<K, V>(result: Result<(), InsertError>) -> Response<K, V> {
     match result {
         Ok(()) => Response::Inserted(true),
         Err(InsertError::DuplicateKey) => Response::Inserted(false),
-        Err(_) => Response::Rejected(REJECT_UNSUPPORTED_KEY),
+        Err(e) => Response::Rejected(e),
     }
 }
 
@@ -215,7 +215,7 @@ pub(crate) fn execute<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?Siz
         Request::BatchGet { keys } => Response::Values(backend.get_many(&keys)),
         Request::BatchInsert { pairs } => match backend.bulk_insert(&pairs) {
             Ok(n) => Response::InsertedCount(n as u64),
-            Err(_) => Response::Rejected(REJECT_UNSUPPORTED_KEY),
+            Err(e) => Response::Rejected(e),
         },
     }
 }
@@ -277,7 +277,7 @@ fn flush_inserts<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?Sized>(
             // not poison the whole coalesced run, which would turn
             // neighbours' verdicts into refusals they didn't earn.
             for (_, _, reply) in inserts.extract_if(.., |(key, _, _)| key.is_sentinel()) {
-                reply.complete(Response::Rejected(REJECT_UNSUPPORTED_KEY));
+                reply.complete(Response::Rejected(InsertError::UnsupportedKey));
             }
             let n = inserts.len();
             let mut perm: Vec<usize> = (0..n).collect();
@@ -442,7 +442,7 @@ mod tests {
         let stats = WorkerStats::default();
         run_worker(&index, &queue, 16, &stats);
         assert_eq!(a.wait(), vec![Response::Inserted(true)]);
-        assert_eq!(b.wait(), vec![Response::Rejected(REJECT_UNSUPPORTED_KEY)]);
+        assert_eq!(b.wait(), vec![Response::Rejected(InsertError::UnsupportedKey)]);
         assert_eq!(c.wait(), vec![Response::Inserted(true)]);
         assert_eq!(index.get(&301), Some(1));
         assert_eq!(index.get(&303), Some(3));

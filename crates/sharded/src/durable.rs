@@ -130,7 +130,7 @@ where
                 "directory already holds a durable sharded index",
             ));
         }
-        let boundaries = sample_cdf_boundaries(pairs, num_shards).into_boundaries();
+        let boundaries = sample_cdf_boundaries(pairs, num_shards);
         let mut shards = Vec::with_capacity(boundaries.len() + 1);
         let mut rest = pairs;
         for (i, bound) in boundaries.iter().enumerate() {
@@ -237,20 +237,15 @@ where
     /// # Panics
     /// Panics (debug builds) if `pairs` is not sorted by key.
     pub fn bulk_insert(&self, pairs: &[(K, V)]) -> io::Result<usize> {
+        // Refuse a batch with a sentinel or NaN anywhere before
+        // splitting it: per-shard refusal alone would leave the runs
+        // of the shards before the refusing one logged and applied.
+        alex_core::check_batch_keys(pairs)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 <= w[1].0),
             "bulk_insert input must be sorted by key"
         );
-        // Reject a sentinel-bearing batch before splitting: the
-        // sentinel is the max key so it routes to the *last* shard,
-        // and per-shard rejection alone would leave earlier shards'
-        // runs already logged and applied.
-        if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                alex_core::InsertError::UnsupportedKey,
-            ));
-        }
         let mut inserted = 0usize;
         let mut err: Option<io::Error> = None;
         split_sorted_runs(&self.boundaries, pairs, |(k, _)| k, |shard, run| {

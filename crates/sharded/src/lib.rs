@@ -114,7 +114,9 @@
 pub mod durable;
 pub use durable::DurableShardedAlex;
 
-use alex_api::{BatchOps, ConcurrentIndex, IndexRead, IndexWrite, InsertError, SentinelKey};
+use alex_api::{
+    check_batch_keys, BatchOps, ConcurrentIndex, IndexRead, IndexWrite, InsertError, SentinelKey,
+};
 use alex_core::stats::SizeReport;
 use alex_core::{AlexConfig, AlexKey, EpochAlex, EpochStats, EpochWriteStats};
 use alex_datasets::cdf_points;
@@ -187,7 +189,7 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "bulk_load input must be strictly increasing"
         );
-        let boundaries = sample_cdf_boundaries(pairs, num_shards).into_boundaries();
+        let boundaries = sample_cdf_boundaries(pairs, num_shards);
         let mut shards = Vec::with_capacity(boundaries.len() + 1);
         let mut rest = pairs;
         for bound in &boundaries {
@@ -362,22 +364,21 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     /// served by the shard's native `bulk_insert`. Returns the number
     /// of pairs inserted (duplicates skipped).
     ///
-    /// A batch containing the reserved sentinel is rejected up front
-    /// with [`InsertError::UnsupportedKey`] and **nothing** is applied
-    /// — the check must happen before run-splitting because the
-    /// sentinel sorts last and routes to the last shard, by which point
-    /// earlier shards' runs would already be visible.
+    /// A batch with the reserved sentinel or a NaN anywhere in it is
+    /// rejected up front with [`InsertError::UnsupportedKey`] and
+    /// **nothing** is applied ([`check_batch_keys`]) — the check must
+    /// happen before run-splitting, because per-shard refusal alone
+    /// would leave the runs of the shards before the refusing one
+    /// already visible.
     ///
     /// # Panics
     /// Panics (debug builds) if `pairs` is not sorted by key.
     pub fn bulk_insert(&self, pairs: &[(K, V)]) -> Result<usize, InsertError> {
+        check_batch_keys(pairs)?;
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 <= w[1].0),
             "bulk_insert input must be sorted by key"
         );
-        if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-            return Err(InsertError::UnsupportedKey);
-        }
         let mut inserted = 0usize;
         self.for_each_shard_run(pairs, |(k, _)| k, |shard, run| {
             inserted += self.shards[shard]
@@ -654,7 +655,8 @@ pub fn route_key<K: PartialOrd>(boundaries: &[K], key: &K) -> usize {
 /// shard order. This is the single place that pairs the `k < boundary`
 /// run cut with [`route_key`]'s `boundary <= k` rule, so keys equal to
 /// a boundary go to the same shard on both paths. `items` must be
-/// sorted non-decreasing under `key_of`.
+/// sorted non-decreasing under `key_of`; an item that breaks the order
+/// (a NaN) still lands in exactly one run, so the split always ends.
 pub fn split_sorted_runs<'a, K: PartialOrd, T>(
     boundaries: &[K],
     items: &'a [T],
@@ -664,9 +666,11 @@ pub fn split_sorted_runs<'a, K: PartialOrd, T>(
     let mut rest = items;
     while let Some(first) = rest.first() {
         let shard = route_key(boundaries, key_of(first));
+        // A run holds at least its first item: a NaN first key routes
+        // to some shard but is not below that shard's bound.
         let run_len = if shard < boundaries.len() {
             let bound = &boundaries[shard];
-            rest.partition_point(|t| key_of(t) < bound)
+            rest.partition_point(|t| key_of(t) < bound).max(1)
         } else {
             rest.len()
         };
@@ -676,59 +680,20 @@ pub fn split_sorted_runs<'a, K: PartialOrd, T>(
     }
 }
 
-/// The outcome of [`sample_cdf_boundaries`]: the boundary keys plus
-/// enough bookkeeping to tell whether duplicate quantiles collapsed
-/// the requested shard count. Callers that silently unwrap
-/// `boundaries` used to get fewer shards than they asked for with no
-/// signal; check [`BoundaryPlan::collapsed`] (or compare
-/// [`BoundaryPlan::effective_shards`] against what you requested)
-/// before sizing anything — worker pools, CSV labels, rebalance
-/// targets — off `num_shards`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoundaryPlan<K> {
-    /// Strictly increasing boundary keys; shard `i + 1` owns keys
-    /// `>= boundaries[i]`.
-    pub boundaries: Vec<K>,
-    /// The shard count the caller asked for.
-    pub requested_shards: usize,
-}
-
-impl<K> BoundaryPlan<K> {
-    /// The shard count these boundaries actually produce
-    /// (`boundaries.len() + 1`).
-    pub fn effective_shards(&self) -> usize {
-        self.boundaries.len() + 1
-    }
-
-    /// Whether duplicate or insufficient quantiles collapsed the
-    /// requested shard count.
-    pub fn collapsed(&self) -> bool {
-        self.effective_shards() < self.requested_shards
-    }
-
-    /// Unwrap the boundary keys.
-    pub fn into_boundaries(self) -> Vec<K> {
-        self.boundaries
-    }
-}
-
 /// Shard boundaries from the sample CDF of sorted `pairs`: sample up to
 /// 64Ki keys evenly by rank, then take the `num_shards - 1` interior
 /// quantiles (via [`alex_datasets::cdf_points`]) and dedup. Public so
 /// external front-ends (e.g. `alex-server`'s load generator) can derive
 /// routing boundaries the same way [`ShardedAlex::bulk_load`] does.
 ///
-/// Duplicate-heavy input (repeated keys, or fewer distinct sample
-/// points than shards) yields duplicate quantiles; those are merged,
-/// so the effective shard count can be **lower than requested**. The
-/// returned [`BoundaryPlan`] makes that observable instead of silent —
-/// inspect [`BoundaryPlan::collapsed`] when the exact count matters.
-pub fn sample_cdf_boundaries<K: AlexKey, V>(pairs: &[(K, V)], num_shards: usize) -> BoundaryPlan<K> {
+/// The result is strictly increasing; shard `i + 1` owns keys
+/// `>= boundaries[i]`. Duplicate-heavy input (repeated keys, or fewer
+/// distinct sample points than shards) yields duplicate quantiles;
+/// those are merged, so the shard count, `boundaries.len() + 1`, can
+/// be **lower than requested**.
+pub fn sample_cdf_boundaries<K: AlexKey, V>(pairs: &[(K, V)], num_shards: usize) -> Vec<K> {
     if num_shards <= 1 || pairs.len() < 2 {
-        return BoundaryPlan {
-            boundaries: Vec::new(),
-            requested_shards: num_shards,
-        };
+        return Vec::new();
     }
     let stride = (pairs.len() / 65_536).max(1);
     let sample: Vec<K> = pairs.iter().step_by(stride).map(|p| p.0).collect();
@@ -740,10 +705,7 @@ pub fn sample_cdf_boundaries<K: AlexKey, V>(pairs: &[(K, V)], num_shards: usize)
         .map(|(k, _)| k)
         .collect();
     boundaries.dedup_by(|a, b| a == b);
-    BoundaryPlan {
-        boundaries,
-        requested_shards: num_shards,
-    }
+    boundaries
 }
 
 impl<K: AlexKey, V: Clone + Default> IndexRead<K, V> for ShardedAlex<K, V> {
@@ -966,6 +928,22 @@ mod tests {
     }
 
     #[test]
+    fn split_sorted_runs_puts_a_nan_in_exactly_one_run() {
+        // The NaN routes to shard 0 but is not below its bound, so a
+        // run cut at the bound alone would be empty and never advance.
+        let items = [10.25, f64::NAN, 500.0];
+        let mut runs: Vec<(usize, Vec<f64>)> = Vec::new();
+        split_sorted_runs(&[300.0], &items, |k| k, |shard, run| {
+            assert!(runs.len() < items.len(), "more parts than items: {runs:?}");
+            runs.push((shard, run.to_vec()));
+        });
+        assert!(runs.iter().all(|(_, run)| !run.is_empty()), "empty run: {runs:?}");
+        let flat: Vec<u64> =
+            runs.iter().flat_map(|(_, run)| run.iter().map(|k| k.to_bits())).collect();
+        assert_eq!(flat, items.map(f64::to_bits), "every item once, in order: {runs:?}");
+    }
+
+    #[test]
     fn single_shard_degenerates_gracefully() {
         let index = ShardedAlex::bulk_load(&pairs(1000, 1), 1, AlexConfig::ga_armi());
         assert_eq!(index.num_shards(), 1);
@@ -1024,33 +1002,27 @@ mod tests {
     #[test]
     fn duplicate_heavy_samples_report_boundary_collapse() {
         // Only 3 distinct keys, massively repeated: the interior
-        // quantiles all land on the same few keys, dedup merges them,
-        // and the old Vec<K> return gave no hint the caller got fewer
-        // shards than requested.
+        // quantiles all land on the same few keys and dedup merges
+        // them, so the caller gets fewer shards than requested.
         let mut dupes: Vec<(u64, u64)> = Vec::new();
         for k in [10u64, 20, 30] {
             dupes.extend(std::iter::repeat_n((k, k), 4000));
         }
-        let plan = sample_cdf_boundaries(&dupes, 8);
-        assert_eq!(plan.requested_shards, 8);
-        assert!(plan.collapsed(), "3 distinct keys cannot split 8 ways: {plan:?}");
-        assert!(plan.effective_shards() < 8);
+        let boundaries = sample_cdf_boundaries(&dupes, 8);
+        assert!(boundaries.len() + 1 < 8, "3 distinct keys cannot split 8 ways: {boundaries:?}");
         assert!(
-            plan.boundaries.windows(2).all(|w| w[0] < w[1]),
-            "deduped boundaries stay strictly increasing: {:?}",
-            plan.boundaries
+            boundaries.windows(2).all(|w| w[0] < w[1]),
+            "deduped boundaries stay strictly increasing: {boundaries:?}"
         );
-        // The index built from such a plan reports the same effective
-        // count (strictly increasing keys here, but too few of them).
+        // The index built from such keys reports the same shard count
+        // (strictly increasing keys here, but too few of them).
         let tiny = pairs(3, 10);
-        let plan = sample_cdf_boundaries(&tiny, 8);
-        assert!(plan.collapsed());
+        let boundaries = sample_cdf_boundaries(&tiny, 8);
+        assert!(boundaries.len() + 1 < 8);
         let index = ShardedAlex::bulk_load(&tiny, 8, AlexConfig::ga_armi());
-        assert_eq!(index.num_shards(), plan.effective_shards());
+        assert_eq!(index.num_shards(), boundaries.len() + 1);
         // Abundant distinct keys: no collapse.
-        let plan = sample_cdf_boundaries(&pairs(10_000, 2), 8);
-        assert!(!plan.collapsed());
-        assert_eq!(plan.effective_shards(), 8);
+        assert_eq!(sample_cdf_boundaries(&pairs(10_000, 2), 8).len() + 1, 8);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Server quickstart: stand a worker pool up over a sharded ALEX,
-//! talk to it through the typed request protocol, watch point ops
+//! talk to it through typed requests and responses, watch point ops
 //! coalesce into batched index runs, and shut down gracefully.
 //!
 //! Run with:
@@ -28,10 +28,8 @@ fn main() {
     let server = Server::start(index, ServerConfig::default());
     println!("serving {} keys across {} workers", pairs.len(), server.num_workers());
 
-    // 2. The client handle is the protocol surface: typed requests in,
-    //    typed responses out. (The same messages have a framed binary
-    //    wire form — see `alex_server::protocol` — so a socket
-    //    front-end is a thin adapter.)
+    // 2. The client handle is the whole surface: typed requests in,
+    //    typed responses out, passed to the workers in process.
     let client = server.client();
     let probe = keys[keys.len() / 2];
     assert_eq!(client.call(Request::Get { key: probe }), Response::Value(Some(probe ^ 0xBEEF)));

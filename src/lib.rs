@@ -24,8 +24,8 @@
 //! - [`alex_wal`] — durability for the epoch index: an LSN'd
 //!   write-ahead log with group commit, copy-on-write leaf snapshots
 //!   in slotted pages, and crash recovery (`DurableAlex`).
-//! - [`alex_server`] — the serving front-end: a framed binary
-//!   request/response protocol, shard-owning worker threads behind
+//! - [`alex_server`] — the serving front-end: typed in-process
+//!   requests and responses, shard-owning worker threads behind
 //!   bounded queues that coalesce point ops into sorted batch runs,
 //!   and an open-/closed-loop load generator with a log-bucketed
 //!   latency histogram (p50/p99/p999).

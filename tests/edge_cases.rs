@@ -1,7 +1,7 @@
 //! Edge-case and stress tests: extreme configurations, degenerate
 //! datasets, and failure-prone parameter corners.
 
-use alex_repro::alex_api::{IndexWrite, InsertError};
+use alex_repro::alex_api::{BatchOps, InsertError};
 use alex_repro::alex_btree::BPlusTree;
 use alex_repro::alex_core::{AlexConfig, AlexIndex, EpochAlex, NodeParams};
 use alex_repro::alex_datasets::Payload;
@@ -157,30 +157,37 @@ fn cold_start_all_four_variants() {
 fn nan_keys_are_refused_by_every_backend() {
     // A NaN is unequal to every key, itself included, so no sorted
     // array has a place for it: every point write refuses it like the
-    // reserved sentinel, leaving `len` and the full scan untouched.
+    // reserved sentinel, and every batch write refuses a batch with a
+    // NaN anywhere in it whole, leaving `len` and the full scan
+    // untouched.
     let base: Vec<(f64, u64)> = (0..2000).map(|i| (i as f64 * 0.5 - 100.0, i)).collect();
     let base_keys: Vec<f64> = base.iter().map(|(k, _)| *k).collect();
+    // Fresh keys around a NaN: sorted apart from the NaN itself.
+    let batch = [(10.25, 1), (f64::NAN, 2), (20.25, 3)];
 
-    fn check(mut index: impl IndexWrite<f64, u64>, base_keys: &[f64]) {
+    fn check(mut index: impl BatchOps<f64, u64>, base_keys: &[f64], batch: &[(f64, u64)]) {
         let label = index.label();
         assert_eq!(index.insert(f64::NAN, 7), Err(InsertError::UnsupportedKey), "{label}");
+        assert_eq!(index.bulk_insert(batch), Err(InsertError::UnsupportedKey), "{label}: batch");
         assert_eq!(index.len(), base_keys.len(), "{label}: a refused key is not counted");
         let mut keys = Vec::new();
         index.scan_from(&f64::NEG_INFINITY, usize::MAX, &mut |k, _| keys.push(*k));
         assert_eq!(keys, base_keys, "{label}: full scan");
     }
     let cfg = AlexConfig::ga_armi().with_max_node_keys(256).with_splitting();
-    check(AlexIndex::bulk_load(&base, cfg), &base_keys);
-    check(EpochAlex::bulk_load(&base, cfg), &base_keys);
-    check(ShardedAlex::bulk_load(&base, 4, cfg), &base_keys);
-    check(BPlusTree::bulk_load(&base, 16, 16, 0.7), &base_keys);
-    check(LearnedIndex::bulk_load(&base, 20), &base_keys);
+    check(AlexIndex::bulk_load(&base, cfg), &base_keys, &batch);
+    check(EpochAlex::bulk_load(&base, cfg), &base_keys, &batch);
+    check(ShardedAlex::bulk_load(&base, 4, cfg), &base_keys, &batch);
+    check(BPlusTree::bulk_load(&base, 16, 16, 0.7), &base_keys, &batch);
+    check(LearnedIndex::bulk_load(&base, 20), &base_keys, &batch);
 
     // The durable index refuses before appending a WAL record.
     let dir = TempDir::new("edge-nan-durable");
     let durable = DurableAlex::create(dir.path(), &base, cfg, WalOptions::default()).unwrap();
     let lsn = durable.last_lsn();
     let err = durable.insert(f64::NAN, 7).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    let err = durable.bulk_insert(&batch).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert_eq!(durable.last_lsn(), lsn, "nothing logged");
     assert_eq!(durable.len(), base.len());

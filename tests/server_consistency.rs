@@ -1,9 +1,11 @@
 //! Differential suite for the serving tier: every response produced
-//! by the batching worker pool must be **byte-identical** (under the
-//! wire codec) to the response a serial `LockedBTreeMap` oracle gives
-//! for the same operation sequence — coalescing point ops into
-//! `get_many`/`bulk_insert` runs is an optimization, never a
-//! semantics change.
+//! by the batching worker pool must equal the response a serial
+//! `LockedBTreeMap` oracle gives for the same operation sequence —
+//! coalescing point ops into `get_many`/`bulk_insert` runs is an
+//! optimization, never a semantics change. The suite serves `u64` and
+//! `Composite<u64>` keys, whose `==` compares every field, and `f64`
+//! keys only in tests whose responses carry no key, so `==` on the
+//! typed responses is exact.
 //!
 //! Four angles:
 //!
@@ -27,22 +29,22 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use alex_repro::alex_api::{
-    Composite, ConcurrentIndex, IndexRead, InsertError, LockedBTreeMap, SentinelKey,
+    check_batch_keys, Composite, ConcurrentIndex, IndexRead, InsertError, LockedBTreeMap,
+    SentinelKey,
 };
 use alex_repro::alex_core::AlexConfig;
-use alex_repro::alex_server::{
-    encode_response, Request, Response, Server, ServerConfig, REJECT_UNSUPPORTED_KEY,
-};
+use alex_repro::alex_server::{Request, Response, Server, ServerConfig};
 use alex_repro::alex_sharded::{DurableShardedAlex, ShardedAlex};
 use alex_repro::alex_wal::tempdir::TempDir;
-use alex_repro::alex_wal::{SyncPolicy, WalCodec, WalOptions};
+use alex_repro::alex_wal::{SyncPolicy, WalOptions};
 
 type Req = Request<u64, u64>;
 
 /// Apply one request to the oracle with exactly the server's
 /// semantics: first-writer-wins inserts, reserved-key refusals,
 /// inclusive-start scans, batch inserts that dedupe against both the
-/// map and the batch — and batches refused whole on a sentinel tail.
+/// map and the batch — and batches refused whole when any key is one
+/// no index stores, decided by the backends' own [`check_batch_keys`].
 fn oracle_exec<K>(oracle: &LockedBTreeMap<K, u64>, request: &Request<K, u64>) -> Response<K, u64>
 where
     K: Ord + Copy + SentinelKey + Send + Sync + core::fmt::Debug,
@@ -52,7 +54,7 @@ where
         Request::Insert { key, value } => match ConcurrentIndex::insert(oracle, *key, *value) {
             Ok(()) => Response::Inserted(true),
             Err(InsertError::DuplicateKey) => Response::Inserted(false),
-            Err(_) => Response::Rejected(REJECT_UNSUPPORTED_KEY),
+            Err(e) => Response::Rejected(e),
         },
         Request::Remove { key } => Response::Removed(ConcurrentIndex::remove(oracle, key)),
         Request::Scan { start, limit } => {
@@ -64,8 +66,8 @@ where
             Response::Values(keys.iter().map(|k| oracle.get(k)).collect())
         }
         Request::BatchInsert { pairs } => {
-            if pairs.last().is_some_and(|(k, _)| k.is_sentinel()) {
-                return Response::Rejected(REJECT_UNSUPPORTED_KEY);
+            if let Err(e) = check_batch_keys(pairs) {
+                return Response::Rejected(e);
             }
             Response::InsertedCount(
                 pairs
@@ -75,21 +77,6 @@ where
             )
         }
     }
-}
-
-/// Byte-level equality under the wire codec — the strongest form of
-/// "the client cannot tell the difference".
-fn assert_same_bytes<K: WalCodec + core::fmt::Debug>(
-    op_id: u64,
-    got: &Response<K, u64>,
-    want: &Response<K, u64>,
-    context: &str,
-) {
-    let mut got_bytes = Vec::new();
-    let mut want_bytes = Vec::new();
-    encode_response(op_id, got, &mut got_bytes);
-    encode_response(op_id, want, &mut want_bytes);
-    assert_eq!(got_bytes, want_bytes, "{context}: op {op_id}: {got:?} != oracle {want:?}");
 }
 
 fn preload(n: u64) -> Vec<(u64, u64)> {
@@ -151,7 +138,7 @@ fn serial_dependent_sequences_match_the_oracle_byte_for_byte() {
     for (op_id, request) in ops.into_iter().enumerate() {
         let want = oracle_exec(&oracle, &request);
         let got = client.call(request);
-        assert_same_bytes(op_id as u64, &got, &want, "serial");
+        assert_eq!(got, want, "serial: op {op_id}");
     }
     let index = server.shutdown();
     assert_eq!(index.len(), oracle.len(), "quiescent length");
@@ -194,7 +181,7 @@ fn pipelined_windows_preserve_per_key_order() {
             op_id += 1;
         }
         for (id, pending, want) in window {
-            assert_same_bytes(id, &pending.wait(), &want, "pipelined");
+            assert_eq!(pending.wait(), want, "pipelined: op {id}");
         }
     }
     server.shutdown();
@@ -247,12 +234,12 @@ fn concurrent_clients_get_byte_identical_responses_and_a_consistent_quiescent_st
                     window.push((op_id, client.submit(request), want));
                     if window.len() == WINDOW {
                         for (id, pending, want) in window.drain(..) {
-                            assert_same_bytes(id, &pending.wait(), &want, "concurrent");
+                            assert_eq!(pending.wait(), want, "concurrent: op {id}");
                         }
                     }
                 }
                 for (id, pending, want) in window.drain(..) {
-                    assert_same_bytes(id, &pending.wait(), &want, "concurrent tail");
+                    assert_eq!(pending.wait(), want, "concurrent tail: op {id}");
                 }
             });
         }
@@ -279,14 +266,14 @@ fn batch_requests_straddling_every_boundary_match_the_oracle() {
     keys.sort_unstable();
     let request = Request::BatchGet { keys };
     let want = oracle_exec(&oracle, &request);
-    assert_same_bytes(0, &client.call(request), &want, "boundary batch get");
+    assert_eq!(client.call(request), want, "boundary batch get");
 
     let mut ps: Vec<(u64, u64)> = (0..2000).map(|i| (i * 7 + (i % 2), i)).collect();
     ps.sort_by_key(|p| p.0);
     ps.dedup_by_key(|p| p.0);
     let request = Request::BatchInsert { pairs: ps };
     let want = oracle_exec(&oracle, &request);
-    assert_same_bytes(1, &client.call(request), &want, "boundary batch insert");
+    assert_eq!(client.call(request), want, "boundary batch insert");
 
     let index = server.shutdown();
     assert_eq!(index.len(), oracle.len());
@@ -361,12 +348,12 @@ fn multi_tenant_composite_clients_match_the_oracle_byte_for_byte() {
                     window.push((op_id, client.submit(request), want));
                     if window.len() == WINDOW {
                         for (id, pending, want) in window.drain(..) {
-                            assert_same_bytes(id, &pending.wait(), &want, "tenant");
+                            assert_eq!(pending.wait(), want, "tenant: op {id}");
                         }
                     }
                 }
                 for (id, pending, want) in window.drain(..) {
-                    assert_same_bytes(id, &pending.wait(), &want, "tenant tail");
+                    assert_eq!(pending.wait(), want, "tenant tail: op {id}");
                 }
             });
         }
@@ -403,8 +390,8 @@ fn sentinel_writes_are_rejected_end_to_end() {
     ];
     for (op_id, request) in requests.into_iter().enumerate() {
         let want = oracle_exec(&oracle, &request);
-        assert_eq!(want, Response::Rejected(REJECT_UNSUPPORTED_KEY));
-        assert_same_bytes(op_id as u64, &client.call(request), &want, "sentinel");
+        assert_eq!(want, Response::Rejected(InsertError::UnsupportedKey));
+        assert_eq!(client.call(request), want, "sentinel: op {op_id}");
     }
     // All-or-nothing: the refused batch's leading pairs never landed,
     // even though they route to earlier shards than the sentinel.
@@ -418,7 +405,7 @@ fn sentinel_writes_are_rejected_end_to_end() {
     assert_eq!(index.len(), oracle.len() + 1, "only the post-refusal insert landed");
 }
 
-/// The `f64` codec accepts any bit pattern, so NaN keys reach the
+/// A client may submit any `f64`, NaN included, so NaN keys reach the
 /// workers. Coalesced into get and insert runs with ordinary keys, a
 /// NaN must answer what the serial path answers — a get `Value(None)`,
 /// an insert `Rejected` — without costing its neighbours their answers
@@ -449,7 +436,7 @@ fn nan_keys_in_pipelined_runs_answer_like_the_serial_path() {
                 let value = if key.is_sentinel() { None } else { model.get(&key.to_bits()).copied() };
                 (Request::Get { key }, Response::Value(value))
             } else if key.is_sentinel() {
-                (Request::Insert { key, value: i }, Response::Rejected(REJECT_UNSUPPORTED_KEY))
+                (Request::Insert { key, value: i }, Response::Rejected(InsertError::UnsupportedKey))
             } else {
                 let fresh = !model.contains_key(&key.to_bits());
                 if fresh {
@@ -480,9 +467,37 @@ fn nan_keys_in_pipelined_runs_answer_like_the_serial_path() {
         let got = rx
             .recv_timeout(Duration::from_secs(10))
             .unwrap_or_else(|_| panic!("op {op_id}: no reply within 10 s, the worker died"));
-        assert_same_bytes(op_id as u64, &got, want, "nan");
+        assert_eq!(&got, want, "nan: op {op_id}");
     }
     assert_eq!(serving.join().expect("server thread"), model.len(), "only ordinary keys landed");
+}
+
+/// A `BatchInsert` spanning every shard with a NaN in it is refused
+/// whole before it is split, by the [`check_batch_keys`] the oracle
+/// and every backend use: no shard applies its part, so the index
+/// still equals its preload.
+#[test]
+fn nan_inside_a_batch_insert_spanning_shards_is_refused_whole() {
+    let pairs: Vec<(f64, u64)> = (0..2000).map(|i| (i as f64 * 0.5, i)).collect();
+    let index = ShardedAlex::bulk_load(&pairs, 4, AlexConfig::ga_armi());
+    let server = Server::start(index, ServerConfig { queue_capacity: 256, max_batch: 32 });
+    let client = server.client();
+    // Fresh keys across the whole key range, with the NaN first,
+    // inside and last.
+    let fresh: Vec<(f64, u64)> = (0..8).map(|i| (i as f64 * 125.0 + 0.25, i)).collect();
+    for at in [0, 4, fresh.len()] {
+        let mut batch = fresh.clone();
+        batch.insert(at, (f64::NAN, 99));
+        assert_eq!(
+            client.call(Request::BatchInsert { pairs: batch }),
+            Response::Rejected(InsertError::UnsupportedKey),
+            "NaN at {at}"
+        );
+    }
+    let index = server.shutdown();
+    let mut got = Vec::with_capacity(pairs.len());
+    index.scan_from(&f64::NEG_INFINITY, usize::MAX, |k, v| got.push((*k, *v)));
+    assert_eq!(got, pairs, "no part of a refused batch landed");
 }
 
 // ----------------------------------------------------------------------
@@ -493,8 +508,9 @@ fn nan_keys_in_pipelined_runs_answer_like_the_serial_path() {
 /// A 4-shard `DurableShardedAlex` behind the worker pool, with 64-op
 /// group commit and no fsync, so each shard's WAL holds an uncommitted
 /// tail until `shutdown` flushes it. Every insert and remove answer
-/// must match the oracle, and the store reopened from its directory
-/// must scan equal to the oracle pair for pair.
+/// must match the oracle, including the refusals of the reserved
+/// sentinel, and the store reopened from its directory must scan equal
+/// to the oracle pair for pair.
 #[test]
 fn durable_backend_answers_match_the_oracle_and_survive_reopen() {
     let dir = TempDir::new("server-durable");
@@ -510,13 +526,18 @@ fn durable_backend_answers_match_the_oracle_and_survive_reopen() {
     // inserts both land and collide, and removes both hit and miss.
     for i in 0..3000u64 {
         let key = mix(i) % 10_000;
-        let request = if mix(i * 7).is_multiple_of(3) {
+        let request = if i % 100 == 99 {
+            // Sent alone, the sentinel takes the singleton path into
+            // `DurableShardedAlex::insert`, whose `InvalidInput` the
+            // backend answers as `Rejected(UnsupportedKey)`.
+            Request::Insert { key: u64::MAX, value: i }
+        } else if mix(i * 7).is_multiple_of(3) {
             Request::Remove { key }
         } else {
             Request::Insert { key, value: i }
         };
         let want = oracle_exec(&oracle, &request);
-        assert_same_bytes(i, &client.call(request), &want, "durable");
+        assert_eq!(client.call(request), want, "durable: op {i}");
     }
     drop(server.shutdown());
 
