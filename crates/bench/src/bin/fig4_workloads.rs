@@ -98,7 +98,7 @@ fn bench<K, V>(
     format: ReportFormat,
     mv: impl Fn(&K) -> V + Copy,
 ) where
-    K: AlexKey + alex_learned_index::Key,
+    K: AlexKey,
     V: Clone + Default,
 {
     // Read-only initializes with the full dataset; read-write with a

@@ -212,7 +212,7 @@ pub fn run_learned_index_grid<K, V>(
     ops: usize,
 ) -> Row
 where
-    K: AlexKey + alex_learned_index::Key,
+    K: AlexKey,
     V: Clone + Default,
 {
     let mut best: Option<Row> = None;

@@ -1,5 +1,6 @@
 //! The B+Tree proper: bulk load, point ops, range scans, accounting.
 
+use core::cmp::Ordering;
 use core::mem::size_of;
 
 use crate::node::{InnerNode, LeafNode, NodeRef};
@@ -20,9 +21,9 @@ pub struct BPlusTree<K, V> {
 }
 
 impl<K: PartialOrd + Clone, V> BPlusTree<K, V> {
-    /// Total-order comparison; keys must not be NaN.
+    /// Total-order comparison for inserts; keys must not be NaN.
     #[inline]
-    fn cmp_key(a: &K, b: &K) -> core::cmp::Ordering {
+    fn cmp_key(a: &K, b: &K) -> Ordering {
         a.partial_cmp(b).expect("B+Tree keys must be totally ordered (no NaN)")
     }
 
@@ -131,23 +132,27 @@ impl<K: PartialOrd + Clone, V> BPlusTree<K, V> {
         d
     }
 
+    /// The leaf that routes `key` and `key`'s position in it, if
+    /// stored. A NaN compares below every key, so it is never found.
+    fn locate(&self, key: &K) -> (usize, Option<usize>) {
+        let leaf = self.find_leaf(key) as usize;
+        let pos = self.leaves[leaf]
+            .keys
+            .binary_search_by(|k| k.partial_cmp(key).unwrap_or(Ordering::Less))
+            .ok();
+        (leaf, pos)
+    }
+
     /// Look up `key`.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let leaf = &self.leaves[self.find_leaf(key) as usize];
-        match leaf.keys.binary_search_by(|k| Self::cmp_key(k, key)) {
-            Ok(pos) => Some(&leaf.values[pos]),
-            Err(_) => None,
-        }
+        let (leaf, pos) = self.locate(key);
+        pos.map(|pos| &self.leaves[leaf].values[pos])
     }
 
     /// Look up `key`, returning a mutable reference to the value.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let leaf_id = self.find_leaf(key) as usize;
-        let leaf = &mut self.leaves[leaf_id];
-        match leaf.keys.binary_search_by(|k| Self::cmp_key(k, key)) {
-            Ok(pos) => Some(&mut leaf.values[pos]),
-            Err(_) => None,
-        }
+        let (leaf, pos) = self.locate(key);
+        pos.map(|pos| &mut self.leaves[leaf].values[pos])
     }
 
     /// Insert or overwrite. Returns the previous value if `key` was
@@ -176,17 +181,13 @@ impl<K: PartialOrd + Clone, V> BPlusTree<K, V> {
     /// treats deletes — "strictly easier than inserts" (§3.2). Inner
     /// separators are left untouched; they remain valid routing keys.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let leaf_id = self.find_leaf(key) as usize;
-        let leaf = &mut self.leaves[leaf_id];
-        match leaf.keys.binary_search_by(|k| Self::cmp_key(k, key)) {
-            Ok(pos) => {
-                leaf.keys.remove(pos);
-                let v = leaf.values.remove(pos);
-                self.len -= 1;
-                Some(v)
-            }
-            Err(_) => None,
-        }
+        let (leaf, pos) = self.locate(key);
+        let pos = pos?;
+        let leaf = &mut self.leaves[leaf];
+        leaf.keys.remove(pos);
+        let v = leaf.values.remove(pos);
+        self.len -= 1;
+        Some(v)
     }
 
     /// Iterate over entries with key `>= key`, in key order, at most

@@ -1,8 +1,6 @@
 //! Configuration: the four ALEX variants of §5.1 (GA/PMA × SRMI/ARMI)
 //! and the space-time knobs of §3.3.1 and §5.3.1.
 
-use crate::pma_layout::DensityBounds;
-
 /// How keys are placed when a node is (re)built — the ablation knob
 /// for §3.2's *model-based insertion* ("model-based insertion has much
 /// better search performance because it reduces the misprediction
@@ -25,18 +23,6 @@ pub struct NodeParams {
     /// default 0.7 gives ≈43% space overhead, "similar to what B+Tree
     /// has" (§5.3.1).
     pub init_density: f64,
-    /// Upper density limit `d` at which a gapped array expands
-    /// (Algorithm 1). Defaults to `sqrt(init_density)` so expansion
-    /// restores `init_density`.
-    pub upper_density: f64,
-    /// Density below which a node contracts after deletes (in either
-    /// layout).
-    pub lower_density: f64,
-    /// Below this many keys a node skips its model and binary-searches
-    /// ("cold start", §3.3.3).
-    pub min_model_keys: usize,
-    /// Implicit-tree upper density bounds for the PMA layout (§3.3.2).
-    pub pma_bounds: DensityBounds,
     /// Key-placement strategy on (re)build (ablation knob; ALEX uses
     /// model-based placement).
     pub placement: Placement,
@@ -44,13 +30,8 @@ pub struct NodeParams {
 
 impl Default for NodeParams {
     fn default() -> Self {
-        let init_density = 0.7;
         Self {
-            init_density,
-            upper_density: init_density.sqrt(),
-            lower_density: 0.25,
-            min_model_keys: 24,
-            pma_bounds: DensityBounds::default(),
+            init_density: 0.7,
             placement: Placement::ModelBased,
         }
     }
@@ -64,12 +45,17 @@ impl NodeParams {
     /// Panics unless `overhead > 0`.
     pub fn with_space_overhead(overhead: f64) -> Self {
         assert!(overhead > 0.0, "space overhead must be positive");
-        let init_density = (1.0 / (1.0 + overhead)).clamp(0.05, 0.95);
         Self {
-            init_density,
-            upper_density: init_density.sqrt(),
+            init_density: (1.0 / (1.0 + overhead)).clamp(0.05, 0.95),
             ..Self::default()
         }
+    }
+
+    /// Upper density limit `d` at which a gapped array expands
+    /// (Algorithm 1): `sqrt(init_density)`, so expansion by `1/d`
+    /// restores `init_density`.
+    pub fn upper_density(&self) -> f64 {
+        self.init_density.sqrt()
     }
 
     /// The expansion factor `c = 1/d²` (§3.3.1).
@@ -87,8 +73,9 @@ pub enum NodeLayout {
     /// `1/d` at density `d`. Best lookups, `O(n)` worst-case inserts.
     Gapped,
     /// Packed Memory Array (Algorithm 2): rebalance the smallest window
-    /// within its density bound ([`NodeParams::pma_bounds`]), double
-    /// at the root bound. `O(log² n)` worst-case inserts.
+    /// within its density bound
+    /// ([`upper_density_at`](crate::pma_layout::upper_density_at)),
+    /// double at the root bound. `O(log² n)` worst-case inserts.
     Pma,
 }
 
@@ -101,19 +88,16 @@ pub enum RmiMode {
         num_leaf_nodes: usize,
     },
     /// Adaptive RMI (Algorithm 4) with optional node splitting on
-    /// inserts (§3.4.2).
+    /// inserts (§3.4.2). Non-root inner nodes get 16 partitions, and a
+    /// split leaf 4 children.
     Adaptive {
         /// Maximum keys per data node at initialization; also the split
         /// trigger when `split_on_insert` is set.
         max_node_keys: usize,
-        /// Partitions given to each non-root inner node.
-        inner_fanout: usize,
         /// Split leaves that outgrow `max_node_keys` (§3.4.2). Off by
         /// default, as in the paper ("Unless otherwise stated, adaptive
         /// RMI does not do node splitting on inserts", §5.1).
         split_on_insert: bool,
-        /// Children created per split.
-        split_fanout: usize,
     },
 }
 
@@ -122,19 +106,7 @@ impl RmiMode {
     pub fn adaptive() -> Self {
         RmiMode::Adaptive {
             max_node_keys: 8192,
-            inner_fanout: 16,
             split_on_insert: false,
-            split_fanout: 4,
-        }
-    }
-
-    /// Adaptive mode with node splitting on inserts enabled.
-    pub fn adaptive_splitting() -> Self {
-        RmiMode::Adaptive {
-            max_node_keys: 8192,
-            inner_fanout: 16,
-            split_on_insert: true,
-            split_fanout: 4,
         }
     }
 }
@@ -273,8 +245,7 @@ mod tests {
     #[test]
     fn defaults_are_consistent() {
         let p = NodeParams::default();
-        assert!((p.upper_density * p.upper_density - p.init_density).abs() < 1e-9);
-        assert!(p.lower_density < p.init_density);
+        assert!((p.upper_density() * p.upper_density() - p.init_density).abs() < 1e-9);
         assert!((p.expansion_factor() - 1.0 / 0.7).abs() < 1e-9);
     }
 

@@ -32,7 +32,7 @@
 use crate::config::{NodeLayout, NodeParams, Placement};
 use crate::key::AlexKey;
 use crate::model::LinearModel;
-use crate::pma_layout::Geometry;
+use crate::pma_layout::{upper_density_at, Geometry};
 use crate::slots::{model_based_shifts_per_insert, InsertPlan, SlotArray};
 use crate::stats::{ReadStats, WriteStats};
 
@@ -72,6 +72,14 @@ pub struct DataNode<K, V> {
 
 /// Minimum slot capacity of any node.
 const MIN_CAPACITY: usize = 8;
+
+/// Density below which a node contracts after deletes (in either
+/// layout).
+const LOWER_DENSITY: f64 = 0.25;
+
+/// Below this many keys a node skips its model and binary-searches
+/// ("cold start", §3.3.3).
+const MIN_MODEL_KEYS: usize = 24;
 
 /// Degraded when fewer than `1/COLLAPSE_FACTOR` of a node's keys have
 /// distinct projections…
@@ -170,7 +178,7 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
         };
         let keys = || pairs.iter().map(|p| &p.0);
         let packs = || model_based_shifts_per_insert(keys(), capacity, &model) > (capacity as f64).log2();
-        let degraded = n >= params.min_model_keys
+        let degraded = n >= MIN_MODEL_KEYS
             && (model_degraded(keys(), n, capacity, &model)
                 || (packing_check && params.placement == Placement::ModelBased && packs()));
         let slots = if degraded {
@@ -209,7 +217,7 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
     /// searches, §3.3.3).
     #[inline]
     fn uses_model(&self) -> bool {
-        self.slots.num_keys >= self.params.min_model_keys
+        self.slots.num_keys >= MIN_MODEL_KEYS
     }
 
     /// Model-predicted slot for `key`.
@@ -332,7 +340,7 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
     /// Gapped-array insert, expanding first if the insert would cross
     /// the upper density limit `d` (Algorithm 1).
     fn insert_gapped(&mut self, key: K, value: V) -> InsertOutcome {
-        if (self.slots.num_keys + 1) as f64 / self.capacity() as f64 > self.params.upper_density {
+        if (self.slots.num_keys + 1) as f64 / self.capacity() as f64 > self.params.upper_density() {
             self.expand();
         }
         let (plan, _) = self.slots.plan_insert(&key, self.predict(&key));
@@ -367,7 +375,7 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
                 // within its (leaf-depth) density bound.
                 let seg = geometry.window_at(preferred, height);
                 let count = self.slots.bitmap.count_ones_in(seg.clone());
-                let bound = self.params.pma_bounds.upper_at(height, height);
+                let bound = upper_density_at(height, height);
                 if (count + 1) as f64 / seg.len() as f64 <= bound {
                     self.slots.insert_into_gap(preferred, key, value);
                     self.writes.inserts += 1;
@@ -380,7 +388,7 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
                 // Local shift within the leaf segment if it has room.
                 let seg = geometry.window_at(anchor, height);
                 let count = self.slots.bitmap.count_ones_in(seg.clone());
-                let bound = self.params.pma_bounds.upper_at(height, height);
+                let bound = upper_density_at(height, height);
                 if (count + 1) as f64 / seg.len() as f64 <= bound && count < seg.len() {
                     if let Some(shifts) = self.slots.shift_insert(at, key, value.clone(), seg) {
                         self.writes.shifts += shifts;
@@ -401,7 +409,7 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
         for depth in (0..height).rev() {
             let window = geometry.window_at(anchor, depth);
             let count = self.slots.bitmap.count_ones_in(window.clone());
-            let bound = self.params.pma_bounds.upper_at(depth, height);
+            let bound = upper_density_at(depth, height);
             if (count + 1) as f64 / window.len() as f64 <= bound {
                 let moves = self.rebalance_with_insert(window, key, value);
                 self.writes.rebalance_moves += moves;
@@ -447,7 +455,7 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
         let (slot, _) = self.slots.find_key(key, self.predict(key));
         let v = self.slots.remove_at(slot?);
         self.writes.deletes += 1;
-        if self.capacity() > MIN_CAPACITY && self.density() < self.params.lower_density {
+        if self.capacity() > MIN_CAPACITY && self.density() < LOWER_DENSITY {
             self.contract();
         }
         Some(v)
@@ -458,7 +466,7 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
     fn expand(&mut self) {
         let capacity = match self.pma {
             Some(_) => self.capacity() * 2,
-            None => ((self.capacity() as f64 / self.params.upper_density).ceil() as usize)
+            None => ((self.capacity() as f64 / self.params.upper_density()).ceil() as usize)
                 .max(self.slots.num_keys + 1)
                 .max(MIN_CAPACITY),
         };
@@ -654,7 +662,7 @@ mod tests {
             for k in [5u64, 3, 9, 1, 7] {
                 assert!(matches!(node.insert(k, k), InsertOutcome::Inserted { .. }));
             }
-            // Below min_model_keys the node still answers correctly.
+            // Below MIN_MODEL_KEYS the node still answers correctly.
             for k in [1u64, 3, 5, 7, 9] {
                 assert_eq!(node.get(&k), Some(&k));
             }
@@ -668,7 +676,7 @@ mod tests {
                 node.insert(k.wrapping_mul(2654435761) % 100_000, k);
             }
             assert!(node.write_stats().expansions > 0);
-            assert!(node.density() <= node.params.upper_density + 1e-9);
+            assert!(node.density() <= node.params.upper_density() + 1e-9);
             node.debug_assert_invariants();
         }
 

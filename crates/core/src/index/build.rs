@@ -32,27 +32,21 @@ use crate::model::{LinearModel, PrefixLsq};
 use super::store::{InnerNode, LeafNode, Node, NodeId, NodeStore};
 use super::AlexIndex;
 
+/// Partitions given to each non-root inner node of an adaptive RMI.
+const INNER_FANOUT: usize = 16;
+
 impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
-    /// Build the RMI for `pairs` according to the configured mode and
-    /// wire the leaf chain. Called once from `bulk_load`.
-    pub(super) fn build(&mut self, pairs: &[(K, V)]) {
-        let lsq = PrefixLsq::new(pairs.iter().map(|(k, _)| k.as_f64()));
+    /// Build the RMI for `pairs`, whose keys `lsq` caches, according to
+    /// the configured mode and wire the leaf chain. Called once from
+    /// `bulk_load`.
+    pub(super) fn build(&mut self, pairs: &[(K, V)], lsq: &PrefixLsq) {
         self.root = match self.config.rmi {
             RmiMode::Static { num_leaf_nodes } => {
-                self.build_static(pairs, &lsq, num_leaf_nodes.max(1))
+                self.build_static(pairs, lsq, num_leaf_nodes.max(1))
             }
-            RmiMode::Adaptive {
-                max_node_keys,
-                inner_fanout,
-                ..
-            } => self.build_adaptive(
-                pairs,
-                &lsq,
-                0..pairs.len(),
-                max_node_keys.max(64),
-                inner_fanout.max(2),
-                true,
-            ),
+            RmiMode::Adaptive { max_node_keys, .. } => {
+                self.build_adaptive(pairs, lsq, 0..pairs.len(), max_node_keys.max(64), true)
+            }
         };
         self.link_leaves();
     }
@@ -83,7 +77,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     ///
     /// The root gets `ceil(n / max_node_keys)` partitions (so each holds
     /// `max_node_keys` in expectation); non-root inner nodes get
-    /// `inner_fanout`. Oversized partitions recurse; undersized adjacent
+    /// [`INNER_FANOUT`]. Oversized partitions recurse; undersized adjacent
     /// partitions merge into shared leaf children.
     fn build_adaptive(
         &mut self,
@@ -91,7 +85,6 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         lsq: &PrefixLsq,
         range: Range<usize>,
         max_node_keys: usize,
-        inner_fanout: usize,
         is_root: bool,
     ) -> NodeId {
         let n = range.len();
@@ -101,7 +94,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         let num_partitions = if is_root {
             n.div_ceil(max_node_keys).max(2)
         } else {
-            inner_fanout
+            INNER_FANOUT
         };
         let model = cached_route(lsq, range.clone(), num_partitions);
         let parts = partition_by_cached_model(lsq, range.clone(), &model, num_partitions);
@@ -110,8 +103,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         while i < parts.len() {
             let part = parts[i].clone();
             if part.len() > max_node_keys && part.len() < n {
-                let child =
-                    self.build_adaptive(pairs, lsq, part, max_node_keys, inner_fanout, false);
+                let child = self.build_adaptive(pairs, lsq, part, max_node_keys, false);
                 children.push(child);
                 i += 1;
             } else if part.len() > max_node_keys {

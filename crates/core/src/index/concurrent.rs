@@ -464,12 +464,10 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
             if let RmiMode::Adaptive {
                 max_node_keys,
                 split_on_insert: true,
-                split_fanout,
-                ..
             } = self.index.config().rmi
             {
                 let live = leaf.live_keys();
-                if live >= max_node_keys && self.index.split_leaf_shared(id, split_fanout.max(2)) {
+                if live >= max_node_keys && self.index.split_leaf_shared(id) {
                     continue; // the slot became a routing node: re-route
                 }
                 if live < max_node_keys {
@@ -521,13 +519,9 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
             if let RmiMode::Adaptive {
                 max_node_keys,
                 split_on_insert: true,
-                split_fanout,
-                ..
             } = self.index.config().rmi
             {
-                if leaf.live_keys() >= max_node_keys
-                    && self.index.split_leaf_shared(id, split_fanout.max(2))
-                {
+                if leaf.live_keys() >= max_node_keys && self.index.split_leaf_shared(id) {
                     continue;
                 }
             }

@@ -46,6 +46,7 @@ use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::config::AlexConfig;
 use crate::data_node::DataNode;
 use crate::key::AlexKey;
+use crate::model::PrefixLsq;
 use crate::stats::{SizeReport, WriteStats};
 
 pub use concurrent::{EpochAlex, EpochStats, EpochWriteStats};
@@ -129,13 +130,19 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     ///
     /// # Panics
     /// Panics if `pairs` contains the reserved [`alex_api::SentinelKey::MAX_KEY`]
-    /// sentinel (gapped storage uses it for empty slots), and (debug
-    /// builds) if `pairs` is not strictly increasing by key.
+    /// sentinel (gapped storage uses it for empty slots) or a NaN
+    /// anywhere, and (debug builds) if `pairs` is not strictly
+    /// increasing by key.
     pub fn bulk_load(pairs: &[(K, V)], config: AlexConfig) -> Self {
-        assert!(
-            pairs.last().is_none_or(|(k, _)| !k.is_sentinel()),
-            "bulk_load: the MAX_KEY sentinel is reserved and cannot be stored"
-        );
+        // The fits' one conversion pass over every key also refuses
+        // the keys no index can store, so the check costs no extra pass.
+        let lsq = PrefixLsq::new(pairs.iter().map(|(k, _)| {
+            assert!(
+                !k.is_sentinel(),
+                "bulk_load: a key is the reserved MAX_KEY sentinel or a NaN; neither can be stored"
+            );
+            k.as_f64()
+        }));
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "bulk_load input must be strictly increasing"
@@ -148,7 +155,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
             splits: AtomicU64::new(0),
             pairs: PhantomData,
         };
-        index.build(pairs);
+        index.build(pairs, &lsq);
         index
     }
 

@@ -273,12 +273,9 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         if let RmiMode::Adaptive {
             max_node_keys,
             split_on_insert: true,
-            split_fanout,
-            ..
         } = self.config.rmi
         {
-            self.store.leaf(leaf).live_keys() + 1 > max_node_keys
-                && self.split_leaf(leaf, split_fanout.max(2))
+            self.store.leaf(leaf).live_keys() + 1 > max_node_keys && self.split_leaf(leaf)
         } else {
             false
         }

@@ -1,11 +1,12 @@
 //! Node splitting on inserts (§3.4.2), planned once over either
 //! store, applied per store type.
 //!
-//! A full leaf's model becomes an inner model routing to `fanout`
-//! fresh leaves; data is redistributed by the original model; no
-//! rebalancing. The split is factored into a read-only **plan**,
-//! written once over [`NodeStore`], and an **apply** per store type,
-//! so both regimes share the partitioning logic:
+//! A full leaf's model becomes an inner model routing to
+//! [`SPLIT_FANOUT`] fresh leaves; data is redistributed by the
+//! original model; no rebalancing. The split is factored into a
+//! read-only **plan**, written once over [`NodeStore`], and an
+//! **apply** per store type, so both regimes share the partitioning
+//! logic:
 //!
 //! 1. [`AlexIndex::plan_split`] computes the routing model and builds
 //!    the fresh leaves **fully linked** (their `prev`/`next` pointers
@@ -34,6 +35,9 @@ use crate::model::LinearModel;
 use super::build::{monotone_route, partition_by_model, root_partition_model};
 use super::store::{Epoch, InnerNode, LeafNode, Node, NodeId, NodeStore};
 use super::AlexIndex;
+
+/// Children created per split.
+const SPLIT_FANOUT: usize = 4;
 
 /// A fully-computed split, ready to apply: the routing model and the
 /// fresh leaves, already chain-linked against the ids they will
@@ -64,7 +68,7 @@ impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
     /// against pre-reserved ids. Read-only on the arena — the caller
     /// must be the single writer so `next_id` stays stable until
     /// apply. Returns `None` if no model separates the keys.
-    fn plan_split(&self, id: NodeId, fanout: usize) -> Option<SplitPlan<K, V>> {
+    fn plan_split(&self, id: NodeId) -> Option<SplitPlan<K, V>> {
         let (pairs, old_model, capacity, prev, next) = {
             let l = self.store.leaf(id);
             // The *merged* view: any pending delta edits are folded
@@ -79,18 +83,19 @@ impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
             )
         };
         // Rescale the leaf's slot-space model to child-index space.
-        let scale = fanout as f64 / capacity.max(1) as f64;
+        let scale = SPLIT_FANOUT as f64 / capacity.max(1) as f64;
         let (first, last) = match (pairs.first(), pairs.last()) {
             (Some(a), Some(b)) => (a.0.as_f64(), b.0.as_f64()),
             _ => (0.0, 0.0),
         };
-        let mut route = monotone_route(old_model.scaled(scale), first, last, fanout);
-        let mut parts = partition_by_model(&pairs, &route, fanout);
+        let mut route = monotone_route(old_model.scaled(scale), first, last, SPLIT_FANOUT);
+        let mut parts = partition_by_model(&pairs, &route, SPLIT_FANOUT);
         if parts.iter().any(|r| r.len() == pairs.len()) {
             // The inherited model routes everything to one child; retry
             // with a freshly fitted partition model before giving up.
-            route = monotone_route(root_partition_model(&pairs, fanout), first, last, fanout);
-            parts = partition_by_model(&pairs, &route, fanout);
+            let fitted = root_partition_model(&pairs, SPLIT_FANOUT);
+            route = monotone_route(fitted, first, last, SPLIT_FANOUT);
+            parts = partition_by_model(&pairs, &route, SPLIT_FANOUT);
             if parts.iter().any(|r| r.len() == pairs.len()) {
                 return None;
             }
@@ -122,11 +127,11 @@ impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
 }
 
 impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
-    /// Split the leaf at `id` into `fanout` children in place. Returns
-    /// `false` when no linear model can separate the keys (the split
-    /// would make no progress).
-    pub(super) fn split_leaf(&mut self, id: NodeId, fanout: usize) -> bool {
-        let Some(plan) = self.plan_split(id, fanout) else {
+    /// Split the leaf at `id` into [`SPLIT_FANOUT`] children in place.
+    /// Returns `false` when no linear model can separate the keys (the
+    /// split would make no progress).
+    pub(super) fn split_leaf(&mut self, id: NodeId) -> bool {
+        let Some(plan) = self.plan_split(id) else {
             return false;
         };
         let (prev, next) = (plan.prev, plan.next);
@@ -173,8 +178,8 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V, Epoch<K, V>> {
     /// Split the leaf at `id` under the shared regime: the caller is
     /// the single serialized writer; readers may be descending
     /// concurrently. Chain healing goes copy-on-write.
-    pub(crate) fn split_leaf_shared(&self, id: NodeId, fanout: usize) -> bool {
-        let Some(plan) = self.plan_split(id, fanout) else {
+    pub(crate) fn split_leaf_shared(&self, id: NodeId) -> bool {
+        let Some(plan) = self.plan_split(id) else {
             return false;
         };
         let prev = plan.prev;

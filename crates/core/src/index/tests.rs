@@ -491,6 +491,14 @@ fn bulk_load_panics_on_sentinel() {
 }
 
 #[test]
+#[should_panic(expected = "NaN")]
+fn bulk_load_panics_on_a_nan_inside_the_batch() {
+    let mut pairs: Vec<(f64, u64)> = (0..2000).map(|i| (i as f64, i)).collect();
+    pairs[1000].0 = f64::NAN;
+    let _ = AlexIndex::bulk_load(&pairs, AlexConfig::ga_armi());
+}
+
+#[test]
 fn bulk_insert_into_empty_index() {
     let mut index: AlexIndex<u64, u64> = AlexIndex::new(AlexConfig::ga_armi());
     let data = pairs(500, 3);

@@ -169,6 +169,9 @@ mod tests {
         for w in keys.windows(2) {
             assert!(w[0].as_f64() < w[1].as_f64());
         }
+        assert_eq!(3.5f64.as_f64(), 3.5);
+        assert_eq!(7u64.as_f64(), 7.0);
+        assert_eq!(9u32.as_f64(), 9.0);
     }
 
     #[test]

@@ -245,6 +245,7 @@ mod tests {
         assert_eq!(m.predict_clamped(0.0, 10), 0);
         assert_eq!(m.predict_clamped(100.0, 10), 9);
         assert_eq!(m.predict_clamped(5.3, 0), 0);
+        assert_eq!(m.predict_clamped(f64::NAN, 10), 0);
     }
 
     #[test]

@@ -16,59 +16,24 @@
 //! that costs `O(log n)` amortized moves per insert and `O(log² n)` in
 //! the worst case — the bound the paper's PMA layout relies on.
 
-/// Density bounds for the implicit window tree.
-///
-/// `upper_leaf` is the maximum fill fraction a single segment may reach;
-/// `upper_root` the maximum for the whole array. Bounds at intermediate
-/// depths are linear interpolations. A PMA node contracts on deletes at
-/// [`NodeParams::lower_density`](crate::NodeParams::lower_density), like
-/// a gapped one, so there is no lower bound here.
-///
-/// The classic choice (and our default) is `upper_leaf = 0.92`,
-/// `upper_root = 0.7`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DensityBounds {
-    /// Maximum density of a leaf window (single segment).
-    pub upper_leaf: f64,
-    /// Maximum density of the root window (entire array).
-    pub upper_root: f64,
-}
+/// Maximum density of a leaf window (a single segment).
+pub const UPPER_LEAF: f64 = 0.92;
+/// Maximum density of the root window (the whole array). A PMA node
+/// contracts on deletes at the same lower density as a gapped one, so
+/// there is no lower bound here.
+pub const UPPER_ROOT: f64 = 0.7;
 
-impl Default for DensityBounds {
-    fn default() -> Self {
-        Self {
-            upper_leaf: 0.92,
-            upper_root: 0.7,
-        }
+/// Upper density bound for a window at `depth`, where depth `0` is the
+/// root and `height` is the leaf depth: linear between [`UPPER_ROOT`]
+/// and [`UPPER_LEAF`]. For a tree of height `0` (a single segment
+/// spanning the array) the root bound applies.
+#[inline]
+pub fn upper_density_at(depth: u32, height: u32) -> f64 {
+    if height == 0 {
+        return UPPER_ROOT;
     }
-}
-
-impl DensityBounds {
-    /// Create bounds, validating that `0 < upper_root <= upper_leaf <= 1`.
-    ///
-    /// # Panics
-    /// Panics if the ordering constraint is violated.
-    pub fn new(upper_leaf: f64, upper_root: f64) -> Self {
-        assert!(
-            0.0 < upper_root && upper_root <= upper_leaf && upper_leaf <= 1.0,
-            "invalid density bounds: upper_root={upper_root}, upper_leaf={upper_leaf}"
-        );
-        Self { upper_leaf, upper_root }
-    }
-
-    /// Upper density bound for a window at `depth`, where depth `0` is the
-    /// root and `height` is the leaf depth.
-    ///
-    /// For a tree of height `0` (a single segment spanning the array) the
-    /// root bound applies.
-    #[inline]
-    pub fn upper_at(&self, depth: u32, height: u32) -> f64 {
-        if height == 0 {
-            return self.upper_root;
-        }
-        let t = f64::from(depth) / f64::from(height);
-        self.upper_root + (self.upper_leaf - self.upper_root) * t
-    }
+    let t = f64::from(depth) / f64::from(height);
+    UPPER_ROOT + (UPPER_LEAF - UPPER_ROOT) * t
 }
 
 /// Geometry of a PMA: capacity, segment size, and the implicit window
@@ -209,24 +174,16 @@ mod tests {
 
     #[test]
     fn density_bounds_interpolate() {
-        let b = DensityBounds::default();
         let h = 4;
-        assert!((b.upper_at(0, h) - b.upper_root).abs() < 1e-12);
-        assert!((b.upper_at(h, h) - b.upper_leaf).abs() < 1e-12);
-        let mid = b.upper_at(2, h);
-        assert!(b.upper_root < mid && mid < b.upper_leaf);
+        assert!((upper_density_at(0, h) - UPPER_ROOT).abs() < 1e-12);
+        assert!((upper_density_at(h, h) - UPPER_LEAF).abs() < 1e-12);
+        let mid = upper_density_at(2, h);
+        assert!(UPPER_ROOT < mid && mid < UPPER_LEAF);
     }
 
     #[test]
     fn density_bounds_height_zero_uses_root() {
-        let b = DensityBounds::default();
-        assert_eq!(b.upper_at(0, 0), b.upper_root);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid density bounds")]
-    fn density_bounds_validate() {
-        let _ = DensityBounds::new(0.5, 0.9);
+        assert_eq!(upper_density_at(0, 0), UPPER_ROOT);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! to look bad here. [`IndexWrite::bulk_load`] retrains over the new
 //! array with the current model count.
 
-use alex_api::{check_batch_keys, BatchOps, IndexRead, IndexWrite, InsertError, SentinelKey};
+use alex_api::{check_batch_keys, BatchOps, IndexRead, IndexWrite, InsertError};
+use alex_core::AlexKey;
 
-use crate::{Key, LearnedIndex};
+use crate::LearnedIndex;
 
-impl<K: Key, V: Clone> IndexRead<K, V> for LearnedIndex<K, V> {
+impl<K: AlexKey, V: Clone> IndexRead<K, V> for LearnedIndex<K, V> {
     fn get(&self, key: &K) -> Option<V> {
         LearnedIndex::get(self, key).cloned()
     }
@@ -45,7 +46,7 @@ impl<K: Key, V: Clone> IndexRead<K, V> for LearnedIndex<K, V> {
     }
 }
 
-impl<K: Key + SentinelKey, V: Clone> IndexWrite<K, V> for LearnedIndex<K, V> {
+impl<K: AlexKey, V: Clone> IndexWrite<K, V> for LearnedIndex<K, V> {
     fn insert(&mut self, key: K, value: V) -> Result<(), InsertError> {
         if key.is_sentinel() {
             return Err(InsertError::UnsupportedKey);
@@ -73,7 +74,7 @@ impl<K: Key + SentinelKey, V: Clone> IndexWrite<K, V> for LearnedIndex<K, V> {
     }
 }
 
-impl<K: Key + SentinelKey, V: Clone> BatchOps<K, V> for LearnedIndex<K, V> {}
+impl<K: AlexKey, V: Clone> BatchOps<K, V> for LearnedIndex<K, V> {}
 
 #[cfg(test)]
 mod tests {

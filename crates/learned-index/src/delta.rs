@@ -7,7 +7,9 @@
 //! retrained. This avoids the naive strategy's per-insert array shifts
 //! at the price of periodic O(n) merges and a second probe per lookup.
 
-use crate::{Key, LearnedIndex};
+use alex_core::AlexKey;
+
+use crate::LearnedIndex;
 
 /// A Learned Index with a sorted delta buffer for inserts.
 #[derive(Debug, Clone)]
@@ -15,31 +17,22 @@ pub struct DeltaLearnedIndex<K, V> {
     main: LearnedIndex<K, V>,
     delta_keys: Vec<K>,
     delta_values: Vec<V>,
-    /// Merge when `delta.len() > merge_fraction * main.len()`.
-    merge_fraction: f64,
     num_models: usize,
     merges: u64,
     merge_moves: u64,
 }
 
-impl<K: Key, V: Clone> DeltaLearnedIndex<K, V> {
-    /// Build over sorted pairs with `num_models` second-level models
-    /// and the default 10% merge threshold.
-    pub fn bulk_load(data: &[(K, V)], num_models: usize) -> Self {
-        Self::with_merge_fraction(data, num_models, 0.1)
-    }
+/// Merge when the delta holds more than this fraction of the main
+/// array's keys (and more than 64).
+const MERGE_FRACTION: f64 = 0.1;
 
-    /// Build with an explicit merge threshold.
-    ///
-    /// # Panics
-    /// Panics unless `0 < merge_fraction <= 1`.
-    pub fn with_merge_fraction(data: &[(K, V)], num_models: usize, merge_fraction: f64) -> Self {
-        assert!(merge_fraction > 0.0 && merge_fraction <= 1.0);
+impl<K: AlexKey, V: Clone> DeltaLearnedIndex<K, V> {
+    /// Build over sorted pairs with `num_models` second-level models.
+    pub fn bulk_load(data: &[(K, V)], num_models: usize) -> Self {
         Self {
             main: LearnedIndex::bulk_load(data, num_models),
             delta_keys: Vec::new(),
             delta_values: Vec::new(),
-            merge_fraction,
             num_models,
             merges: 0,
             merge_moves: 0,
@@ -85,7 +78,7 @@ impl<K: Key, V: Clone> DeltaLearnedIndex<K, V> {
             Err(pos) => {
                 self.delta_keys.insert(pos, key);
                 self.delta_values.insert(pos, value);
-                let threshold = (self.main.len() as f64 * self.merge_fraction).max(64.0) as usize;
+                let threshold = (self.main.len() as f64 * MERGE_FRACTION).max(64.0) as usize;
                 if self.delta_keys.len() > threshold {
                     self.merge();
                 }

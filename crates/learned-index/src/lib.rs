@@ -9,6 +9,10 @@
 //! the dense array (counting the shifts — Figure 8's "Learned Index"
 //! bar) and widen the affected error bounds so lookups stay correct.
 //!
+//! The models are ALEX's own [`LinearModel`], fit by the same least
+//! squares over the same [`AlexKey`] projection, so the two learned
+//! indexes differ in structure, not in their models.
+//!
 //! Index size accounting follows §5.1: two `f64` model parameters plus
 //! two error-bound integers per model, plus metadata.
 //!
@@ -24,12 +28,17 @@
 
 mod api;
 mod delta;
-mod model;
 
 pub use delta::DeltaLearnedIndex;
-pub use model::{Key, LinearModel};
 
+/// ALEX's key contract, which bounds both indexes here, under the
+/// name downstream code imports it by.
+pub use alex_core::AlexKey as Key;
+
+use core::cmp::Ordering;
 use core::mem::size_of;
+
+use alex_core::{AlexKey, LinearModel};
 
 /// Per-leaf-model metadata: the linear model plus its error bounds.
 #[derive(Debug, Clone, Copy)]
@@ -69,7 +78,7 @@ pub struct LearnedIndex<K, V> {
     stats: LearnedIndexStats,
 }
 
-impl<K: Key, V: Clone> LearnedIndex<K, V> {
+impl<K: AlexKey, V: Clone> LearnedIndex<K, V> {
     /// Build over a sorted, strictly-increasing array with `num_models`
     /// second-level models.
     ///
@@ -201,7 +210,8 @@ impl<K: Key, V: Clone> LearnedIndex<K, V> {
         let lo = (predicted + leaf.err_lo - self.removed_slack).clamp(0, self.keys.len() as i64) as usize;
         let hi = (predicted + leaf.err_hi + self.staleness + 1).clamp(0, self.keys.len() as i64) as usize;
         let window = &self.keys[lo..hi];
-        match window.binary_search_by(|k| k.partial_cmp(key).expect("keys are totally ordered")) {
+        // A NaN compares below every key, so it is never found.
+        match window.binary_search_by(|k| k.partial_cmp(key).unwrap_or(Ordering::Less)) {
             Ok(off) => Some(lo + off),
             Err(_) => None,
         }

@@ -12,7 +12,7 @@
 //! acknowledged writes.
 
 use alex_core::{AlexKey, InsertError};
-use alex_sharded::{DurableShardedAlex, RebalanceReport, ShardedAlex};
+use alex_sharded::{DurableShardedAlex, ShardedAlex};
 use alex_wal::{DurableKey, WalCodec};
 
 /// Key bound for everything in this crate: the index's key contract
@@ -48,21 +48,6 @@ pub trait ServeBackend<K: ServerKey, V: ServerValue>: Send + Sync + 'static {
     /// backend). Called once, after the workers drain, during
     /// graceful shutdown.
     fn flush(&self) {}
-
-    /// Re-cut shard boundaries from observed read skew, given
-    /// exclusive ownership during a maintenance window (the worker
-    /// pool is drained and joined before this runs — see
-    /// [`Server::rebalance`](crate::server::Server::rebalance)).
-    ///
-    /// Returns `None` when the backend declines — no skew worth
-    /// moving for, or boundaries that cannot move at all. The default
-    /// declines unconditionally: notably [`DurableShardedAlex`] keeps
-    /// it, because its boundary set is pinned by the on-disk `SHARDS`
-    /// file at creation time and per-shard WALs cannot migrate keys
-    /// across shard directories.
-    fn rebalance(&mut self) -> Option<RebalanceReport> {
-        None
-    }
 }
 
 impl<K: ServerKey, V: ServerValue> ServeBackend<K, V> for ShardedAlex<K, V> {
@@ -92,11 +77,6 @@ impl<K: ServerKey, V: ServerValue> ServeBackend<K, V> for ShardedAlex<K, V> {
 
     fn scan_from(&self, key: &K, limit: usize, f: &mut dyn FnMut(&K, &V)) -> usize {
         ShardedAlex::scan_from(self, key, limit, f)
-    }
-
-    fn rebalance(&mut self) -> Option<RebalanceReport> {
-        let plan = self.rebalance_plan()?;
-        Some(self.apply_rebalance(&plan))
     }
 }
 

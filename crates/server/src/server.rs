@@ -113,32 +113,6 @@ impl<K: ServerKey, V: ServerValue, B: ServeBackend<K, V>> Server<K, V, B> {
         Arc::clone(&self.backend)
     }
 
-    /// Maintenance op: drain the worker pool, let the backend re-cut
-    /// its shard boundaries from observed read skew
-    /// ([`ServeBackend::rebalance`]), and restart serving.
-    ///
-    /// This is a maintenance *window*, not a stop-the-world freeze of
-    /// the process: accepted work drains first (same path as
-    /// [`shutdown`](Server::shutdown)), the boundary move runs with
-    /// exclusive ownership, and a fresh pool — one worker per
-    /// (possibly re-cut) shard — comes up before the call returns.
-    /// Clients of the old pool are invalidated exactly as by
-    /// `shutdown`; obtain new handles via [`client`](Server::client)
-    /// on the returned server. Returns `None` for the report when the
-    /// backend declined to move anything (the pool still restarts).
-    ///
-    /// Panics if anything besides this server still holds the backend
-    /// `Arc` — exclusive ownership is what makes the boundary move
-    /// safe.
-    pub fn rebalance(self, config: ServerConfig) -> (Self, Option<alex_sharded::RebalanceReport>) {
-        let backend = self.shutdown();
-        let mut backend = Arc::try_unwrap(backend)
-            .ok()
-            .expect("backend must be exclusively owned during a rebalance window");
-        let report = backend.rebalance();
-        (Server::start(backend, config), report)
-    }
-
     fn stop(&mut self) {
         for queue in &self.queues {
             queue.close();
@@ -414,30 +388,6 @@ mod tests {
         assert_eq!(index.len(), 1050);
         let stats_missing = index.get(&10_049);
         assert_eq!(stats_missing, Some(49));
-    }
-
-    #[test]
-    fn rebalance_recuts_boundaries_and_restarts_the_pool() {
-        let server = serve(8000, 4);
-        let client = server.client();
-        // Every get below routes to worker 0, so the lookup counters
-        // are clearly skewed toward the first shard.
-        let hot_end = server.boundaries[0];
-        for k in 0..3000u64 {
-            client.call(Request::Get { key: (k * 2) % hot_end });
-        }
-        let (server, report) = server.rebalance(ServerConfig::default());
-        let report = report.expect("hot-shard skew must produce a boundary move");
-        assert!(report.moved_keys > 0);
-        assert_eq!(server.num_workers(), 4, "same shard count, new cuts");
-        // Old clients are invalid; a fresh one serves every key
-        // through the new routing.
-        let client = server.client();
-        for k in (0..8000u64).step_by(97) {
-            assert_eq!(client.call(Request::Get { key: k * 2 }), Response::Value(Some(k)));
-        }
-        let index = server.shutdown();
-        assert_eq!(index.len(), 8000);
     }
 
     #[test]

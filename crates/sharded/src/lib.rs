@@ -66,10 +66,9 @@
 //! representative traffic window and apply it when the plan is
 //! `Some` — the plan is `None` when there is no lookup signal (no
 //! traffic yet), fewer than two shards, or the skew is too small to
-//! move any boundary. `apply_rebalance`
-//! takes `&mut self` (a quiesced index); `alex-server` exposes it as
-//! a server-level maintenance op that drains the worker pool, applies
-//! the plan, and restarts workers on the new boundaries. Typical
+//! move any boundary. `apply_rebalance` takes `&mut self`, so it runs
+//! on a quiesced index: behind `alex-server`, between shutting one
+//! server down and starting the next on the new boundaries. Typical
 //! cadence: once after a workload shift — e.g. when
 //! `shard_read_stats` shows the hottest shard taking several times
 //! the mean — rather than on a timer.

@@ -156,10 +156,10 @@ fn cold_start_all_four_variants() {
 #[test]
 fn nan_keys_are_refused_by_every_backend() {
     // A NaN is unequal to every key, itself included, so no sorted
-    // array has a place for it: every point write refuses it like the
-    // reserved sentinel, and every batch write refuses a batch with a
-    // NaN anywhere in it whole, leaving `len` and the full scan
-    // untouched.
+    // array has a place for it: every point read answers it absent,
+    // every point write refuses it like the reserved sentinel, and
+    // every batch write refuses a batch with a NaN anywhere in it
+    // whole, leaving `len` and the full scan untouched.
     let base: Vec<(f64, u64)> = (0..2000).map(|i| (i as f64 * 0.5 - 100.0, i)).collect();
     let base_keys: Vec<f64> = base.iter().map(|(k, _)| *k).collect();
     // Fresh keys around a NaN: sorted apart from the NaN itself.
@@ -167,6 +167,9 @@ fn nan_keys_are_refused_by_every_backend() {
 
     fn check(mut index: impl BatchOps<f64, u64>, base_keys: &[f64], batch: &[(f64, u64)]) {
         let label = index.label();
+        assert_eq!(index.get(&f64::NAN), None, "{label}: get");
+        assert!(!index.contains(&f64::NAN), "{label}: contains");
+        assert_eq!(index.remove(&f64::NAN), None, "{label}: remove");
         assert_eq!(index.insert(f64::NAN, 7), Err(InsertError::UnsupportedKey), "{label}");
         assert_eq!(index.bulk_insert(batch), Err(InsertError::UnsupportedKey), "{label}: batch");
         assert_eq!(index.len(), base_keys.len(), "{label}: a refused key is not counted");
