@@ -132,6 +132,14 @@ pub fn check_batch_keys<K: SentinelKey, V>(pairs: &[(K, V)]) -> Result<(), Inser
     }
 }
 
+/// Whether a batch read's keys are sorted non-decreasing once keys
+/// unequal to themselves (NaN) are skipped. A NaN has no place in any
+/// order and every lookup answers it absent, so a sorted batch read
+/// may hold one anywhere; every `get_many` order assert calls this.
+pub fn is_sorted_ignoring_nan<K: PartialOrd>(keys: &[K]) -> bool {
+    keys.iter().filter(|k| k.partial_cmp(k).is_some()).is_sorted()
+}
+
 /// The entry iterator returned by [`IndexRead::range_from`].
 ///
 /// Entries are materialized once up front (values are cloned out of the

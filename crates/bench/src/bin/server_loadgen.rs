@@ -90,7 +90,6 @@ fn main() {
             emit_metric(run, &label, "queue_depth_mean", format!("{:.3}", stats.queue_depth_mean()));
             emit_metric(run, &label, "queue_depth_max", stats.queue_depth_max);
             emit_metric(run, &label, "get_run_ops", stats.get_run_ops);
-            emit_metric(run, &label, "insert_run_ops", stats.insert_run_ops);
             emit_metric(run, &label, "singletons", stats.singletons);
         }
         ReportFormat::Table => {
@@ -114,11 +113,10 @@ fn main() {
             );
             println!(
                 "batching: {:.2} ops/batch over {} batches; {} coalesced lookup ops, \
-                 {} coalesced insert ops, {} singletons; queue depth mean {:.2} max {}",
+                 {} singletons; queue depth mean {:.2} max {}",
                 stats.batch_occupancy_mean(),
                 stats.batches,
                 stats.get_run_ops,
-                stats.insert_run_ops,
                 stats.singletons,
                 stats.queue_depth_mean(),
                 stats.queue_depth_max,

@@ -293,7 +293,20 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
     /// order; returns the number visited.
     #[inline]
     pub fn scan_from_slot(&self, slot: usize, limit: usize, f: &mut impl FnMut(&K, &V)) -> usize {
-        self.slots.scan_from(slot, limit, f)
+        let mut visited = 0usize;
+        for (k, v) in self.entries_from(slot).take(limit) {
+            f(k, v);
+            visited += 1;
+        }
+        visited
+    }
+
+    /// Occupied entries from `slot` on, in key order, word-at-a-time
+    /// over the bitmap.
+    #[inline]
+    pub fn entries_from(&self, slot: usize) -> impl Iterator<Item = (&K, &V)> {
+        let slots = &self.slots;
+        slots.bitmap.ones_from(slot).map(move |s| (&slots.keys[s], &slots.values[s]))
     }
 
     /// Entry at an occupied slot.

@@ -270,7 +270,8 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     /// served from a single snapshot.
     ///
     /// # Panics
-    /// Panics (debug builds) if `keys` is not sorted non-decreasing.
+    /// Panics (debug builds) if `keys` is not sorted non-decreasing,
+    /// apart from NaN keys, which may sit anywhere and answer `None`.
     pub fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
         let _guard = self.index.store.pin();
         self.index.get_many(keys).into_iter().map(|v| v.cloned()).collect()

@@ -301,6 +301,11 @@ impl<K: AlexKey, V: Clone + Default> LeafNode<K, V> {
     /// entries when `start` is `None`) in key order; returns the
     /// number visited. Falls back to the raw base scan when the delta
     /// is empty (the common case on read-heavy leaves).
+    ///
+    /// One pass over the base's occupied slots: before each base key
+    /// go the buffered entries that sort below it, and a buffered op
+    /// on the key itself shadows (`Put`) or hides (`Tombstone`) the
+    /// base entry. The `Put`s left past the base's last key go last.
     pub fn scan_merged(&self, start: Option<&K>, limit: usize, f: &mut impl FnMut(&K, &V)) -> usize {
         let slot = match start {
             Some(k) => self.data.lower_bound_slot(k),
@@ -309,21 +314,44 @@ impl<K: AlexKey, V: Clone + Default> LeafNode<K, V> {
         if self.delta.is_empty() {
             return self.data.scan_from_slot(slot, limit, f);
         }
-        let mut didx = match start {
-            Some(k) => self.delta.lower_bound(k),
-            None => 0,
-        };
-        let mut slot = slot;
+        let didx = start.map_or(0, |k| self.delta.lower_bound(k));
+        let mut delta = self.delta.iter().skip(didx).peekable();
         let mut visited = 0usize;
-        while visited < limit {
-            match self.merged_next(slot, didx) {
-                Some(((k, v), s, d)) => {
-                    f(k, v);
-                    visited += 1;
-                    slot = s;
-                    didx = d;
+        // Visits one entry, or returns false once `limit` are visited.
+        let mut emit = |k: &K, v: &V| {
+            if visited == limit {
+                return false;
+            }
+            f(k, v);
+            visited += 1;
+            true
+        };
+        for (bk, bv) in self.data.entries_from(slot) {
+            let mut live = Some(bv);
+            while let Some((dk, op)) = delta.next_if(|&(dk, _)| dk <= bk) {
+                match op {
+                    DeltaOp::Put(v) if dk == bk => live = Some(v),
+                    DeltaOp::Tombstone if dk == bk => live = None,
+                    DeltaOp::Put(v) => {
+                        if !emit(dk, v) {
+                            return limit;
+                        }
+                    }
+                    // Never reached: a tombstone names a base key.
+                    DeltaOp::Tombstone => {}
                 }
-                None => break,
+            }
+            if let Some(v) = live {
+                if !emit(bk, v) {
+                    return limit;
+                }
+            }
+        }
+        for (dk, op) in delta {
+            if let DeltaOp::Put(v) = op {
+                if !emit(dk, v) {
+                    return limit;
+                }
             }
         }
         visited
@@ -332,16 +360,8 @@ impl<K: AlexKey, V: Clone + Default> LeafNode<K, V> {
     /// All live pairs of the merged view in key order (split planning,
     /// flush-by-rebuild).
     pub fn to_pairs_merged(&self) -> Vec<(K, V)> {
-        if self.delta.is_empty() {
-            return self.data.to_pairs();
-        }
         let mut out = Vec::with_capacity(self.live_keys());
-        let (mut slot, mut didx) = (0usize, 0usize);
-        while let Some(((k, v), s, d)) = self.merged_next(slot, didx) {
-            out.push((*k, v.clone()));
-            slot = s;
-            didx = d;
-        }
+        self.scan_merged(None, usize::MAX, &mut |k, v| out.push((*k, v.clone())));
         out
     }
 
@@ -394,6 +414,7 @@ mod tests {
     use super::*;
     use crate::config::{NodeLayout, NodeParams};
     use crate::data_node::DataNode;
+    use std::collections::BTreeMap;
 
     fn leaf(pairs: &[(u64, u64)]) -> LeafNode<u64, u64> {
         LeafNode::new(
@@ -426,21 +447,42 @@ mod tests {
         assert_eq!(l.live_get(&50), Some(&500));
         assert_eq!(l.live_keys(), 5);
         assert_eq!(l.routing_max_key(), Some(50));
-        assert_eq!(
-            collect(&l),
-            vec![(10, 1), (15, 100), (20, 200), (40, 4), (50, 500)]
-        );
-        assert_eq!(l.to_pairs_merged(), collect(&l));
+        let want = vec![(10, 1), (15, 100), (20, 200), (40, 4), (50, 500)];
+        assert_eq!(collect(&l), want);
+        assert_eq!(l.to_pairs_merged(), want);
     }
 
     #[test]
     fn scan_merged_honours_start_and_limit() {
-        let mut l = leaf(&[(10, 1), (20, 2), (30, 3)]);
-        l.delta.put(25, 25);
-        l.delta_net = 1;
-        let mut seen = Vec::new();
-        assert_eq!(l.scan_merged(Some(&20), 2, &mut |k, _| seen.push(*k)), 2);
-        assert_eq!(seen, vec![20, 25]);
+        // Base keys 10..=80; buffered puts before, between, on and
+        // after them, and tombstones on the first key and on two
+        // neighbours.
+        let base: Vec<(u64, u64)> = (1..=8).map(|i| (i * 10, i)).collect();
+        let mut l = leaf(&base);
+        let mut model: BTreeMap<u64, u64> = base.iter().copied().collect();
+        for (k, v) in [(5, 500), (15, 150), (30, 300), (35, 350), (36, 360), (80, 800), (95, 950)] {
+            l.delta.put(k, v);
+            model.insert(k, v);
+        }
+        for k in [10, 50, 60] {
+            l.delta.tombstone(k);
+            model.remove(&k);
+        }
+        l.delta_net = l.recount_delta_net();
+        l.debug_assert_delta_invariants();
+
+        let starts = (0..=100).map(Some).chain([None]);
+        for start in starts {
+            for limit in 0..=model.len() + 1 {
+                let from = start.unwrap_or(0);
+                let want: Vec<(u64, u64)> =
+                    model.range(from..).take(limit).map(|(k, v)| (*k, *v)).collect();
+                let mut got = Vec::new();
+                let visited = l.scan_merged(start.as_ref(), limit, &mut |k, v| got.push((*k, *v)));
+                assert_eq!(got, want, "start {start:?}, limit {limit}");
+                assert_eq!(visited, want.len(), "start {start:?}, limit {limit}");
+            }
+        }
     }
 
     #[test]

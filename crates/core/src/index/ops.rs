@@ -15,7 +15,7 @@
 
 use core::sync::atomic::Ordering;
 
-use alex_api::{check_batch_keys, InsertError};
+use alex_api::{check_batch_keys, is_sorted_ignoring_nan, InsertError};
 
 use crate::config::RmiMode;
 use crate::data_node::InsertOutcome;
@@ -165,12 +165,10 @@ impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
     /// Returns one `Option<&V>` per input key, in input order.
     ///
     /// # Panics
-    /// Panics (debug builds) if `keys` is not sorted non-decreasing.
+    /// Panics (debug builds) if `keys` is not sorted non-decreasing,
+    /// apart from NaN keys, which may sit anywhere and answer `None`.
     pub fn get_many(&self, keys: &[K]) -> Vec<Option<&V>> {
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] <= w[1]),
-            "get_many input must be sorted"
-        );
+        debug_assert!(is_sorted_ignoring_nan(keys), "get_many input must be sorted");
         let mut out = Vec::with_capacity(keys.len());
         let mut run: Option<LeafRunRef<'_, K, V>> = None;
         for key in keys {

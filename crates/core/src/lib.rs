@@ -124,5 +124,6 @@ pub use stats::{ReadStats, SizeReport, WriteStats};
 // the pluggable key types, write errors and the batch key check
 // without a direct `alex_api` dependency edge in every use site.
 pub use alex_api::{
-    check_batch_keys, composite_projection, Composite, FixedStr, InsertError, SentinelKey,
+    check_batch_keys, composite_projection, is_sorted_ignoring_nan, Composite, FixedStr,
+    InsertError, SentinelKey,
 };

@@ -212,25 +212,22 @@ impl<K: AlexKey, V: Clone + Default> SlotArray<K, V> {
     }
 
     /// Shift `[at, gap)` one slot right into the gap; the insertion slot
-    /// becomes `at`.
+    /// becomes `at`. Payloads move by rotation, not clone: the gap's
+    /// placeholder lands on `at`, which the caller writes next.
     fn shift_right_into(&mut self, at: usize, gap: usize) -> usize {
         debug_assert!(!self.is_occupied(gap));
-        for j in (at..gap).rev() {
-            self.keys[j + 1] = self.keys[j];
-            self.values[j + 1] = self.values[j].clone();
-        }
+        self.keys.copy_within(at..gap, at + 1);
+        self.values[at..=gap].rotate_right(1);
         self.bitmap.set(gap); // [at..=gap] now all occupied once `at` is written
         at
     }
 
     /// Shift `(gap, at)` one slot left into the gap; the insertion slot
-    /// becomes `at - 1`.
+    /// becomes `at - 1`, where the gap's placeholder lands.
     fn shift_left_into(&mut self, gap: usize, at: usize) -> usize {
         debug_assert!(!self.is_occupied(gap));
-        for j in gap + 1..at {
-            self.keys[j - 1] = self.keys[j];
-            self.values[j - 1] = self.values[j].clone();
-        }
+        self.keys.copy_within(gap + 1..at, gap);
+        self.values[gap..at].rotate_left(1);
         self.bitmap.set(gap);
         at - 1
     }
@@ -345,21 +342,6 @@ impl<K: AlexKey, V: Clone + Default> SlotArray<K, V> {
             }
             self.keys[j] = carry;
         }
-    }
-
-    /// Visit up to `limit` occupied entries starting at `slot`, in
-    /// order, word-at-a-time over the bitmap. Returns the number
-    /// visited.
-    pub fn scan_from(&self, slot: usize, limit: usize, f: &mut impl FnMut(&K, &V)) -> usize {
-        let mut visited = 0usize;
-        for s in self.bitmap.ones_from(slot) {
-            if visited == limit {
-                break;
-            }
-            f(&self.keys[s], &self.values[s]);
-            visited += 1;
-        }
-        visited
     }
 
     /// Heap bytes used by the slot arrays plus the bitmap (the paper's

@@ -14,10 +14,10 @@
 //!   the mechanism behind load-adaptive batching: the deeper the
 //!   backlog, the larger the batch a worker takes in one lock hold.
 //! - [`worker`] — shard-owning worker threads. Each exclusively owns
-//!   one key range of the sharded index and **coalesces** adjacent
-//!   queued point ops into sorted [`get_many`]/[`bulk_insert`] runs,
-//!   preserving per-queue operation order (a client always sees its
-//!   own writes).
+//!   one key range of the sharded index, **coalesces** adjacent queued
+//!   gets into sorted [`get_many`] runs, and executes every other
+//!   request alone, in arrival order (a client always sees its own
+//!   writes).
 //! - [`server`] — [`Server`] spawns the pool and routes: single-key
 //!   requests go to their owner worker, batch requests are split
 //!   client-side per owner and reassembled on wait. Graceful
@@ -35,12 +35,15 @@
 //!
 //! # Why batching at the server tier
 //!
-//! The index's run-level operations amortize tree descent and model
-//! evaluation across a sorted run, but only if someone hands them
-//! runs. Under a serving workload the natural run source is the
-//! queue: whenever a worker falls behind, its backlog *is* a batch.
-//! Coalescing converts overload into efficiency — exactly when
-//! throughput matters most, per-op cost drops.
+//! The index's run-level lookup amortizes tree descent and model
+//! evaluation across a sorted run, but only if someone hands it runs.
+//! Under a serving workload the natural run source is the queue:
+//! whenever a worker falls behind, its backlog *is* a batch.
+//! Coalescing gets converts overload into efficiency — exactly when
+//! throughput matters most, per-op cost drops. Point inserts are not
+//! coalesced: alone, each lands in its leaf's delta buffer, while a
+//! sorted [`bulk_insert`] run would copy every leaf it touches whole.
+//! A client's own `BatchInsert` still takes [`bulk_insert`].
 //!
 //! # Example
 //!

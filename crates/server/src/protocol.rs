@@ -19,8 +19,9 @@ pub enum Request<K, V> {
     /// Ordered scan of up to `limit` pairs from `start`; answered by
     /// [`Response::Entries`].
     Scan { start: K, limit: u32 },
-    /// Batched lookups, **sorted ascending by key**; answered by
-    /// [`Response::Values`] in the same order.
+    /// Batched lookups, **sorted ascending by key** (a NaN may sit
+    /// anywhere and answers `None`); answered by [`Response::Values`]
+    /// in the same order.
     BatchGet { keys: Vec<K> },
     /// Batched inserts, **sorted ascending by key**; answered by
     /// [`Response::InsertedCount`] (pairs that landed, i.e. whose key

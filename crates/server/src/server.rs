@@ -9,9 +9,9 @@
 //! and batch requests are split **client-side** into per-owner
 //! sub-requests (via [`alex_sharded::split_sorted_runs`]) that
 //! reassemble on [`Pending::wait`]. While a server is running, all
-//! writes must go through it — that is what makes the workers'
-//! presence pre-checks race-free and their coalesced batches
-//! equivalent to some serial order of the queued operations.
+//! writes must go through it. Each worker runs its queue in arrival
+//! order, and no other thread writes its range, so a coalesced get
+//! run answers exactly as the same gets would one by one.
 //!
 //! `Scan` is the one read that crosses ranges: it executes on the
 //! whole index from the start-key's owner, which is safe because the
@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use alex_core::check_batch_keys;
+use alex_core::{check_batch_keys, is_sorted_ignoring_nan};
 use alex_sharded::{route_key, split_sorted_runs};
 
 use crate::backend::{ServeBackend, ServerKey, ServerValue};
@@ -46,8 +46,8 @@ use crate::worker::{run_worker, Envelope, Rendezvous, Reply, WorkerStats, Worker
 pub struct ServerConfig {
     /// Per-worker queue bound; producers block beyond it.
     pub queue_capacity: usize,
-    /// Most operations one drain takes (and so the largest coalesced
-    /// run a worker will build).
+    /// Most operations one drain takes (and so the longest get run a
+    /// worker will coalesce).
     pub max_batch: usize,
 }
 
@@ -155,8 +155,9 @@ impl<K, V> Pending<K, V> {
                 parts.pop().expect("single-part request has one response")
             }
             Merge::Values => {
-                // Parts arrive in ascending shard order == ascending
-                // key order, so concatenation restores request order.
+                // Parts are numbered in the order their runs appear in
+                // the request (a NaN's run included), so concatenation
+                // restores request order.
                 let mut all = Vec::new();
                 for part in parts {
                     match part {
@@ -213,10 +214,7 @@ impl<K: ServerKey, V: ServerValue> Client<K, V> {
     pub fn submit(&self, request: Request<K, V>) -> Pending<K, V> {
         match request {
             Request::BatchGet { keys } => {
-                debug_assert!(
-                    keys.windows(2).all(|w| w[0] <= w[1]),
-                    "BatchGet keys must be sorted ascending"
-                );
+                debug_assert!(is_sorted_ignoring_nan(&keys), "BatchGet keys must be sorted ascending");
                 let mut parts: Vec<(usize, Request<K, V>)> = Vec::new();
                 split_sorted_runs(&self.boundaries, &keys, |k| k, |shard, run| {
                     parts.push((shard, Request::BatchGet { keys: run.to_vec() }));

@@ -1,20 +1,22 @@
-//! Shard-owning workers: drain, coalesce, execute.
+//! Shard-owning workers: drain, coalesce gets, execute.
 //!
 //! Each worker owns one shard's key range exclusively — the router
-//! sends every write for that range to this worker's queue, so the
-//! worker can turn a drained batch into sorted [`get_many`] /
-//! [`bulk_insert`] runs *without* re-checking for concurrent writers:
-//! the presence pre-check it does for per-op insert verdicts cannot
-//! be invalidated before the bulk insert lands.
+//! sends every request for that range to this worker's queue — and
+//! runs its queue in arrival order. Consecutive `Get`s accumulate
+//! into one sorted [`get_many`] run; any other operation flushes the
+//! pending run first and then executes alone. A run holds only reads,
+//! and no other worker writes this range, so every get in it answers
+//! what it would have answered alone: a client that inserts then gets
+//! the same key through one queue sees its own write.
 //!
-//! Coalescing is adjacency-based: consecutive `Get`s accumulate into
-//! one lookup run, consecutive `Insert`s into one insert run, and any
-//! other operation (or a kind switch) flushes the pending run first.
-//! That preserves per-queue operation order — a client that inserts
-//! then gets the same key through one queue sees its own write — while
-//! still amortizing a whole burst of point ops into one index pass.
+//! A point insert executes alone through [`insert`], which in the
+//! shared regime buffers it in the owning leaf's delta buffer (a
+//! shallow leaf copy); a sorted [`bulk_insert`] run would instead copy
+//! every leaf it touches whole. Only a client's `BatchInsert` takes
+//! [`bulk_insert`].
 //!
 //! [`get_many`]: crate::backend::ServeBackend::get_many
+//! [`insert`]: crate::backend::ServeBackend::insert
 //! [`bulk_insert`]: crate::backend::ServeBackend::bulk_insert
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,8 +110,6 @@ pub struct WorkerStats {
     pub(crate) ops: AtomicU64,
     pub(crate) get_runs: AtomicU64,
     pub(crate) get_run_ops: AtomicU64,
-    pub(crate) insert_runs: AtomicU64,
-    pub(crate) insert_run_ops: AtomicU64,
     pub(crate) singletons: AtomicU64,
     pub(crate) queue_depth_sum: AtomicU64,
     pub(crate) queue_depth_max: AtomicU64,
@@ -126,11 +126,10 @@ pub struct WorkerStatsSnapshot {
     pub get_runs: u64,
     /// Operations inside those lookup runs.
     pub get_run_ops: u64,
-    /// Coalesced insert runs (length >= 2) executed via `bulk_insert`.
-    pub insert_runs: u64,
-    /// Operations inside those insert runs.
+    /// Always 0: every point insert executes alone. Kept only because
+    /// the benchmark's `server.insert_run_frac` reads it.
     pub insert_run_ops: u64,
-    /// Point ops executed alone (run length 1 or barrier ops).
+    /// Point ops executed alone (every non-get, and gets in runs of 1).
     pub singletons: u64,
     /// Sum over batches of the queue depth seen at drain time.
     pub queue_depth_sum: u64,
@@ -145,8 +144,7 @@ impl WorkerStats {
             ops: self.ops.load(Ordering::Relaxed),
             get_runs: self.get_runs.load(Ordering::Relaxed),
             get_run_ops: self.get_run_ops.load(Ordering::Relaxed),
-            insert_runs: self.insert_runs.load(Ordering::Relaxed),
-            insert_run_ops: self.insert_run_ops.load(Ordering::Relaxed),
+            insert_run_ops: 0,
             singletons: self.singletons.load(Ordering::Relaxed),
             queue_depth_sum: self.queue_depth_sum.load(Ordering::Relaxed),
             queue_depth_max: self.queue_depth_max.load(Ordering::Relaxed),
@@ -178,34 +176,26 @@ impl WorkerStatsSnapshot {
         self.ops += other.ops;
         self.get_runs += other.get_runs;
         self.get_run_ops += other.get_run_ops;
-        self.insert_runs += other.insert_runs;
-        self.insert_run_ops += other.insert_run_ops;
         self.singletons += other.singletons;
         self.queue_depth_sum += other.queue_depth_sum;
         self.queue_depth_max = self.queue_depth_max.max(other.queue_depth_max);
     }
 }
 
-/// One point insert's verdict as a response: landed, duplicate, or
-/// refused (reserved key).
-fn insert_response<K, V>(result: Result<(), InsertError>) -> Response<K, V> {
-    match result {
-        Ok(()) => Response::Inserted(true),
-        Err(InsertError::DuplicateKey) => Response::Inserted(false),
-        Err(e) => Response::Rejected(e),
-    }
-}
-
-/// Execute one request directly against the backend. Barrier ops go
-/// through here; it is also the semantic reference the coalesced
-/// paths must agree with.
+/// Execute one request directly against the backend. Every queued
+/// request but a get goes through here; it is also the semantic
+/// reference the get runs must agree with.
 pub(crate) fn execute<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?Sized>(
     backend: &B,
     request: Request<K, V>,
 ) -> Response<K, V> {
     match request {
         Request::Get { key } => Response::Value(backend.get(&key)),
-        Request::Insert { key, value } => insert_response(backend.insert(key, value)),
+        Request::Insert { key, value } => match backend.insert(key, value) {
+            Ok(()) => Response::Inserted(true),
+            Err(InsertError::DuplicateKey) => Response::Inserted(false),
+            Err(e) => Response::Rejected(e),
+        },
         Request::Remove { key } => Response::Removed(backend.remove(&key)),
         Request::Scan { start, limit } => {
             let mut out = Vec::new();
@@ -257,60 +247,9 @@ fn flush_gets<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?Sized>(
     }
 }
 
-fn flush_inserts<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?Sized>(
-    backend: &B,
-    inserts: &mut Vec<(K, V, Reply<K, V>)>,
-    stats: &WorkerStats,
-) {
-    match inserts.len() {
-        0 => {}
-        1 => {
-            let (key, value, reply) = inserts.pop().expect("len 1");
-            stats.singletons.fetch_add(1, Ordering::Relaxed);
-            reply.complete(insert_response(backend.insert(key, value)));
-        }
-        n => {
-            stats.insert_runs.fetch_add(1, Ordering::Relaxed);
-            stats.insert_run_ops.fetch_add(n as u64, Ordering::Relaxed);
-            // A refused key (the sentinel, a NaN) answers Rejected on
-            // its own, before the sort that a NaN would break; it must
-            // not poison the whole coalesced run, which would turn
-            // neighbours' verdicts into refusals they didn't earn.
-            for (_, _, reply) in inserts.extract_if(.., |(key, _, _)| key.is_sentinel()) {
-                reply.complete(Response::Rejected(InsertError::UnsupportedKey));
-            }
-            let n = inserts.len();
-            let mut perm: Vec<usize> = (0..n).collect();
-            // Stable by key: among equal keys, arrival order decides
-            // the winner, matching one-at-a-time first-writer-wins.
-            perm.sort_by(|&a, &b| inserts[a].0.partial_cmp(&inserts[b].0).expect("finite keys"));
-            let keys: Vec<K> = perm.iter().map(|&i| inserts[i].0).collect();
-            // Owner-exclusive writes make this pre-check race-free:
-            // nobody else can insert into this worker's range between
-            // the check and the bulk apply.
-            let present = backend.get_many(&keys);
-            let mut landed = vec![false; n];
-            let mut run: Vec<(K, V)> = Vec::with_capacity(n);
-            for (j, &i) in perm.iter().enumerate() {
-                let dup = j > 0 && keys[j - 1] == keys[j];
-                if !dup && present[j].is_none() {
-                    landed[i] = true;
-                    run.push((keys[j], inserts[i].1.clone()));
-                }
-            }
-            let applied =
-                backend.bulk_insert(&run).expect("sentinels filtered, run cannot be refused");
-            debug_assert_eq!(applied, run.len(), "owner exclusivity violated");
-            for ((_, _, reply), landed) in inserts.drain(..).zip(landed) {
-                reply.complete(Response::Inserted(landed));
-            }
-        }
-    }
-}
-
-/// The worker loop: drain a batch, coalesce adjacent point ops into
-/// sorted runs, execute, complete replies. Returns when the queue is
-/// closed and fully drained.
+/// The worker loop: drain a batch, coalesce adjacent gets into sorted
+/// runs, execute everything else alone in arrival order, complete
+/// replies. Returns when the queue is closed and fully drained.
 pub(crate) fn run_worker<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?Sized>(
     backend: &B,
     queue: &BoundedQueue<Envelope<K, V>>,
@@ -319,7 +258,6 @@ pub(crate) fn run_worker<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?
 ) {
     let mut batch: Vec<Envelope<K, V>> = Vec::with_capacity(max_batch);
     let mut gets: Vec<(K, Reply<K, V>)> = Vec::new();
-    let mut inserts: Vec<(K, V, Reply<K, V>)> = Vec::new();
     while let Some(depth) = queue.recv_batch(max_batch, &mut batch) {
         stats.batches.fetch_add(1, Ordering::Relaxed);
         stats.ops.fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -328,17 +266,9 @@ pub(crate) fn run_worker<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?
         for envelope in batch.drain(..) {
             let Envelope { request, reply } = envelope;
             match request {
-                Request::Get { key } => {
-                    flush_inserts(backend, &mut inserts, stats);
-                    gets.push((key, reply));
-                }
-                Request::Insert { key, value } => {
-                    flush_gets(backend, &mut gets, stats);
-                    inserts.push((key, value, reply));
-                }
+                Request::Get { key } => gets.push((key, reply)),
                 other => {
                     flush_gets(backend, &mut gets, stats);
-                    flush_inserts(backend, &mut inserts, stats);
                     stats.singletons.fetch_add(1, Ordering::Relaxed);
                     reply.complete(execute(backend, other));
                 }
@@ -347,7 +277,6 @@ pub(crate) fn run_worker<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?
         // Runs never straddle a drain: completing everything taken
         // from the queue before blocking again bounds reply latency.
         flush_gets(backend, &mut gets, stats);
-        flush_inserts(backend, &mut inserts, stats);
     }
 }
 
@@ -376,9 +305,9 @@ mod tests {
     fn adjacent_point_ops_coalesce_into_runs() {
         let index = backend(500);
         let queue = BoundedQueue::new(64);
-        // 5 gets, 3 inserts, 2 gets, then a remove barrier: expect
-        // one get run of 5, one insert run of 3, one get run of 2,
-        // and one singleton.
+        // 5 gets, 3 inserts, 2 gets, then a remove: expect one get run
+        // of 5, three insert singletons, one get run of 2, and one
+        // remove singleton.
         let mut waits = Vec::new();
         for k in [10u64, 4, 900, 2, 88] {
             waits.push((enqueue(&queue, Request::Get { key: k }), Response::Value(index.get(&k))));
@@ -402,13 +331,13 @@ mod tests {
         assert_eq!(snap.ops, 11);
         assert_eq!(snap.batches, 1, "all queued before the worker ran");
         assert_eq!((snap.get_runs, snap.get_run_ops), (2, 7));
-        assert_eq!((snap.insert_runs, snap.insert_run_ops), (1, 3));
-        assert_eq!(snap.singletons, 1);
+        assert_eq!(snap.insert_run_ops, 0, "inserts never coalesce");
+        assert_eq!(snap.singletons, 4);
         assert!(snap.batch_occupancy_mean() > 10.0);
     }
 
     #[test]
-    fn duplicate_and_present_keys_in_one_insert_run_resolve_first_wins() {
+    fn queued_inserts_of_a_duplicate_or_present_key_resolve_first_wins() {
         let index = backend(100); // even keys 0..198 present
         let queue = BoundedQueue::new(16);
         // 5: fresh (arrival order decides among the two); 4: present.
@@ -417,37 +346,52 @@ mod tests {
         let c = enqueue(&queue, Request::Insert { key: 4, value: 333 });
         let d = enqueue(&queue, Request::Insert { key: 7, value: 444 });
         queue.close();
-        let stats = WorkerStats::default();
-        run_worker(&index, &queue, 16, &stats);
+        run_worker(&index, &queue, 16, &WorkerStats::default());
         assert_eq!(a.wait(), vec![Response::Inserted(true)]);
         assert_eq!(b.wait(), vec![Response::Inserted(false)]);
         assert_eq!(c.wait(), vec![Response::Inserted(false)]);
         assert_eq!(d.wait(), vec![Response::Inserted(true)]);
         assert_eq!(index.get(&5), Some(111), "first arrival's value sticks");
         assert_eq!(index.get(&4), Some(2), "loaded value survives");
-        assert_eq!(stats.snapshot().insert_run_ops, 4);
     }
 
     #[test]
-    fn sentinel_in_a_coalesced_run_rejects_only_itself() {
+    fn a_queued_sentinel_insert_rejects_only_itself() {
         let index = backend(100);
         let queue = BoundedQueue::new(16);
-        // Three adjacent inserts coalesce into one run; the sentinel
-        // among them must answer Rejected without poisoning its
-        // neighbours' verdicts or reaching the index.
+        // The sentinel between two adjacent inserts must answer
+        // Rejected without touching its neighbours' verdicts or
+        // reaching the index.
         let a = enqueue(&queue, Request::Insert { key: 301, value: 1 });
         let b = enqueue(&queue, Request::Insert { key: u64::MAX, value: 2 });
         let c = enqueue(&queue, Request::Insert { key: 303, value: 3 });
         queue.close();
-        let stats = WorkerStats::default();
-        run_worker(&index, &queue, 16, &stats);
+        run_worker(&index, &queue, 16, &WorkerStats::default());
         assert_eq!(a.wait(), vec![Response::Inserted(true)]);
         assert_eq!(b.wait(), vec![Response::Rejected(InsertError::UnsupportedKey)]);
         assert_eq!(c.wait(), vec![Response::Inserted(true)]);
         assert_eq!(index.get(&301), Some(1));
         assert_eq!(index.get(&303), Some(3));
         assert_eq!(index.get(&u64::MAX), None, "sentinel must never land");
-        assert_eq!(stats.snapshot().insert_run_ops, 3, "the run did coalesce");
+    }
+
+    #[test]
+    fn queued_point_inserts_are_delta_buffered() {
+        // Adjacent inserts each go through the point path, so every
+        // one lands in its leaf's delta buffer and no leaf is copied
+        // whole.
+        let index = backend(1000);
+        let queue = BoundedQueue::new(64);
+        let waits: Vec<_> = (0..16u64)
+            .map(|i| enqueue(&queue, Request::Insert { key: i * 120 + 1, value: i }))
+            .collect();
+        queue.close();
+        run_worker(&index, &queue, 64, &WorkerStats::default());
+        for rendezvous in waits {
+            assert_eq!(rendezvous.wait(), vec![Response::Inserted(true)]);
+        }
+        let writes = index.write_stats();
+        assert_eq!((writes.delta_hits, writes.leaf_clones), (16, 0));
     }
 
     #[test]

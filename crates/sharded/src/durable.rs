@@ -216,12 +216,10 @@ where
     /// [`ShardedAlex::get_many`]: crate::ShardedAlex::get_many
     ///
     /// # Panics
-    /// Panics (debug builds) if `keys` is not sorted non-decreasing.
+    /// Panics (debug builds) if `keys` is not sorted non-decreasing,
+    /// apart from NaN keys, which may sit anywhere and answer `None`.
     pub fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] <= w[1]),
-            "get_many input must be sorted"
-        );
+        debug_assert!(alex_core::is_sorted_ignoring_nan(keys), "get_many input must be sorted");
         let mut out = Vec::with_capacity(keys.len());
         split_sorted_runs(&self.boundaries, keys, |k| k, |shard, run| {
             out.extend(self.shards[shard].index().get_many(run));

@@ -114,7 +114,8 @@ pub mod durable;
 pub use durable::DurableShardedAlex;
 
 use alex_api::{
-    check_batch_keys, BatchOps, ConcurrentIndex, IndexRead, IndexWrite, InsertError, SentinelKey,
+    check_batch_keys, is_sorted_ignoring_nan, BatchOps, ConcurrentIndex, IndexRead, IndexWrite,
+    InsertError, SentinelKey,
 };
 use alex_core::stats::SizeReport;
 use alex_core::{AlexConfig, AlexKey, EpochAlex, EpochStats, EpochWriteStats};
@@ -346,12 +347,10 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     /// run).
     ///
     /// # Panics
-    /// Panics (debug builds) if `keys` is not sorted non-decreasing.
+    /// Panics (debug builds) if `keys` is not sorted non-decreasing,
+    /// apart from NaN keys, which may sit anywhere and answer `None`.
     pub fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] <= w[1]),
-            "get_many input must be sorted"
-        );
+        debug_assert!(is_sorted_ignoring_nan(keys), "get_many input must be sorted");
         let mut out = Vec::with_capacity(keys.len());
         self.for_each_shard_run(keys, |k| k, |shard, run| {
             out.extend(self.shards[shard].get_many(run));

@@ -1,5 +1,5 @@
 //! Server quickstart: stand a worker pool up over a sharded ALEX,
-//! talk to it through typed requests and responses, watch point ops
+//! talk to it through typed requests and responses, watch queued gets
 //! coalesce into batched index runs, and shut down gracefully.
 //!
 //! Run with:

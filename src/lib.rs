@@ -26,7 +26,7 @@
 //!   in slotted pages, and crash recovery (`DurableAlex`).
 //! - [`alex_server`] — the serving front-end: typed in-process
 //!   requests and responses, shard-owning worker threads behind
-//!   bounded queues that coalesce point ops into sorted batch runs,
+//!   bounded queues that coalesce queued gets into sorted batch runs,
 //!   and an open-/closed-loop load generator with a log-bucketed
 //!   latency histogram (p50/p99/p999).
 

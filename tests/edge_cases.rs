@@ -156,9 +156,9 @@ fn cold_start_all_four_variants() {
 #[test]
 fn nan_keys_are_refused_by_every_backend() {
     // A NaN is unequal to every key, itself included, so no sorted
-    // array has a place for it: every point read answers it absent,
-    // every point write refuses it like the reserved sentinel, and
-    // every batch write refuses a batch with a NaN anywhere in it
+    // array has a place for it: every point or batch read answers it
+    // absent, every point write refuses it like the reserved sentinel,
+    // and every batch write refuses a batch with a NaN anywhere in it
     // whole, leaving `len` and the full scan untouched.
     let base: Vec<(f64, u64)> = (0..2000).map(|i| (i as f64 * 0.5 - 100.0, i)).collect();
     let base_keys: Vec<f64> = base.iter().map(|(k, _)| *k).collect();
@@ -170,6 +170,12 @@ fn nan_keys_are_refused_by_every_backend() {
         assert_eq!(index.get(&f64::NAN), None, "{label}: get");
         assert!(!index.contains(&f64::NAN), "{label}: contains");
         assert_eq!(index.remove(&f64::NAN), None, "{label}: remove");
+        let (k10, k20) = (base_keys[10], base_keys[20]);
+        assert_eq!(
+            index.get_many(&[k10, f64::NAN, k20]),
+            vec![Some(10), None, Some(20)],
+            "{label}: get_many"
+        );
         assert_eq!(index.insert(f64::NAN, 7), Err(InsertError::UnsupportedKey), "{label}");
         assert_eq!(index.bulk_insert(batch), Err(InsertError::UnsupportedKey), "{label}: batch");
         assert_eq!(index.len(), base_keys.len(), "{label}: a refused key is not counted");

@@ -1,11 +1,11 @@
 //! Differential suite for the serving tier: every response produced
 //! by the batching worker pool must equal the response a serial
 //! `LockedBTreeMap` oracle gives for the same operation sequence —
-//! coalescing point ops into `get_many`/`bulk_insert` runs is an
-//! optimization, never a semantics change. The suite serves `u64` and
-//! `Composite<u64>` keys, whose `==` compares every field, and `f64`
-//! keys only in tests whose responses carry no key, so `==` on the
-//! typed responses is exact.
+//! coalescing queued gets into `get_many` runs is an optimization,
+//! never a semantics change. The suite serves `u64` and `Composite<u64>`
+//! keys, whose `==` compares every field, and `f64` keys only in tests
+//! whose responses carry no key, so `==` on the typed responses is
+//! exact.
 //!
 //! Four angles:
 //!
@@ -406,10 +406,10 @@ fn sentinel_writes_are_rejected_end_to_end() {
 }
 
 /// A client may submit any `f64`, NaN included, so NaN keys reach the
-/// workers. Coalesced into get and insert runs with ordinary keys, a
-/// NaN must answer what the serial path answers — a get `Value(None)`,
-/// an insert `Rejected` — without costing its neighbours their answers
-/// or the worker its life. Replies are awaited with a deadline, so a
+/// workers. Queued among ordinary gets and inserts, a NaN must answer
+/// what the serial path answers — a get `Value(None)`, an insert
+/// `Rejected` — without costing its neighbours their answers or the
+/// worker its life. Replies are awaited with a deadline, so a
 /// dead worker fails the test instead of hanging it.
 #[test]
 fn nan_keys_in_pipelined_runs_answer_like_the_serial_path() {
@@ -420,9 +420,9 @@ fn nan_keys_in_pipelined_runs_answer_like_the_serial_path() {
     let mut model: HashMap<u64, u64> = pairs.iter().map(|(k, v)| (k.to_bits(), *v)).collect();
     let mut requests: Vec<Request<f64, u64>> = Vec::new();
     let mut wants = Vec::new();
-    // Alternating bursts of gets and inserts, so each burst coalesces
-    // into one run; the bursts of one op put a NaN on the singleton
-    // paths too.
+    // Alternating bursts of gets and inserts: each get burst coalesces
+    // into one run and each insert executes alone; the bursts of one
+    // op put a NaN on the singleton get path too.
     let mut i = 0u64;
     for (burst, len) in [200u64, 1, 60, 1, 90, 1, 1, 40].into_iter().enumerate() {
         for _ in 0..len {
@@ -475,9 +475,10 @@ fn nan_keys_in_pipelined_runs_answer_like_the_serial_path() {
 /// A `BatchInsert` spanning every shard with a NaN in it is refused
 /// whole before it is split, by the [`check_batch_keys`] the oracle
 /// and every backend use: no shard applies its part, so the index
-/// still equals its preload.
+/// still equals its preload. A `BatchGet` spanning every shard answers
+/// `None` for its NaN and the stored values around it.
 #[test]
-fn nan_inside_a_batch_insert_spanning_shards_is_refused_whole() {
+fn nan_inside_a_batch_spanning_shards_reads_none_and_refuses_an_insert() {
     let pairs: Vec<(f64, u64)> = (0..2000).map(|i| (i as f64 * 0.5, i)).collect();
     let index = ShardedAlex::bulk_load(&pairs, 4, AlexConfig::ga_armi());
     let server = Server::start(index, ServerConfig { queue_capacity: 256, max_batch: 32 });
@@ -492,6 +493,18 @@ fn nan_inside_a_batch_insert_spanning_shards_is_refused_whole() {
             client.call(Request::BatchInsert { pairs: batch }),
             Response::Rejected(InsertError::UnsupportedKey),
             "NaN at {at}"
+        );
+    }
+    let present: Vec<f64> = (0..8).map(|i| i as f64 * 125.0).collect();
+    for at in [0, 4, present.len()] {
+        let mut keys = present.clone();
+        keys.insert(at, f64::NAN);
+        let mut want: Vec<Option<u64>> = present.iter().map(|k| Some((k * 2.0) as u64)).collect();
+        want.insert(at, None);
+        assert_eq!(
+            client.call(Request::BatchGet { keys }),
+            Response::Values(want),
+            "BatchGet, NaN at {at}"
         );
     }
     let index = server.shutdown();
