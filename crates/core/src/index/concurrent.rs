@@ -24,19 +24,24 @@
 //! The original epoch write path cloned the whole owning leaf per
 //! write. Two mechanisms amortize that:
 //!
-//! 1. **Per-leaf delta buffers.** A point write republishes a
-//!    *shallow* leaf copy: the base gapped array is shared through an
-//!    `Arc`, and the edit lands in a bounded sorted side-array
-//!    ([`super::delta::DeltaBuf`]) published alongside it. Readers
-//!    merge the two on the fly; once the buffer reaches the capacity
-//!    named by [`crate::AlexConfig::delta_buffer`] (or the leaf
-//!    splits) the writer *flushes* — folds the buffer into one fresh
-//!    base array — so each write costs `O(delta)` with one `O(leaf)`
-//!    clone every `capacity` writes.
+//! 1. **Per-leaf delta buffers.** `insert`, `update` and `remove` all
+//!    go through one copy-on-write edit, `EpochAlex::edit`, that puts
+//!    or removes one key. It republishes a *shallow* leaf copy: the
+//!    base gapped array is shared through an `Arc`, and the edit lands
+//!    in a bounded sorted side-array ([`super::delta::DeltaBuf`])
+//!    published alongside it, when the key already has an entry there
+//!    or the buffer is below [`crate::AlexConfig::delta_buffer`].
+//!    Readers merge the two on the fly. Otherwise the writer
+//!    *flushes* — folds the buffer into one fresh base array, which
+//!    takes the edit — so each write costs `O(delta)` with one
+//!    `O(leaf)` clone every `capacity` writes. A split folds the
+//!    buffer into the new leaves too.
 //! 2. **Run-level CoW in [`EpochAlex::bulk_insert`].** A sorted batch
-//!    is grouped into maximal per-leaf runs by the same monotone
-//!    routing the exclusive batch path uses; each touched leaf is
-//!    cloned and published **once per run**, not once per key.
+//!    is grouped into maximal per-leaf runs by the router the
+//!    exclusive batch path uses ([`AlexIndex::leaf_run`]), cut at the
+//!    leaf's split room ([`AlexIndex::split_room`]) like that path's;
+//!    each touched leaf is cloned and published **once per run**, not
+//!    once per key.
 //!
 //! [`EpochAlex::write_stats`] counts `leaf_clones` (full base-array
 //! copies), `delta_hits` (writes absorbed by a buffer), and `flushes`
@@ -94,13 +99,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use alex_api::{check_batch_keys, BatchOps, ConcurrentIndex, IndexRead, IndexWrite, InsertError};
 
-use crate::config::{AlexConfig, RmiMode};
+use crate::config::AlexConfig;
 use crate::data_node::InsertOutcome;
 use crate::key::AlexKey;
 use crate::stats::SizeReport;
 
 use super::delta::DeltaOp;
-use super::store::{Dense, Epoch, LeafNode, Node, NodeStore};
+use super::ops::insert_run;
+use super::store::{Dense, Epoch, LeafNode, Node, NodeId};
 use super::AlexIndex;
 use core::sync::atomic::{AtomicU64, Ordering};
 
@@ -296,7 +302,7 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     /// corruption a snapshot must not persist.
     pub fn leaf_snapshots(&self, mut f: impl FnMut(&[(K, V)])) {
         let _guard = self.index.store.pin();
-        let (_, mut leaf) = self.index.descend_first_leaf(self.index.store.head_leaf());
+        let (_, mut leaf) = self.index.descend_first_leaf(self.index.root);
         loop {
             leaf.assert_delta_net_coherent();
             f(&leaf.to_pairs_merged());
@@ -348,8 +354,25 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     /// Insert a pair. Errors on duplicates (stored value left
     /// unchanged), on the reserved sentinel key, and on a NaN key.
     pub fn insert(&self, key: K, value: V) -> Result<(), InsertError> {
+        if key.is_sentinel() {
+            return Err(InsertError::UnsupportedKey);
+        }
         let _writer = self.write_lock();
-        self.insert_locked(key, value)
+        let _guard = self.index.store.pin();
+        loop {
+            let (id, leaf) = self.index.route_to_leaf(&key);
+            if leaf.live_get(&key).is_some() {
+                return Err(InsertError::DuplicateKey);
+            }
+            // Split-on-insert on the merged live count, published
+            // atomically (the delta folds into the children); re-route
+            // after.
+            if self.index.split_room(leaf) == 0 && self.index.split_leaf_shared(id) {
+                continue;
+            }
+            self.edit(id, leaf, key, DeltaOp::Put(value), 1);
+            return Ok(());
+        }
     }
 
     /// Remove `key`, returning its payload.
@@ -359,29 +382,7 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
         let (id, leaf) = self.index.route_to_leaf(key);
         // Absent keys need no publication round trip.
         let evicted = leaf.live_get(key)?.clone();
-        let mut fresh = leaf.clone();
-        let buffered_put = matches!(fresh.delta.get(key), Some(DeltaOp::Put(_)));
-        if buffered_put {
-            if fresh.data.get(key).is_some() {
-                // The put shadowed a base occupant: tombstone it.
-                fresh.delta.tombstone(*key);
-            } else {
-                // Purely buffered insert: dropping the entry undoes it.
-                fresh.delta.remove_entry(key);
-            }
-            fresh.delta_net -= 1;
-            self.writes.delta_hit();
-        } else if fresh.delta.len() < self.index.config().delta_buffer {
-            // Base occupant (live_get saw no tombstone): buffer it.
-            fresh.delta.tombstone(*key);
-            fresh.delta_net -= 1;
-            self.writes.delta_hit();
-        } else {
-            self.flush_clone(&mut fresh);
-            Arc::make_mut(&mut fresh.data).remove(key);
-        }
-        self.index.store.publish(id, Node::Leaf(fresh));
-        self.index.len.fetch_sub(1, Ordering::Relaxed);
+        self.edit(id, leaf, *key, DeltaOp::Tombstone, -1);
         Some(evicted)
     }
 
@@ -392,29 +393,16 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
         let _guard = self.index.store.pin();
         let (id, leaf) = self.index.route_to_leaf(key);
         let old = leaf.live_get(key)?.clone();
-        let mut fresh = leaf.clone();
-        // An existing buffered put is replaced in place, so only a new
-        // shadow entry counts against the capacity.
-        if fresh.delta.contains(key) || fresh.delta.len() < self.index.config().delta_buffer {
-            fresh.delta.put(*key, value);
-            self.writes.delta_hit();
-        } else {
-            self.flush_clone(&mut fresh);
-            let slot = Arc::make_mut(&mut fresh.data)
-                .get_mut(key)
-                .expect("live_get returned Some");
-            *slot = value;
-        }
-        self.index.store.publish(id, Node::Leaf(fresh));
+        self.edit(id, leaf, *key, DeltaOp::Put(value), 0);
         Some(old)
     }
 
     /// Sorted-batch insert: one writer-lock acquisition, and **one
     /// leaf clone + publication per leaf run** — the batch is grouped
-    /// by owning leaf through the same monotone routing the exclusive
-    /// batch path uses, so a run of `r` keys landing in one leaf costs
-    /// `O(leaf + r)` instead of `r` full clones. Duplicates are
-    /// skipped; returns the number inserted, or
+    /// by owning leaf through the router the exclusive batch path uses
+    /// (`AlexIndex::leaf_run`), so a run of `r` keys landing in one
+    /// leaf costs `O(leaf + r)` instead of `r` full clones. Duplicates
+    /// are skipped; returns the number inserted, or
     /// [`InsertError::UnsupportedKey`] — with nothing applied — if any
     /// key in the batch is the reserved sentinel or a NaN
     /// ([`check_batch_keys`], which runs before the debug-build order
@@ -436,118 +424,84 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
         let _writer = self.write_lock();
         let _guard = self.index.store.pin();
         let mut inserted = 0usize;
-        let mut i = 0usize;
-        while i < pairs.len() {
-            let (id, leaf) = self.index.route_to_leaf(&pairs[i].0);
-            // Maximal run this leaf owns. Keys up to the leaf's max
-            // key are covered in bulk by monotone routing (anything
-            // between two keys routed here routes here too); keys past
-            // the max — `pairs[i]` itself may already be one — extend
-            // the run by individual routing until one leaves the leaf,
-            // so a batch forms exactly one run per touched leaf.
-            let run_end = if leaf.next.is_none() {
-                pairs.len()
-            } else {
-                let mut end = match leaf.routing_max_key() {
-                    Some(max) => i + pairs[i..].partition_point(|(k, _)| *k <= max),
-                    None => i,
-                };
-                end = end.max(i + 1); // pairs[i] routed here by construction
-                while end < pairs.len() && self.index.route_to_leaf(&pairs[end].0).0 == id {
-                    end += 1;
-                }
-                end
+        let mut rest = pairs;
+        while let Some((key, _)) = rest.first() {
+            let (id, leaf) = self.index.route_to_leaf(key);
+            let (len, _) = self.index.leaf_run((id, leaf), rest, |(k, _)| k);
+            // A run is cut at the leaf's split room, as the exclusive
+            // batch path cuts it; a full leaf no model can split (the
+            // split fails) takes the whole run instead.
+            let room = match self.index.split_room(leaf) {
+                // The slot became a routing node: re-route.
+                0 if self.index.split_leaf_shared(id) => continue,
+                0 => usize::MAX,
+                room => room,
             };
-            // Split accounting works on the merged live count, exactly
-            // like the point path; an unsplittable oversized leaf
-            // (no separating model) absorbs the whole run instead.
-            let mut room = usize::MAX;
-            if let RmiMode::Adaptive {
-                max_node_keys,
-                split_on_insert: true,
-            } = self.index.config().rmi
-            {
-                let live = leaf.live_keys();
-                if live >= max_node_keys && self.index.split_leaf_shared(id) {
-                    continue; // the slot became a routing node: re-route
-                }
-                if live < max_node_keys {
-                    room = max_node_keys - live;
-                }
-            }
-            let take = (run_end - i).min(room);
-            let run = &pairs[i..i + take];
+            let (run, tail) = rest.split_at(len.min(room));
+            rest = tail;
             // An all-duplicate run with no pending delta would publish
             // an identical leaf: skip the clone and retirement outright
             // (short-circuits at the first fresh key, so fresh-heavy
             // batches pay one probe).
             if leaf.delta.is_empty() && run.iter().all(|(k, _)| leaf.live_get(k).is_some()) {
-                i += take;
                 continue;
             }
             // One clone + one publication for the whole run.
             let mut fresh = leaf.clone();
             self.flush_clone(&mut fresh);
-            let data = Arc::make_mut(&mut fresh.data);
-            let mut landed = 0usize;
-            for (key, value) in run {
-                if matches!(data.insert(*key, value.clone()), InsertOutcome::Inserted { .. }) {
-                    landed += 1;
-                }
-            }
+            let landed = insert_run(Arc::make_mut(&mut fresh.data), run);
             self.index.store.publish(id, Node::Leaf(fresh));
             self.index.len.fetch_add(landed, Ordering::Relaxed);
             inserted += landed;
-            i += take;
         }
         Ok(inserted)
     }
 
-    /// The point-insert core; caller holds the writer mutex.
-    fn insert_locked(&self, key: K, value: V) -> Result<(), InsertError> {
-        if key.is_sentinel() {
-            return Err(InsertError::UnsupportedKey);
+    /// The one copy-on-write point edit: put `key`
+    /// ([`DeltaOp::Put`]) or remove it ([`DeltaOp::Tombstone`]) in the
+    /// leaf snapshot `leaf` loaded from `id`, then publish the copy.
+    /// `net` is the edit's change to the key count: `1` for an insert,
+    /// `0` for an update, `-1` for a removal. The caller holds the
+    /// writer mutex and a pin, and has checked the key: absent for an
+    /// insert, live otherwise.
+    ///
+    /// The edit lands in the copy's delta buffer — a shallow copy, the
+    /// base array shared — when the key already has an entry there
+    /// (replacing it never grows the buffer) or the buffer is below
+    /// [`AlexConfig::delta_buffer`]. Otherwise the buffer folds into a
+    /// fresh base array ([`EpochAlex::flush_clone`]), which takes the
+    /// edit directly. Readers see the old snapshot or the new one,
+    /// never an intermediate state.
+    fn edit(&self, id: NodeId, leaf: &LeafNode<K, V>, key: K, op: DeltaOp<V>, net: isize) {
+        let mut fresh = leaf.clone();
+        if fresh.delta.contains(&key) || fresh.delta.len() < self.index.config().delta_buffer {
+            fresh.buffer(key, op);
+            fresh.delta_net += net;
+            self.writes.delta_hit();
+        } else {
+            self.flush_clone(&mut fresh);
+            let data = Arc::make_mut(&mut fresh.data);
+            match op {
+                DeltaOp::Put(value) if net == 0 => {
+                    *data.get_mut(&key).expect("an update names a live key") = value;
+                }
+                DeltaOp::Put(value) => {
+                    let outcome = data.insert(key, value);
+                    assert!(
+                        matches!(outcome, InsertOutcome::Inserted { .. }),
+                        "an insert names an absent key"
+                    );
+                }
+                DeltaOp::Tombstone => {
+                    data.remove(&key);
+                }
+            }
         }
-        let _guard = self.index.store.pin();
-        loop {
-            let (id, leaf) = self.index.route_to_leaf(&key);
-            if leaf.live_get(&key).is_some() {
-                return Err(InsertError::DuplicateKey);
-            }
-            // Split-on-insert on the merged live count, published
-            // atomically (the delta folds into the children); re-route
-            // after.
-            if let RmiMode::Adaptive {
-                max_node_keys,
-                split_on_insert: true,
-            } = self.index.config().rmi
-            {
-                if leaf.live_keys() >= max_node_keys && self.index.split_leaf_shared(id) {
-                    continue;
-                }
-            }
-            // Copy-on-write publication: readers see the old snapshot
-            // or the new one, never an intermediate state. The common
-            // case is a *shallow* copy — base array shared, edit
-            // buffered in the delta.
-            let mut fresh = leaf.clone();
-            // A tombstoned key re-inserts by flipping its entry in
-            // place, so only genuinely new entries count against the
-            // capacity.
-            if fresh.delta.contains(&key) || fresh.delta.len() < self.index.config().delta_buffer {
-                fresh.delta.put(key, value);
-                fresh.delta_net += 1;
-                self.writes.delta_hit();
-            } else {
-                self.flush_clone(&mut fresh);
-                match Arc::make_mut(&mut fresh.data).insert(key, value) {
-                    InsertOutcome::Inserted { .. } => {}
-                    InsertOutcome::Duplicate => unreachable!("live_get reported the key absent"),
-                }
-            }
-            self.index.store.publish(id, Node::Leaf(fresh));
-            self.index.len.fetch_add(1, Ordering::Relaxed);
-            return Ok(());
+        self.index.store.publish(id, Node::Leaf(fresh));
+        if net < 0 {
+            self.index.len.fetch_sub(net.unsigned_abs(), Ordering::Relaxed);
+        } else {
+            self.index.len.fetch_add(net.unsigned_abs(), Ordering::Relaxed);
         }
     }
 

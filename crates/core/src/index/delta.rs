@@ -29,14 +29,16 @@
 //!
 //! ## Lifecycle
 //!
-//! Deltas are created only by the shared write path
-//! ([`super::concurrent::EpochAlex`]); the exclusive (`&mut`) path
-//! flushes a leaf's delta in place before touching its base array
-//! ([`super::store::Dense::leaf_data_mut`]), so classic
-//! single-threaded use never observes a non-empty buffer. A leaf split
-//! folds the delta into the redistributed children (they start with
-//! empty buffers), and `EpochAlex::into_inner` flushes every buffer so
-//! the recovered [`super::AlexIndex`] is delta-free.
+//! Deltas exist only on the epoch store. The shared write path
+//! ([`super::concurrent::EpochAlex`]) is the only one that creates
+//! them, through one edit that buffers a put or a removal
+//! ([`LeafNode::buffer`]) or flushes the buffer and edits the base. A
+//! leaf split folds the delta into the redistributed children (they
+//! start with empty buffers), and `EpochAlex::into_inner`, the bridge
+//! back to the dense store, folds every buffer, so a dense leaf never
+//! holds one: the exclusive (`&mut`) path asserts that in debug builds
+//! ([`super::store::Dense::leaf_data_mut`]) and the dense iterators
+//! walk base slots only.
 
 use crate::key::AlexKey;
 use std::sync::Arc;
@@ -129,13 +131,6 @@ impl<K: AlexKey, V> DeltaBuf<K, V> {
     #[inline]
     pub fn lower_bound(&self, key: &K) -> usize {
         self.entries.partition_point(|(k, _)| k < key)
-    }
-
-    /// The entry at `i` (callers keep `i < len()`).
-    #[inline]
-    pub fn entry(&self, i: usize) -> (&K, &DeltaOp<V>) {
-        let (k, op) = &self.entries[i];
-        (k, op)
     }
 
     /// Largest buffered key, if any.
@@ -241,57 +236,18 @@ impl<K: AlexKey, V: Clone + Default> LeafNode<K, V> {
         }
     }
 
-    /// Next merged entry at or after positions `(slot, didx)`:
-    /// `slot` is the next base slot to inspect (gaps are normalized),
-    /// `didx` the next delta index. Returns the entry plus the
-    /// positions to resume from. Tombstones and shadowed base entries
-    /// are resolved here.
-    pub(crate) fn merged_next(
-        &self,
-        mut slot: usize,
-        mut didx: usize,
-    ) -> Option<((&K, &V), usize, usize)> {
-        loop {
-            let base = if self.data.num_keys() > 0 && slot < self.data.capacity() {
-                if slot == 0 {
-                    self.data.first_occupied()
+    /// Buffer one edit of `key`, upholding the entry invariants: a put
+    /// upserts, and a removal drops a buffered insert outright and
+    /// tombstones a key the base holds. The caller keeps `delta_net`.
+    pub(crate) fn buffer(&mut self, key: K, op: DeltaOp<V>) {
+        match op {
+            DeltaOp::Put(value) => self.delta.put(key, value),
+            DeltaOp::Tombstone => {
+                let buffered = matches!(self.delta.get(&key), Some(DeltaOp::Put(_)));
+                if buffered && self.data.get(&key).is_none() {
+                    self.delta.remove_entry(&key);
                 } else {
-                    self.data.next_occupied_after(slot - 1)
-                }
-            } else {
-                None
-            };
-            let buffered = (didx < self.delta.len()).then(|| self.delta.entry(didx));
-            match (base, buffered) {
-                (None, None) => return None,
-                (Some(s), None) => {
-                    let (k, v) = self.data.entry_at(s);
-                    return Some(((k, v), s + 1, didx));
-                }
-                (None, Some((dk, op))) => match op {
-                    DeltaOp::Put(v) => return Some(((dk, v), slot, didx + 1)),
-                    // Its base key lies before `slot` (already passed).
-                    DeltaOp::Tombstone => didx += 1,
-                },
-                (Some(s), Some((dk, op))) => {
-                    let (bk, bv) = self.data.entry_at(s);
-                    if dk < bk {
-                        match op {
-                            DeltaOp::Put(v) => return Some(((dk, v), slot, didx + 1)),
-                            DeltaOp::Tombstone => didx += 1,
-                        }
-                    } else if dk == bk {
-                        match op {
-                            // Shadow: the buffered payload wins.
-                            DeltaOp::Put(v) => return Some(((dk, v), s + 1, didx + 1)),
-                            DeltaOp::Tombstone => {
-                                slot = s + 1;
-                                didx += 1;
-                            }
-                        }
-                    } else {
-                        return Some(((bk, bv), s + 1, didx));
-                    }
+                    self.delta.tombstone(key);
                 }
             }
         }

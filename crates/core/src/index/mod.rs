@@ -22,10 +22,12 @@
 //!   doubly-linked leaf chain.
 //! - `build` — static/adaptive RMI construction (Algorithm 4), dense
 //!   only.
-//! - `ops` — point, range, and sorted-batch operations.
-//! - `split` — node splitting on inserts (§3.4.2): one plan over either
-//!   store, applied in place on the dense store or as a single atomic
-//!   publication on the epoch store, so concurrent readers never block.
+//! - `ops` — point, range, and sorted-batch operations, with the one
+//!   leaf-run router every sorted batch loops over.
+//! - `split` — node splitting on inserts (§3.4.2): the one split check
+//!   every insert path asks, and one plan over either store, applied in
+//!   place on the dense store or as a single atomic publication on the
+//!   epoch store, so concurrent readers never block.
 //! - `concurrent` — [`EpochAlex`], the internally synchronized wrapper
 //!   whose readers pin an epoch instead of taking any lock.
 

@@ -2,14 +2,18 @@
 //!
 //! Routing (§3.2: model predictions only, no comparisons until the
 //! leaf) lives here; storage access goes through the store types of
-//! [`super::store`]. The batch operations ([`AlexIndex::get_many`],
-//! [`AlexIndex::bulk_insert`]) exploit sorted input to route through
-//! the RMI once per *leaf run* instead of once per key.
+//! [`super::store`]. The sorted-batch operations exploit monotone
+//! routing through one router, [`AlexIndex::leaf_run`]: given the leaf
+//! the first key of a sorted slice routes to, it returns how many
+//! leading keys that leaf owns. [`AlexIndex::get_many`], the dense
+//! [`AlexIndex::bulk_insert`] and [`super::EpochAlex::bulk_insert`]
+//! all loop over it, so each touches a leaf once per run instead of
+//! once per key.
 //!
 //! The descent and the snapshot reads (`get`, `get_many`,
-//! `scan_from`) are written once over [`NodeStore`] and read each
-//! node exactly once, so they are sound on the epoch store under a
-//! pin: that is how [`super::EpochAlex`], and through it every
+//! `scan_from`, the router) are written once over [`NodeStore`] and
+//! read each node exactly once, so they are sound on the epoch store
+//! under a pin: that is how [`super::EpochAlex`], and through it every
 //! `alex-sharded` shard, serves lock-free readers. The writes and the
 //! borrowing iterators (`range_from`, `iter`) are dense-only.
 
@@ -17,64 +21,15 @@ use core::sync::atomic::Ordering;
 
 use alex_api::{check_batch_keys, is_sorted_ignoring_nan, InsertError};
 
-use crate::config::RmiMode;
-use crate::data_node::InsertOutcome;
+use crate::data_node::{DataNode, InsertOutcome};
 use crate::iter::RangeIter;
 use crate::key::AlexKey;
 
 use super::store::{LeafNode, Node, NodeId, NodeStore};
 use super::AlexIndex;
 
-/// Cached routing target for a run of ascending keys: a leaf plus the
-/// largest key it is known to own. Valid while `key <= max_key` (or
-/// unconditionally for the tail leaf): routing is monotone, so any key
-/// between two keys routed to the same leaf routes there too.
-struct LeafRun<K> {
-    id: NodeId,
-    /// Largest key stored in the leaf (`None` for an empty leaf — no
-    /// ownership claim can be made, so every key re-routes).
-    max_key: Option<K>,
-    /// The tail leaf owns everything from its region upward.
-    is_tail: bool,
-}
-
-impl<K: AlexKey> LeafRun<K> {
-    /// Whether `key` is guaranteed to route to this cached leaf.
-    #[inline]
-    fn owns(&self, key: &K) -> bool {
-        if self.is_tail {
-            return true;
-        }
-        self.max_key.as_ref().is_some_and(|max| key <= max)
-    }
-}
-
-/// Snapshot flavour of [`LeafRun`] for the read-only batch path: the
-/// loaded leaf reference itself is cached, so the run survives a
-/// concurrent republication of the slot (shared regime).
-struct LeafRunRef<'a, K, V> {
-    leaf: &'a LeafNode<K, V>,
-    max_key: Option<K>,
-    is_tail: bool,
-}
-
-impl<'a, K: AlexKey, V> LeafRunRef<'a, K, V> {
-    fn new(leaf: &'a LeafNode<K, V>) -> Self
-    where
-        V: Clone + Default,
-    {
-        Self {
-            leaf,
-            max_key: leaf.routing_max_key(),
-            is_tail: leaf.next.is_none(),
-        }
-    }
-
-    #[inline]
-    fn owns(&self, key: &K) -> bool {
-        self.is_tail || self.max_key.as_ref().is_some_and(|max| key <= max)
-    }
-}
+/// A leaf a descent found: its id and its loaded snapshot.
+type Routed<'a, K, V> = (NodeId, &'a LeafNode<K, V>);
 
 impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
     // ------------------------------------------------------------------
@@ -170,20 +125,58 @@ impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
     pub fn get_many(&self, keys: &[K]) -> Vec<Option<&V>> {
         debug_assert!(is_sorted_ignoring_nan(keys), "get_many input must be sorted");
         let mut out = Vec::with_capacity(keys.len());
-        let mut run: Option<LeafRunRef<'_, K, V>> = None;
-        for key in keys {
-            let leaf = match &run {
-                Some(r) if r.owns(key) => r.leaf,
-                _ => {
-                    let fresh = LeafRunRef::new(self.route_to_leaf(key).1);
-                    let leaf = fresh.leaf;
-                    run = Some(fresh);
-                    leaf
-                }
-            };
-            out.push(leaf.live_get(key));
+        let mut rest = keys;
+        let mut head = keys.first().map(|k| self.route_to_leaf(k));
+        while let Some((id, leaf)) = head {
+            let (len, next) = self.leaf_run((id, leaf), rest, |k| k);
+            let (run, tail) = rest.split_at(len);
+            out.extend(run.iter().map(|k| leaf.live_get(k)));
+            rest = tail;
+            head = next;
         }
         out
+    }
+
+    /// The leaf run at the front of a sorted slice whose first item's
+    /// key routes to the leaf at `id`, loaded as `leaf`: how many
+    /// leading items route there too (at least one) and, when the slice
+    /// goes on, the leaf the next item routes to.
+    ///
+    /// Routing is monotone (§3.2), so every key between two keys
+    /// routed to a leaf routes there too: the leading keys up to the
+    /// leaf's largest key join the run without a descent, and the tail
+    /// leaf owns everything from `items[0]` on. Keys past the largest
+    /// key extend the run one descent each until one routes elsewhere,
+    /// so a sorted slice forms exactly one run per leaf it touches. That
+    /// last descent is returned rather than repeated: a read batch
+    /// starts its next run from it, while the write paths route each
+    /// run afresh, since a write may split the leaf a descent found.
+    ///
+    /// A NaN key, which only reads may carry, compares false and so
+    /// ends the bulk part; it joins whichever run routing or the tail
+    /// gives it, and every leaf answers it absent.
+    #[inline]
+    pub(super) fn leaf_run<'a, T>(
+        &'a self,
+        (id, leaf): Routed<'a, K, V>,
+        items: &[T],
+        key_of: impl Fn(&T) -> &K,
+    ) -> (usize, Option<Routed<'a, K, V>>) {
+        if leaf.next.is_none() {
+            return (items.len(), None);
+        }
+        let mut len = leaf
+            .routing_max_key()
+            .map_or(0, |max| items.iter().take_while(|t| *key_of(t) <= max).count())
+            .max(1);
+        while let Some(item) = items.get(len) {
+            let next = self.route_to_leaf(key_of(item));
+            if next.0 != id {
+                return (len, Some(next));
+            }
+            len += 1;
+        }
+        (len, None)
     }
 
     // ------------------------------------------------------------------
@@ -219,24 +212,12 @@ impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
 }
 
 impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
-    /// Route `key` and capture the run cache for subsequent keys.
-    fn start_run(&self, key: &K) -> LeafRun<K> {
-        let id = self.find_leaf(key);
-        let leaf = self.store.leaf(id);
-        LeafRun {
-            id,
-            max_key: leaf.routing_max_key(),
-            is_tail: leaf.next.is_none(),
-        }
-    }
-
     // ------------------------------------------------------------------
     // Point writes
     // ------------------------------------------------------------------
 
     /// Look up `key` and return a mutable reference to its payload
-    /// (payload updates, §3.2). Flushes the leaf's delta buffer first
-    /// so the in-place edit and the merged view stay coherent.
+    /// (payload updates, §3.2).
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let leaf = self.find_leaf(key);
         self.store.leaf_data_mut(leaf).get_mut(key)
@@ -251,31 +232,17 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         if key.is_sentinel() {
             return Err(InsertError::UnsupportedKey);
         }
-        let leaf = self.find_leaf(&key);
-        if self.maybe_split(leaf) {
+        let (id, leaf) = self.route_to_leaf(&key);
+        if self.split_room(leaf) == 0 && self.split_leaf(id) {
+            // The leaf became a routing node: re-route.
             return self.insert(key, value);
         }
-        match self.store.leaf_data_mut(leaf).insert(key, value) {
+        match self.store.leaf_data_mut(id).insert(key, value) {
             InsertOutcome::Inserted { .. } => {
                 self.len.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             InsertOutcome::Duplicate => Err(InsertError::DuplicateKey),
-        }
-    }
-
-    /// Split `leaf` if the config calls for split-on-insert and the
-    /// next insert would overflow it. Returns whether a split happened
-    /// (routing must then restart — the leaf became an inner node).
-    fn maybe_split(&mut self, leaf: NodeId) -> bool {
-        if let RmiMode::Adaptive {
-            max_node_keys,
-            split_on_insert: true,
-        } = self.config.rmi
-        {
-            self.store.leaf(leaf).live_keys() + 1 > max_node_keys && self.split_leaf(leaf)
-        } else {
-            false
         }
     }
 
@@ -306,7 +273,10 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     /// check).
     ///
     /// Equivalent to calling [`AlexIndex::insert`] per pair, including
-    /// split-on-insert behaviour.
+    /// split-on-insert behaviour: a run is cut at the leaf's split
+    /// room, so the leaf splits before the key that finds it full. The
+    /// one exception is a full leaf no model can split, which takes the
+    /// rest of its run at once instead of retrying the split per key.
     ///
     /// # Panics
     /// Panics (debug builds) if `pairs` is not sorted non-decreasing by
@@ -318,32 +288,23 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
             "bulk_insert input must be sorted by key"
         );
         let mut inserted = 0usize;
-        let mut run: Option<LeafRun<K>> = None;
-        for (key, value) in pairs {
-            let id = match &run {
-                Some(r) if r.owns(key) => r.id,
-                _ => {
-                    let fresh = self.start_run(key);
-                    let id = fresh.id;
-                    run = Some(fresh);
-                    id
-                }
+        let mut rest = pairs;
+        while let Some((key, _)) = rest.first() {
+            let (id, leaf) = self.route_to_leaf(key);
+            let (len, _) = self.leaf_run((id, leaf), rest, |(k, _)| k);
+            let room = match self.split_room(leaf) {
+                // The leaf became a routing node: re-route.
+                0 if self.split_leaf(id) => continue,
+                // No model separates its keys: the full leaf takes the
+                // run.
+                0 => usize::MAX,
+                room => room,
             };
-            if self.maybe_split(id) {
-                // The cached leaf became an inner node: re-route.
-                run = None;
-                if self.insert(*key, value.clone()).is_ok() {
-                    inserted += 1;
-                }
-                continue;
-            }
-            match self.store.leaf_data_mut(id).insert(*key, value.clone()) {
-                InsertOutcome::Inserted { .. } => {
-                    self.len.fetch_add(1, Ordering::Relaxed);
-                    inserted += 1;
-                }
-                InsertOutcome::Duplicate => {}
-            }
+            let (run, tail) = rest.split_at(len.min(room));
+            let landed = insert_run(self.store.leaf_data_mut(id), run);
+            self.len.fetch_add(landed, Ordering::Relaxed);
+            inserted += landed;
+            rest = tail;
         }
         Ok(inserted)
     }
@@ -355,16 +316,28 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     /// Iterate entries with key `>= key` in order, across leaves, at
     /// most `limit` of them.
     pub fn range_from<'a>(&'a self, key: &K, limit: usize) -> RangeIter<'a, K, V> {
-        let (id, leaf) = self.route_to_leaf(key);
+        let (_, leaf) = self.route_to_leaf(key);
         let slot = leaf.data.lower_bound_slot(key);
-        let didx = leaf.delta.lower_bound(key);
-        RangeIter::new(self, id, slot, didx, limit)
+        RangeIter::new(self, leaf, (slot < leaf.data.capacity()).then_some(slot), limit)
     }
 
     /// Iterate all entries in key order.
     pub fn iter(&self) -> RangeIter<'_, K, V> {
-        // The stored head may predate a head split: normalize.
-        let (head, _) = self.descend_first_leaf(self.store.head_leaf());
-        RangeIter::new(self, head, 0, 0, usize::MAX)
+        // Splits keep the root's id, and its leftmost descent always
+        // ends at the leaf owning the lowest keys: the chain's head.
+        let (_, head) = self.descend_first_leaf(self.root);
+        RangeIter::new(self, head, head.data.first_occupied(), usize::MAX)
     }
+}
+
+/// Insert a sorted run of pairs into one leaf's base array, skipping
+/// duplicates; returns how many landed. Both batch inserts apply their
+/// runs through it.
+pub(super) fn insert_run<K: AlexKey, V: Clone + Default>(
+    data: &mut DataNode<K, V>,
+    run: &[(K, V)],
+) -> usize {
+    run.iter()
+        .filter(|(k, v)| matches!(data.insert(*k, v.clone()), InsertOutcome::Inserted { .. }))
+        .count()
 }

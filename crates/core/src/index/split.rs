@@ -1,6 +1,12 @@
 //! Node splitting on inserts (§3.4.2), planned once over either
 //! store, applied per store type.
 //!
+//! Every insert path asks one question first,
+//! [`AlexIndex::split_room`]: how many more keys the leaf can take
+//! before split-on-insert must split it. At zero the leaf splits
+//! before the insert; a batch run is cut at the room, so a batch
+//! splits at the same moments as inserting key by key.
+//!
 //! A full leaf's model becomes an inner model routing to
 //! [`SPLIT_FANOUT`] fresh leaves; data is redistributed by the
 //! original model; no rebalancing. The split is factored into a
@@ -19,15 +25,20 @@
 //!    subtree, and the old leaf is retired to the epoch garbage list.
 //!    On the dense store it is a plain overwrite
 //!    ([`super::Dense::publish`]), sound because `&mut self` proves no
-//!    concurrent reader.
-//! 3. Neighbour chain pointers are *healed* afterwards (in place on
-//!    the dense store, copy-on-write on the epoch store). Readers that
+//!    concurrent reader. The root keeps its id through every split,
+//!    so the leftmost descent from it stays the chain's head.
+//! 3. The predecessor's `next` is *healed* afterwards (in place on the
+//!    dense store, copy-on-write on the epoch store). Readers that
 //!    raced the heal and walked into the old id simply find the inner
 //!    node and descend to its leftmost leaf — the replacement covers
-//!    the same key range, so ordered scans stay ordered.
+//!    the same key range, so ordered scans stay ordered. The
+//!    successor's `prev` is left stale: it is a write-side hint only,
+//!    and planning corrects it by descending to the rightmost leaf
+//!    under the id it names.
 
 use core::sync::atomic::Ordering;
 
+use crate::config::RmiMode;
 use crate::data_node::DataNode;
 use crate::key::AlexKey;
 use crate::model::LinearModel;
@@ -48,17 +59,18 @@ struct SplitPlan<K, V> {
     /// First child id — must equal `store.next_id()` at apply time
     /// (guaranteed: planning and applying happen under one writer).
     base: NodeId,
+    /// The split leaf's chain predecessor, whose `next` the apply
+    /// heals.
     prev: Option<NodeId>,
-    next: Option<NodeId>,
 }
 
 impl<K, V> SplitPlan<K, V> {
-    fn first(&self) -> NodeId {
-        self.base
-    }
-
-    fn last(&self) -> NodeId {
-        self.base + (self.children.len() - 1) as NodeId
+    /// The routing inner node that replaces the split leaf.
+    fn routing_node(&self) -> Node<K, V> {
+        Node::Inner(InnerNode {
+            model: self.route,
+            children: (0..self.children.len()).map(|i| self.base + i as NodeId).collect(),
+        })
     }
 }
 
@@ -121,8 +133,21 @@ impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
             children,
             base,
             prev,
-            next,
         })
+    }
+
+    /// How many more keys the leaf `leaf` can take before
+    /// split-on-insert must split it; zero means the next insert
+    /// splits it first. Unbounded without split-on-insert. Counts the
+    /// merged live keys, so a buffered edit counts like a stored one.
+    pub(super) fn split_room(&self, leaf: &LeafNode<K, V>) -> usize {
+        match self.config.rmi {
+            RmiMode::Adaptive {
+                max_node_keys,
+                split_on_insert: true,
+            } => max_node_keys.saturating_sub(leaf.live_keys()),
+            _ => usize::MAX,
+        }
     }
 }
 
@@ -134,43 +159,20 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         let Some(plan) = self.plan_split(id) else {
             return false;
         };
-        let (prev, next) = (plan.prev, plan.next);
-        let (first, last) = (plan.first(), plan.last());
-        self.apply_split_mut(id, plan);
-        // Heal neighbour chain pointers in place — exclusive access
-        // means no reader can observe the intermediate state.
-        if let Some(p) = prev {
-            let (pid, _) = self.descend_last_leaf(p);
-            self.store.leaf_mut(pid).next = Some(first);
-        }
-        if let Some(n) = next {
-            let (nid, _) = self.descend_first_leaf(n);
-            self.store.leaf_mut(nid).prev = Some(last);
-        }
-        true
-    }
-
-    /// Apply a planned split through exclusive access: push the
-    /// children, repoint the head if the head leaf split, and overwrite
-    /// the old leaf with the routing inner node.
-    fn apply_split_mut(&mut self, id: NodeId, plan: SplitPlan<K, V>) {
         debug_assert_eq!(plan.base, self.store.next_id(), "ids must not move between plan and apply");
-        let first = plan.first();
-        let count = plan.children.len();
+        let inner = plan.routing_node();
         for child in plan.children {
             self.store.push(Node::Leaf(child));
         }
-        if plan.prev.is_none() {
-            self.store.set_head(first);
-        }
-        self.store.publish(
-            id,
-            Node::Inner(InnerNode {
-                model: plan.route,
-                children: (0..count).map(|i| first + i as NodeId).collect(),
-            }),
-        );
+        self.store.publish(id, inner);
         self.splits.fetch_add(1, Ordering::Relaxed);
+        // Heal the predecessor in place — exclusive access means no
+        // reader can observe the intermediate state.
+        if let Some(p) = plan.prev {
+            let (pid, _) = self.descend_last_leaf(p);
+            self.store.leaf_mut(pid).next = Some(plan.base);
+        }
+        true
     }
 }
 
@@ -182,52 +184,29 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V, Epoch<K, V>> {
         let Some(plan) = self.plan_split(id) else {
             return false;
         };
-        let prev = plan.prev;
-        let first = plan.first();
-        self.apply_split_shared(id, plan);
+        debug_assert_eq!(plan.base, self.store.next_id(), "ids must not move between plan and apply");
+        let inner = plan.routing_node();
+        for child in plan.children {
+            self.store.push(Node::Leaf(child));
+        }
+        // The publication point: one atomic store makes the whole
+        // subtree visible and retires the old leaf.
+        self.store.publish(id, inner);
+        self.splits.fetch_add(1, Ordering::Relaxed);
         // Heal the predecessor's forward pointer so scans reach the
         // new leaves directly instead of descending through the
         // retired slot's inner node. Readers holding the old
         // predecessor snapshot still work: they walk into `id`, find
-        // the inner node, and descend. `prev` pointers are write-side
-        // hints only, so the successor is left untouched. The clone
-        // here is shallow (the base array is `Arc`-shared with the
-        // retiring snapshot; only the chain pointer changes).
-        if let Some(p) = prev {
+        // the inner node, and descend. The clone here is shallow (the
+        // base array is `Arc`-shared with the retiring snapshot; only
+        // the chain pointer changes).
+        if let Some(p) = plan.prev {
             let (pid, pleaf) = self.descend_last_leaf(p);
             debug_assert_eq!(pleaf.next, Some(id), "chain predecessor must point at the split leaf");
             let mut healed = pleaf.clone();
-            healed.next = Some(first);
+            healed.next = Some(plan.base);
             self.store.publish(pid, Node::Leaf(healed));
         }
         true
-    }
-
-    /// Apply a planned split through the shared writer (`&self`):
-    /// identical ordering, but the final step is the atomic
-    /// [`Epoch::publish`] that makes the subtree visible and retires
-    /// the old leaf.
-    fn apply_split_shared(&self, id: NodeId, plan: SplitPlan<K, V>) {
-        debug_assert_eq!(plan.base, self.store.next_id(), "ids must not move between plan and apply");
-        let first = plan.first();
-        let count = plan.children.len();
-        for child in plan.children {
-            self.store.push(Node::Leaf(child));
-        }
-        if plan.prev.is_none() {
-            // Head split: repoint before publication so fresh scans
-            // starting at the head never miss the low keys.
-            self.store.set_head(first);
-        }
-        // The publication point: one atomic store makes the whole
-        // subtree visible and retires the old leaf.
-        self.store.publish(
-            id,
-            Node::Inner(InnerNode {
-                model: plan.route,
-                children: (0..count).map(|i| first + i as NodeId).collect(),
-            }),
-        );
-        self.splits.fetch_add(1, Ordering::Relaxed);
     }
 }

@@ -12,17 +12,17 @@
 //! store type *is* the regime:
 //!
 //! - **[`Dense`]** (the default, under every `AlexIndex<K, V>`): nodes
-//!   packed in a plain `Vec` with sequential ids and a plain head id.
-//!   Descents index the vector directly — no atomic pointer hop, no
-//!   epoch bookkeeping. Every mutation takes `&mut self`
-//!   ([`Dense::push`], [`Dense::publish`], [`Dense::leaf_mut`]), so the
-//!   borrow checker proves no reader races a writer, and in-place
-//!   edits and unguarded reads are sound.
+//!   packed in a plain `Vec` with sequential ids. Descents index the
+//!   vector directly — no atomic pointer hop, no epoch bookkeeping.
+//!   Every mutation takes `&mut self` ([`Dense::push`],
+//!   [`Dense::publish`], [`Dense::leaf_mut`]), so the borrow checker
+//!   proves no reader races a writer, and in-place edits and
+//!   unguarded reads are sound.
 //! - **[`Epoch`]** (under `EpochAlex`, hence every `ShardedAlex`
 //!   shard): each node behind an atomic pointer in an [`AtomicSlots`]
-//!   arena with its own epoch [`Collector`] and an atomic head. A
-//!   reachable node is **never overwritten in place**: the
-//!   mutex-serialized writer installs a replacement at the same id
+//!   arena with its own epoch [`Collector`]. A reachable node is
+//!   **never overwritten in place**: the mutex-serialized writer
+//!   installs a replacement at the same id
 //!   through `&self` ([`Epoch::publish`]) and the old node is retired
 //!   to the arena's garbage list; readers pin an epoch
 //!   ([`Epoch::pin`]) and descend wait-free. The slot at a given id
@@ -31,11 +31,13 @@
 //!   behind), so ids held in old snapshots always remain meaningful.
 //!
 //! The read path needs only what both stores share — node access by
-//! id, the next id, the chain head — which is the sealed
-//! [`NodeStore`] trait; the read side of the index is written once
-//! over it. Writes are inherent methods of one store type or the
-//! other, so a shared-regime write on a dense store, or an in-place
-//! edit of an epoch arena, does not compile.
+//! id and the next id — which is the sealed [`NodeStore`] trait; the
+//! read side of the index is written once over it. Neither store keeps
+//! a chain head: splits keep the root's id and its first child always
+//! owns the lowest keys, so the leftmost descent from the root is the
+//! first leaf in key order. Writes are inherent methods of one store
+//! type or the other, so a shared-regime write on a dense store, or an
+//! in-place edit of an epoch arena, does not compile.
 //!
 //! [`Dense::into_epoch`] and [`Epoch::into_dense`] convert between the
 //! two by re-housing every node in id order (ids are allocated
@@ -47,7 +49,6 @@ use crate::data_node::DataNode;
 use crate::epoch::{AtomicSlots, Collector, Guard};
 use crate::key::AlexKey;
 use crate::model::LinearModel;
-use core::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use super::delta::DeltaBuf;
@@ -84,8 +85,8 @@ pub struct InnerNode {
 /// cloning the whole gapped array per write (`Clone` on this type is
 /// therefore cheap by design; see [`super::delta`] for the merged-view
 /// contract and lifecycle). Exclusive mutation goes through
-/// [`Dense::leaf_data_mut`], which flushes the delta and
-/// `Arc::make_mut`s the base.
+/// [`Dense::leaf_data_mut`], which `Arc::make_mut`s the base; a dense
+/// leaf never holds a delta.
 ///
 /// Chain pointers may be *stale* after a concurrent split: the
 /// forward walk handles a `next` id whose slot now holds an inner node
@@ -147,11 +148,6 @@ pub trait NodeStore<K, V>: sealed::Sealed {
     /// fully linked.
     fn next_id(&self) -> NodeId;
 
-    /// First leaf in key order. After a head split this may
-    /// transiently (shared regime) name a slot that now holds an inner
-    /// node; callers descend to its leftmost leaf.
-    fn head_leaf(&self) -> NodeId;
-
     /// The leaf at `id`.
     ///
     /// # Panics
@@ -185,8 +181,6 @@ pub trait NodeStore<K, V>: sealed::Sealed {
 #[derive(Debug)]
 pub struct Dense<K, V> {
     nodes: Vec<Node<K, V>>,
-    /// First leaf in key order (entry point for full iteration).
-    head: NodeId,
 }
 
 impl<K, V> NodeStore<K, V> for Dense<K, V> {
@@ -199,21 +193,12 @@ impl<K, V> NodeStore<K, V> for Dense<K, V> {
     fn next_id(&self) -> NodeId {
         self.nodes.len() as NodeId
     }
-
-    #[inline]
-    fn head_leaf(&self) -> NodeId {
-        self.head
-    }
 }
 
 impl<K, V> Dense<K, V> {
-    /// An empty store. The head defaults to node 0; callers must push
-    /// at least one leaf (or link a chain) before reading it.
+    /// An empty store; callers push at least one leaf before reading.
     pub(crate) fn new() -> Self {
-        Self {
-            nodes: Vec::new(),
-            head: 0,
-        }
+        Self { nodes: Vec::new() }
     }
 
     /// Allocate a node, returning its id.
@@ -241,17 +226,8 @@ impl<K, V> Dense<K, V> {
         }
     }
 
-    /// Move the chain head.
-    #[inline]
-    pub(crate) fn set_head(&mut self, id: NodeId) {
-        self.head = id;
-    }
-
-    /// Wire the doubly-linked leaf chain through `order` (key order)
-    /// and point the head at the first entry (bulk builds).
-    ///
-    /// # Panics
-    /// Panics if `order` is empty.
+    /// Wire the doubly-linked leaf chain through `order` (key order;
+    /// bulk builds).
     pub(crate) fn link_chain(&mut self, order: &[NodeId]) {
         for (i, &id) in order.iter().enumerate() {
             let prev = (i > 0).then(|| order[i - 1]);
@@ -260,12 +236,11 @@ impl<K, V> Dense<K, V> {
             leaf.prev = prev;
             leaf.next = next;
         }
-        self.set_head(*order.first().expect("at least one leaf"));
     }
 
     /// Move every node, in id order, into a fresh epoch arena with its
     /// own clock. Sequential allocation in both stores preserves every
-    /// id, so the tree, the chain, and the head stay valid.
+    /// id, so the tree and the chain stay valid.
     pub(crate) fn into_epoch(self) -> Epoch<K, V> {
         let slots = AtomicSlots::new();
         for node in self.nodes {
@@ -274,23 +249,23 @@ impl<K, V> Dense<K, V> {
         Epoch {
             slots,
             collector: Collector::new(),
-            head: AtomicU32::new(self.head),
         }
     }
 }
 
 impl<K: AlexKey, V: Clone + Default> Dense<K, V> {
     /// Exclusive mutable access to the *base array* of the leaf at
-    /// `id`: flushes any pending delta in place first (so in-place
-    /// edits and the merged view stay coherent), then unshares the
-    /// base if anything else still holds it.
+    /// `id`, unshared if anything else still holds it. A dense leaf
+    /// never holds a delta (see [`super::delta`]'s lifecycle), so the
+    /// base is the whole leaf.
     ///
     /// # Panics
-    /// Panics if `id` holds an inner node.
+    /// Panics if `id` holds an inner node, and (debug builds) if the
+    /// leaf holds a delta.
     #[inline]
     pub(crate) fn leaf_data_mut(&mut self, id: NodeId) -> &mut DataNode<K, V> {
         let leaf = self.leaf_mut(id);
-        leaf.flush_delta();
+        debug_assert!(leaf.delta.is_empty(), "a dense leaf never holds a delta");
         Arc::make_mut(&mut leaf.data)
     }
 }
@@ -313,10 +288,7 @@ impl<K: Clone, V: Clone> Clone for Dense<K, V> {
                 }),
             })
             .collect();
-        Self {
-            nodes,
-            head: self.head,
-        }
+        Self { nodes }
     }
 }
 
@@ -328,10 +300,6 @@ pub struct Epoch<K, V> {
     slots: AtomicSlots<Node<K, V>>,
     /// Epoch clock for this arena's readers and retire list.
     collector: Collector,
-    /// First leaf in key order. Atomic so the serialized writer can
-    /// move it through `&self`; may lag behind a head split, which
-    /// readers normalize by descending.
-    head: AtomicU32,
 }
 
 impl<K, V> NodeStore<K, V> for Epoch<K, V> {
@@ -343,11 +311,6 @@ impl<K, V> NodeStore<K, V> for Epoch<K, V> {
     #[inline]
     fn next_id(&self) -> NodeId {
         self.slots.len()
-    }
-
-    #[inline]
-    fn head_leaf(&self) -> NodeId {
-        self.head.load(Ordering::Acquire)
     }
 }
 
@@ -379,12 +342,6 @@ impl<K, V> Epoch<K, V> {
         self.slots.publish(id, node, &self.collector);
     }
 
-    /// Move the chain head (the serialized writer only).
-    #[inline]
-    pub(crate) fn set_head(&self, id: NodeId) {
-        self.head.store(id, Ordering::Release);
-    }
-
     /// Retired-but-not-yet-freed node count.
     pub(crate) fn retired(&self) -> usize {
         self.slots.retired()
@@ -409,10 +366,8 @@ impl<K: Clone, V: Clone> Epoch<K, V> {
     /// their references, so the dense store owns every base uniquely
     /// again.
     pub(crate) fn into_dense(self) -> Dense<K, V> {
-        let nodes = self.slots.iter().cloned().collect();
         Dense {
-            nodes,
-            head: self.head.into_inner(),
+            nodes: self.slots.iter().cloned().collect(),
         }
     }
 }
@@ -454,13 +409,14 @@ mod tests {
         let mut store: Dense<u64, u64> = Dense::new();
         let ids: Vec<NodeId> = (0..3).map(|i| store.push(leaf(&[(i, i)]))).collect();
         store.link_chain(&ids);
-        assert_eq!(store.head_leaf(), ids[0]);
+        // The head is the one leaf without a predecessor.
+        assert_eq!(store.leaf(ids[0]).prev, None);
         assert_eq!(store.leaf(ids[0]).next, Some(ids[1]));
         assert_eq!(store.leaf(ids[1]).prev, Some(ids[0]));
         assert_eq!(store.leaf(ids[2]).next, None);
         // The epoch store serves the same chain.
         let store = store.into_epoch();
-        assert_eq!(store.head_leaf(), ids[0]);
+        assert_eq!(store.leaf(ids[0]).prev, None);
         assert_eq!(store.leaf(ids[0]).next, Some(ids[1]));
         assert_eq!(store.leaf(ids[1]).prev, Some(ids[0]));
         assert_eq!(store.leaf(ids[2]).next, None);
@@ -541,7 +497,7 @@ mod tests {
         let store = store.into_dense();
         assert_eq!(store.leaf(ids[0]).data.get(&0), Some(&99));
         assert_eq!(store.leaf(ids[1]).next, Some(ids[2]));
-        assert_eq!(store.head_leaf(), ids[0]);
+        assert_eq!(store.leaf(ids[0]).prev, None);
         assert_eq!(store.next_id(), 5);
         // The dense store owns every base uniquely again.
         for leaf in store.leaves() {

@@ -415,6 +415,10 @@ fn bulk_insert_agrees_with_per_key_insert() {
         let batch_pairs: Vec<(u64, u64)> = batch_index.iter().map(|(k, v)| (*k, *v)).collect();
         let serial_pairs: Vec<(u64, u64)> = serial_index.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(batch_pairs, serial_pairs, "{}", cfg.variant_name());
+        // Same leaves, same work: the batch is per-key insert at the
+        // layout level, not just in content.
+        assert_eq!(batch_index.write_stats(), serial_index.write_stats(), "{}", cfg.variant_name());
+        assert_eq!(batch_index.size_report(), serial_index.size_report(), "{}", cfg.variant_name());
         batch_index.debug_assert_invariants();
     }
 }
@@ -436,6 +440,10 @@ fn bulk_insert_with_splitting_matches_serial() {
     let batch_keys: Vec<u64> = batch_index.iter().map(|(k, _)| *k).collect();
     let serial_keys: Vec<u64> = serial_index.iter().map(|(k, _)| *k).collect();
     assert_eq!(batch_keys, serial_keys);
+    // The batch splits at the same moments as per-key inserts, so the
+    // two build the same leaves.
+    assert_eq!(batch_index.write_stats(), serial_index.write_stats());
+    assert_eq!(batch_index.size_report(), serial_index.size_report());
     batch_index.debug_assert_invariants();
 }
 

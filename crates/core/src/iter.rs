@@ -4,41 +4,37 @@
 //! bitmap, §5.2.3) and follow the doubly-linked leaf chain to the next
 //! data node.
 
-use crate::index::{AlexIndex, NodeId};
+use crate::index::{AlexIndex, LeafNode};
 use crate::key::AlexKey;
 
 /// Iterator over `(key, value)` pairs in key order, produced by
 /// [`AlexIndex::range_from`] and [`AlexIndex::iter`].
 ///
-/// Yields the *merged* view of each leaf: base-array entries
-/// interleaved with pending delta-buffer edits (tombstones hide base
-/// entries, buffered puts insert or shadow them). Outside the shared
-/// write path deltas are empty and this degenerates to the plain
-/// base-array walk.
+/// It walks each leaf's occupied base slots. Only the dense index
+/// iterates, and a dense leaf never holds a delta buffer: those exist
+/// on the epoch store only, and `EpochAlex::into_inner` folds every one
+/// into its base before handing the index back.
 pub struct RangeIter<'a, K, V> {
     index: &'a AlexIndex<K, V>,
-    leaf: Option<NodeId>,
-    /// Next base slot to inspect in the current leaf (may be a gap or
-    /// past the end; normalized by the leaf's merge step).
-    slot: usize,
-    /// Next delta-buffer index to consider in the current leaf.
-    didx: usize,
+    /// The leaf being walked; `None` past the chain's tail.
+    leaf: Option<&'a LeafNode<K, V>>,
+    /// The next occupied slot to yield in `leaf`; `None` once the leaf
+    /// is exhausted.
+    slot: Option<usize>,
     remaining: usize,
 }
 
 impl<'a, K: AlexKey, V: Clone + Default> RangeIter<'a, K, V> {
     pub(crate) fn new(
         index: &'a AlexIndex<K, V>,
-        leaf: NodeId,
-        slot: usize,
-        didx: usize,
+        leaf: &'a LeafNode<K, V>,
+        slot: Option<usize>,
         remaining: usize,
     ) -> Self {
         Self {
             index,
             leaf: Some(leaf),
             slot,
-            didx,
             remaining,
         }
     }
@@ -52,24 +48,16 @@ impl<'a, K: AlexKey, V: Clone + Default> Iterator for RangeIter<'a, K, V> {
             return None;
         }
         loop {
-            let leaf_id = self.leaf?;
-            // A chain pointer may name a slot that a split replaced
-            // with its routing inner node; normalize to the leftmost
-            // leaf of the replacement (same key range, so order is
-            // preserved).
-            let (actual_id, leaf) = self.index.descend_first_leaf(leaf_id);
-            if actual_id != leaf_id {
-                self.leaf = Some(actual_id);
-            }
-            if let Some(((k, v), slot, didx)) = leaf.merged_next(self.slot, self.didx) {
-                self.slot = slot;
-                self.didx = didx;
+            let leaf = self.leaf?;
+            if let Some(slot) = self.slot {
+                self.slot = leaf.data.next_occupied_after(slot);
                 self.remaining -= 1;
-                return Some((k, v));
+                return Some(leaf.data.entry_at(slot));
             }
-            self.leaf = leaf.next;
-            self.slot = 0;
-            self.didx = 0;
+            // A split heals its predecessor's `next`, but descending
+            // keeps the walk ordered even through a routing node.
+            self.leaf = leaf.next.map(|next| self.index.descend_first_leaf(next).1);
+            self.slot = self.leaf.and_then(|l| l.data.first_occupied());
         }
     }
 }

@@ -1,5 +1,4 @@
-//! The key trait for ALEX indexes, its implementations, and the
-//! canonical total-order `f64 ↔ u64` bit map.
+//! The key trait for ALEX indexes and its implementations.
 //!
 //! # Key contract table
 //!
@@ -116,41 +115,6 @@ impl<K: AlexKey> AlexKey for Composite<K> {
     }
 }
 
-/// The canonical total-order `f64 → u64` bit map.
-///
-/// Maps every non-NaN double to a `u64` such that `a < b ⇔
-/// ordered_bits(a) < ordered_bits(b)` under IEEE-754 total order:
-/// positives get the sign bit set (sorting them above negatives),
-/// negatives are bitwise complemented (reversing their
-/// descending-magnitude bit order). `-0.0` and `+0.0` map to adjacent
-/// values (`…7FFF…` and `…8000…`), preserving `-0.0 < +0.0` in the
-/// image — fine for key use, where they are distinct bit patterns
-/// anyway.
-///
-/// # Panics
-/// On NaN: NaN has no place in a total key order, and mapping it would
-/// silently corrupt an index. Reject it at the boundary instead.
-#[inline]
-pub fn ordered_bits(x: f64) -> u64 {
-    assert!(!x.is_nan(), "ordered_bits: NaN is not a valid key");
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
-
-/// Inverse of [`ordered_bits`]: recover the original `f64` bits.
-#[inline]
-pub fn ordered_bits_inverse(b: u64) -> f64 {
-    if b >> 63 == 1 {
-        f64::from_bits(b & !(1 << 63))
-    } else {
-        f64::from_bits(!b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,49 +169,5 @@ mod tests {
         }
         // Tenant strictly dominates while exactly representable.
         assert!(Composite::new(3, u64::MAX - 1).as_f64() < Composite::new(4, 0u64).as_f64());
-    }
-
-    #[test]
-    fn ordered_bits_is_a_total_order_embedding() {
-        let samples = [
-            f64::NEG_INFINITY,
-            f64::MIN,
-            -1e300,
-            -2.5,
-            -1.0,
-            -f64::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1.0,
-            2.5,
-            1e300,
-            f64::MAX,
-            f64::INFINITY,
-        ];
-        for w in samples.windows(2) {
-            assert!(
-                ordered_bits(w[0]) < ordered_bits(w[1]),
-                "{} must map below {}",
-                w[0],
-                w[1]
-            );
-        }
-        // -0.0 and +0.0 are adjacent in the image.
-        assert_eq!(ordered_bits(-0.0) + 1, ordered_bits(0.0));
-    }
-
-    #[test]
-    fn ordered_bits_round_trips() {
-        for x in [f64::NEG_INFINITY, -1e300, -0.0, 0.0, 1.5, f64::MAX, f64::INFINITY] {
-            let back = ordered_bits_inverse(ordered_bits(x));
-            assert_eq!(back.to_bits(), x.to_bits(), "{x}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn ordered_bits_rejects_nan() {
-        ordered_bits(f64::NAN);
     }
 }

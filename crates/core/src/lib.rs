@@ -116,7 +116,7 @@ pub use config::{AlexConfig, NodeLayout, NodeParams, Placement, RmiMode};
 pub use data_node::{DataNode, InsertOutcome};
 pub use index::{AlexIndex, EpochAlex, EpochStats, EpochWriteStats};
 pub use iter::RangeIter;
-pub use key::{ordered_bits, ordered_bits_inverse, AlexKey};
+pub use key::AlexKey;
 pub use model::{LinearModel, PrefixLsq};
 pub use stats::{ReadStats, SizeReport, WriteStats};
 

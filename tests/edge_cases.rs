@@ -176,6 +176,17 @@ fn nan_keys_are_refused_by_every_backend() {
             vec![Some(10), None, Some(20)],
             "{label}: get_many"
         );
+        // A NaN opening or closing a batch, and one inside a batch whose
+        // keys span several leaves and shards.
+        let (first, last) = ([f64::NAN, k10, k20], [k10, k20, f64::NAN]);
+        assert_eq!(index.get_many(&first), vec![None, Some(10), Some(20)], "{label}: NaN first");
+        assert_eq!(index.get_many(&last), vec![Some(10), Some(20), None], "{label}: NaN last");
+        let at = |i: usize| base_keys[i];
+        assert_eq!(
+            index.get_many(&[at(0), at(1), at(700), f64::NAN, at(701), at(1300), at(1999)]),
+            vec![Some(0), Some(1), Some(700), None, Some(701), Some(1300), Some(1999)],
+            "{label}: NaN inside a batch spanning leaves and shards"
+        );
         assert_eq!(index.insert(f64::NAN, 7), Err(InsertError::UnsupportedKey), "{label}");
         assert_eq!(index.bulk_insert(batch), Err(InsertError::UnsupportedKey), "{label}: batch");
         assert_eq!(index.len(), base_keys.len(), "{label}: a refused key is not counted");
