@@ -16,10 +16,10 @@
 //!    inserts on an exclusive `AlexIndex` (dense `Vec` arena): the
 //!    full-index reference the per-leaf costs of groups 1 and 2 are
 //!    measured against.
-//! 4. **Bulk-load cost model** — `PrefixLsq::fit_partitions` (O(1)
-//!    per range, what Algorithm 4 now uses) vs. a streaming
-//!    least-squares refit per range, plus end-to-end adaptive
-//!    bulk-load throughput.
+//! 4. **Bulk load** — end-to-end `AlexIndex::bulk_load` throughput
+//!    over the group 3 keys, for a static RMI (GA-SRMI at one leaf per
+//!    8192 keys, the `read-large` benchmark's shape) and an adaptive
+//!    one (GA-ARMI, Algorithm 4).
 //!
 //! ```sh
 //! cargo run -p alex-bench --release --bin fig_probe -- --csv
@@ -31,7 +31,7 @@ use alex_bench::cli::Args;
 use alex_bench::harness::{emit_metric, METRIC_CSV_HEADER};
 use alex_bench::DEFAULT_SEED;
 use alex_core::search::{blockwise_search_lower_bound, exponential_search_lower_bound};
-use alex_core::{AlexConfig, AlexIndex, DataNode, LinearModel, NodeLayout, NodeParams, PrefixLsq};
+use alex_core::{AlexConfig, AlexIndex, DataNode, NodeLayout, NodeParams};
 use alex_datasets::uniform_dense_keys;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -177,40 +177,25 @@ fn main() {
     emit("dense-arena", "get_mops_per_sec", format!("{:.2}", 1e3 / best_get));
     emit("dense-arena", "ns_per_insert", format!("{best_ins:.1}"));
 
-    // ---- 4. bulk-load cost model: prefix sums vs streaming refit ---
+    // ---- 4. bulk load: static and adaptive RMI --------------------
     if !csv {
-        println!("\n-- bulk-load cost model (Algorithm 4 fanout search) --");
+        println!("\n-- bulk load (keys/s) --");
     }
-    let big_keys = uniform_dense_keys(n);
-    let xs: Vec<f64> = big_keys.iter().map(|&k| k as f64).collect();
-    let lsq = PrefixLsq::from_keys(&big_keys);
-    let width = 4096.min(n);
-    let parts = 64usize;
-    let ranges: Vec<usize> =
-        (0..searches.min(50_000)).map(|_| rng.random_range(0..n - width + 1)).collect();
-    let prefix = time_ns(&ranges, |&s| {
-        lsq.fit_partitions(s..s + width, parts).slope.to_bits() as usize
-    });
-    let streaming = time_ns(&ranges, |&s| {
-        let c = parts as f64 / width as f64;
-        LinearModel::fit(
-            xs[s..s + width].iter().enumerate().map(|(i, &x)| (x, i as f64 * c)),
-        )
-        .slope
-        .to_bits() as usize
-    });
-    emit("prefix-lsq", &format!("ns_per_range_fit@w{width}"), format!("{prefix:.1}"));
-    emit("streaming-fit", &format!("ns_per_range_fit@w{width}"), format!("{streaming:.1}"));
-    let t = Instant::now();
-    let loaded = AlexIndex::bulk_load(&data, AlexConfig::ga_armi());
-    let per_key = data.len() as f64 / t.elapsed().as_secs_f64();
-    core::hint::black_box(loaded.len());
-    emit("adaptive-bulk-load", "keys_per_sec", format!("{per_key:.0}"));
+    for (label, cfg) in [
+        ("static-bulk-load", AlexConfig::ga_srmi((n / 8192).max(1))),
+        ("adaptive-bulk-load", AlexConfig::ga_armi()),
+    ] {
+        let t = Instant::now();
+        let loaded = AlexIndex::bulk_load(&data, cfg);
+        let per_key = data.len() as f64 / t.elapsed().as_secs_f64();
+        core::hint::black_box(loaded.len());
+        emit(label, "keys_per_sec", format!("{per_key:.0}"));
+    }
 
     if !csv {
         println!("\nexpected shape: blockwise wins the mixed-error cell (fixed-error cells");
         println!("are exponential's best case — the predictor learns the periodic hint");
-        println!("pattern); prefix-lsq is flat in range width, the streaming refit linear");
+        println!("pattern); both bulk loads run at about one rate (leaf building dominates)");
     }
 }
 

@@ -11,9 +11,13 @@
 //! at a time. The bin accounts for every transient buffer it and the
 //! loader hold — pilot table, peak block, peak shard staging buffer,
 //! probe set, boundary list — and **asserts** the sum stays under the
-//! budget. (The resident index itself necessarily holds all n keys;
-//! its size is reported separately, alongside the process `VmHWM`
-//! where `/proc` is available.)
+//! budget. Each shard's `AlexIndex::bulk_load` holds nothing beyond
+//! the leaves it builds (its routing fits use running sums, not a
+//! per-key array), so the loader's only other transient is those
+//! leaves, which become the resident index. (The resident index
+//! itself necessarily holds all n keys; its size is reported
+//! separately, alongside the process `VmHWM` where `/proc` is
+//! available.)
 //!
 //! Each step also runs a zipfian read phase against a rank-strided
 //! probe set, then demonstrates read-skew rebalancing: per-shard

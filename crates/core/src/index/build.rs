@@ -11,23 +11,25 @@
 //! the epoch store by `EpochAlex::from_index`. Only the in-order leaf
 //! walk ([`AlexIndex::collect_leaves`]) is written over either store.
 //!
-//! ## Cost-model caching
+//! ## Routing fits from running sums
 //!
-//! Algorithm 4 fits a partition-routing model at every level of its
-//! fanout recursion, and the naive formulation re-converts and re-sums
-//! the same keys at each level — `O(n · depth)` float work. The build
-//! instead computes one [`PrefixLsq`] cache up front (`O(n)`) and
-//! threads global index *ranges* through the recursion: every
-//! per-level model fit becomes an `O(1)` prefix-difference, and
-//! partition boundary probing reuses the cached `f64` keys. The
-//! `fig_probe` bench quantifies the resulting bulk-load speedup.
+//! Algorithm 4 fits one partition-routing model per inner node, over
+//! that node's range of the sorted keys. Each fit takes the
+//! least-squares sums ([`LsqSums`]) at its range's two ends and costs
+//! `O(1)`. `bulk_load`'s one pass over every key folds the root's end
+//! sums, and the root's start sums are zero. A child range that
+//! recurses gets its sums from a cursor that advances from its
+//! parent's start sums, so each key is folded at most once per level
+//! and the build holds no per-key array beside the leaves it builds.
+//! Partitions are cut by [`partition_by_model`], the partitioner
+//! splits use too.
 
 use core::ops::Range;
 
 use crate::config::RmiMode;
 use crate::data_node::DataNode;
 use crate::key::AlexKey;
-use crate::model::{LinearModel, PrefixLsq};
+use crate::model::{LinearModel, LsqSums};
 
 use super::store::{InnerNode, LeafNode, Node, NodeId, NodeStore};
 use super::AlexIndex;
@@ -36,16 +38,16 @@ use super::AlexIndex;
 const INNER_FANOUT: usize = 16;
 
 impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
-    /// Build the RMI for `pairs`, whose keys `lsq` caches, according to
-    /// the configured mode and wire the leaf chain. Called once from
-    /// `bulk_load`.
-    pub(super) fn build(&mut self, pairs: &[(K, V)], lsq: &PrefixLsq) {
+    /// Build the RMI for `pairs` according to the configured mode and
+    /// wire the leaf chain. `sums` are the least-squares sums over all
+    /// of `pairs`. Called once from `bulk_load`.
+    pub(super) fn build(&mut self, pairs: &[(K, V)], sums: LsqSums) {
         self.root = match self.config.rmi {
             RmiMode::Static { num_leaf_nodes } => {
-                self.build_static(pairs, lsq, num_leaf_nodes.max(1))
+                self.build_static(pairs, &sums, num_leaf_nodes.max(1))
             }
             RmiMode::Adaptive { max_node_keys, .. } => {
-                self.build_adaptive(pairs, lsq, 0..pairs.len(), max_node_keys.max(64), true)
+                self.build_adaptive(pairs, LsqSums::default(), sums, max_node_keys.max(64), true)
             }
         };
         self.link_leaves();
@@ -61,10 +63,11 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     }
 
     /// Two-level static RMI: a linear root over `num_leaf_nodes` data
-    /// nodes.
-    fn build_static(&mut self, pairs: &[(K, V)], lsq: &PrefixLsq, num_leaf_nodes: usize) -> NodeId {
-        let model = cached_route(lsq, 0..pairs.len(), num_leaf_nodes);
-        let parts = partition_by_cached_model(lsq, 0..pairs.len(), &model, num_leaf_nodes);
+    /// nodes. `sums` are the sums over all of `pairs`.
+    fn build_static(&mut self, pairs: &[(K, V)], sums: &LsqSums, num_leaf_nodes: usize) -> NodeId {
+        let fit = LsqSums::default().fit_partitions(sums, num_leaf_nodes);
+        let model = monotone_route(fit, pairs, num_leaf_nodes);
+        let parts = partition_by_model(pairs, &model, num_leaf_nodes);
         let mut children = Vec::with_capacity(num_leaf_nodes);
         for range in parts {
             children.push(self.push_leaf(&pairs[range]));
@@ -73,7 +76,8 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     }
 
     /// Adaptive RMI initialization (Algorithm 4) over the global index
-    /// range `range` of `pairs`.
+    /// range of `pairs` from `lo.end()` to `hi.end()`, the sums at its
+    /// two ends.
     ///
     /// The root gets `ceil(n / max_node_keys)` partitions (so each holds
     /// `max_node_keys` in expectation); non-root inner nodes get
@@ -82,35 +86,43 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     fn build_adaptive(
         &mut self,
         pairs: &[(K, V)],
-        lsq: &PrefixLsq,
-        range: Range<usize>,
+        lo: LsqSums,
+        hi: LsqSums,
         max_node_keys: usize,
         is_root: bool,
     ) -> NodeId {
-        let n = range.len();
+        let offset = lo.end();
+        let keys = &pairs[offset..hi.end()];
+        let n = keys.len();
         if n <= max_node_keys {
-            return self.push_leaf(&pairs[range]);
+            return self.push_leaf(keys);
         }
         let num_partitions = if is_root {
             n.div_ceil(max_node_keys).max(2)
         } else {
             INNER_FANOUT
         };
-        let model = cached_route(lsq, range.clone(), num_partitions);
-        let parts = partition_by_cached_model(lsq, range.clone(), &model, num_partitions);
+        let model = monotone_route(lo.fit_partitions(&hi, num_partitions), keys, num_partitions);
+        // Partition ranges are relative to `keys`; `cursor` advances
+        // from this range's start to the ends of each one that recurses.
+        let parts = partition_by_model(keys, &model, num_partitions);
+        let mut cursor = lo;
         let mut children = Vec::with_capacity(num_partitions);
         let mut i = 0usize;
         while i < parts.len() {
             let part = parts[i].clone();
             if part.len() > max_node_keys && part.len() < n {
-                let child = self.build_adaptive(pairs, lsq, part, max_node_keys, false);
+                cursor.advance_to(pairs, offset + part.start);
+                let start = cursor;
+                cursor.advance_to(pairs, offset + part.end);
+                let child = self.build_adaptive(pairs, start, cursor, max_node_keys, false);
                 children.push(child);
                 i += 1;
             } else if part.len() > max_node_keys {
                 // Degenerate: the linear model routed every key to one
                 // partition, so no linear refinement can make progress.
                 // Accept an oversized leaf rather than recursing forever.
-                let child = self.push_leaf(&pairs[part]);
+                let child = self.push_leaf(&keys[part]);
                 children.push(child);
                 i += 1;
             } else {
@@ -125,7 +137,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
                     end = parts[j].end;
                     j += 1;
                 }
-                let child = self.push_leaf(&pairs[begin..end]);
+                let child = self.push_leaf(&keys[begin..end]);
                 for _ in i..j {
                     children.push(child);
                 }
@@ -162,18 +174,21 @@ impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
     }
 }
 
-/// Make a routing model monotone. Partitions are cut with
-/// `partition_point` and lookups route with the same model, so a
-/// negative (or NaN) slope files keys under one child and looks them
-/// up under another. The closed-form least-squares fit can produce one
-/// for sorted keys: on keys packed close together far from zero,
-/// `n·Σx² − (Σx)²` cancels to rounding noise. Such a model falls back
-/// to the line through the first and last key of the range, `first`
-/// and `last` as `f64`.
-pub(super) fn monotone_route(model: LinearModel, first: f64, last: f64, parts: usize) -> LinearModel {
+/// Make a routing model over the sorted `pairs` monotone. Partitions
+/// are cut with `partition_point` and lookups route with the same
+/// model, so a negative (or NaN) slope files keys under one child and
+/// looks them up under another. The closed-form least-squares fit can
+/// produce one for sorted keys: on keys packed close together far from
+/// zero, `n·Σx² − (Σx)²` cancels to rounding noise. Such a model falls
+/// back to the line through the first and last key of `pairs`.
+pub(super) fn monotone_route<K: AlexKey, V>(model: LinearModel, pairs: &[(K, V)], parts: usize) -> LinearModel {
     if model.slope >= 0.0 {
         return model;
     }
+    let (first, last) = match (pairs.first(), pairs.last()) {
+        (Some(a), Some(b)) => (a.0.as_f64(), b.0.as_f64()),
+        _ => return LinearModel::default(),
+    };
     if last > first {
         let slope = parts as f64 / (last - first);
         LinearModel {
@@ -185,47 +200,9 @@ pub(super) fn monotone_route(model: LinearModel, first: f64, last: f64, parts: u
     }
 }
 
-/// The monotone routing model over the global index range `range` of
-/// the cached keys.
-fn cached_route(lsq: &PrefixLsq, range: Range<usize>, parts: usize) -> LinearModel {
-    let model = lsq.fit_partitions(range.clone(), parts);
-    match &lsq.xs()[range] {
-        [] => model,
-        xs => monotone_route(model, xs[0], xs[xs.len() - 1], parts),
-    }
-}
-
-/// Contiguous partition subranges of `range` under `model` routing,
-/// probed against the cached `f64` keys (no per-key re-conversion).
-/// Sorted input + clamping make the ranges contiguous even if the
-/// fitted slope is degenerate.
-fn partition_by_cached_model(
-    lsq: &PrefixLsq,
-    range: Range<usize>,
-    model: &LinearModel,
-    parts: usize,
-) -> Vec<Range<usize>> {
-    let xs = lsq.xs();
-    let mut ranges = Vec::with_capacity(parts);
-    let mut start = range.start;
-    for p in 0..parts {
-        // End of partition p: first key routed past p.
-        let end = if p + 1 == parts {
-            range.end
-        } else {
-            start
-                + xs[start..range.end].partition_point(|&x| model.predict_clamped(x, parts) <= p)
-        };
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
-}
-
 /// Fit a root model mapping keys to partition indices `[0, parts)`.
-/// The split path's one-shot equivalent of
-/// [`PrefixLsq::fit_partitions`] — splits fit a single model over a
-/// freshly merged pair list, so there is nothing to cache.
+/// The split path's one-shot streaming fit over a freshly merged pair
+/// list; bulk builds fit from [`LsqSums`] instead.
 pub(super) fn root_partition_model<K: AlexKey, V>(pairs: &[(K, V)], parts: usize) -> LinearModel {
     let n = pairs.len();
     if n == 0 {
@@ -240,13 +217,15 @@ pub(super) fn root_partition_model<K: AlexKey, V>(pairs: &[(K, V)], parts: usize
 }
 
 /// Contiguous partition ranges of `pairs` under `model` routing
-/// (`predict_clamped` into `[0, parts)`). Sorted input + clamping make
-/// the ranges contiguous even if the fitted slope is degenerate.
+/// (`predict_clamped` into `[0, parts)`), relative to `pairs`. Sorted
+/// input + clamping make the ranges contiguous even if the fitted slope
+/// is degenerate. Bulk builds and splits both cut partitions here; the
+/// binary search converts only the keys it probes.
 pub(super) fn partition_by_model<K: AlexKey, V>(
     pairs: &[(K, V)],
     model: &LinearModel,
     parts: usize,
-) -> Vec<core::ops::Range<usize>> {
+) -> Vec<Range<usize>> {
     let mut ranges = Vec::with_capacity(parts);
     let mut start = 0usize;
     for p in 0..parts {

@@ -105,7 +105,7 @@ use crate::key::AlexKey;
 use crate::stats::SizeReport;
 
 use super::delta::DeltaOp;
-use super::ops::insert_run;
+use super::ops::{insert_run, present_prefix};
 use super::store::{Dense, Epoch, LeafNode, Node, NodeId};
 use super::AlexIndex;
 use core::sync::atomic::{AtomicU64, Ordering};
@@ -429,12 +429,19 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
             let (id, leaf) = self.index.route_to_leaf(key);
             let (len, _) = self.index.leaf_run((id, leaf), rest, |(k, _)| k);
             // A run is cut at the leaf's split room, as the exclusive
-            // batch path cuts it; a full leaf no model can split (the
-            // split fails) takes the whole run instead.
+            // batch path cuts it; a full leaf splits only before a
+            // fresh key, and one no model can split (the split fails)
+            // takes the whole run instead.
             let room = match self.index.split_room(leaf) {
-                // The slot became a routing node: re-route.
-                0 if self.index.split_leaf_shared(id) => continue,
-                0 => usize::MAX,
+                0 => match present_prefix(leaf, &rest[..len]) {
+                    // The slot became a routing node: re-route.
+                    0 if self.index.split_leaf_shared(id) => continue,
+                    0 => usize::MAX,
+                    present => {
+                        rest = &rest[present..];
+                        continue;
+                    }
+                },
                 room => room,
             };
             let (run, tail) = rest.split_at(len.min(room));

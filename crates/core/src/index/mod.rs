@@ -48,7 +48,7 @@ use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::config::AlexConfig;
 use crate::data_node::DataNode;
 use crate::key::AlexKey;
-use crate::model::PrefixLsq;
+use crate::model::LsqSums;
 use crate::stats::{SizeReport, WriteStats};
 
 pub use concurrent::{EpochAlex, EpochStats, EpochWriteStats};
@@ -130,21 +130,27 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
 
     /// Bulk-load from sorted, strictly-increasing pairs.
     ///
+    /// Beside the leaves it builds, the load holds no array
+    /// proportional to `pairs.len()`: each inner node's routing model is
+    /// fit from running least-squares sums taken at its range's two
+    /// ends, and one pass over the keys folds the root's.
+    ///
     /// # Panics
     /// Panics if `pairs` contains the reserved [`alex_api::SentinelKey::MAX_KEY`]
     /// sentinel (gapped storage uses it for empty slots) or a NaN
     /// anywhere, and (debug builds) if `pairs` is not strictly
     /// increasing by key.
     pub fn bulk_load(pairs: &[(K, V)], config: AlexConfig) -> Self {
-        // The fits' one conversion pass over every key also refuses
-        // the keys no index can store, so the check costs no extra pass.
-        let lsq = PrefixLsq::new(pairs.iter().map(|(k, _)| {
+        // One pass over every key refuses the keys no index can store
+        // and folds the root's routing-fit sums.
+        let mut sums = LsqSums::default();
+        for (k, _) in pairs {
             assert!(
                 !k.is_sentinel(),
                 "bulk_load: a key is the reserved MAX_KEY sentinel or a NaN; neither can be stored"
             );
-            k.as_f64()
-        }));
+            sums.push(k.as_f64());
+        }
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "bulk_load input must be strictly increasing"
@@ -157,7 +163,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
             splits: AtomicU64::new(0),
             pairs: PhantomData,
         };
-        index.build(pairs, &lsq);
+        index.build(pairs, sums);
         index
     }
 

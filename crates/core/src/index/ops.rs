@@ -233,7 +233,9 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
             return Err(InsertError::UnsupportedKey);
         }
         let (id, leaf) = self.route_to_leaf(&key);
-        if self.split_room(leaf) == 0 && self.split_leaf(id) {
+        // A duplicate never splits a full leaf; it falls through to
+        // the leaf's own refusal.
+        if self.split_room(leaf) == 0 && leaf.live_get(&key).is_none() && self.split_leaf(id) {
             // The leaf became a routing node: re-route.
             return self.insert(key, value);
         }
@@ -274,8 +276,9 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     ///
     /// Equivalent to calling [`AlexIndex::insert`] per pair, including
     /// split-on-insert behaviour: a run is cut at the leaf's split
-    /// room, so the leaf splits before the key that finds it full. The
-    /// one exception is a full leaf no model can split, which takes the
+    /// room, so the leaf splits before the fresh key that finds it
+    /// full, and a key already present never splits it. The one
+    /// exception is a full leaf no model can split, which takes the
     /// rest of its run at once instead of retrying the split per key.
     ///
     /// # Panics
@@ -293,11 +296,17 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
             let (id, leaf) = self.route_to_leaf(key);
             let (len, _) = self.leaf_run((id, leaf), rest, |(k, _)| k);
             let room = match self.split_room(leaf) {
-                // The leaf became a routing node: re-route.
-                0 if self.split_leaf(id) => continue,
-                // No model separates its keys: the full leaf takes the
-                // run.
-                0 => usize::MAX,
+                0 => match present_prefix(leaf, &rest[..len]) {
+                    // The leaf became a routing node: re-route.
+                    0 if self.split_leaf(id) => continue,
+                    // No model separates its keys: the full leaf takes
+                    // the run.
+                    0 => usize::MAX,
+                    present => {
+                        rest = &rest[present..];
+                        continue;
+                    }
+                },
                 room => room,
             };
             let (run, tail) = rest.split_at(len.min(room));
@@ -328,6 +337,17 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         let (_, head) = self.descend_first_leaf(self.root);
         RangeIter::new(self, head, head.data.first_occupied(), usize::MAX)
     }
+}
+
+/// How many leading pairs of the sorted `run` the leaf `leaf` already
+/// holds. A duplicate never splits a leaf, so at split room zero both
+/// batch inserts skip these pairs, as per-key inserts would refuse
+/// them, and split only before a fresh key.
+pub(super) fn present_prefix<K: AlexKey, V: Clone + Default>(
+    leaf: &LeafNode<K, V>,
+    run: &[(K, V)],
+) -> usize {
+    run.iter().take_while(|(k, _)| leaf.live_get(k).is_some()).count()
 }
 
 /// Insert a sorted run of pairs into one leaf's base array, skipping

@@ -96,17 +96,13 @@ impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
         };
         // Rescale the leaf's slot-space model to child-index space.
         let scale = SPLIT_FANOUT as f64 / capacity.max(1) as f64;
-        let (first, last) = match (pairs.first(), pairs.last()) {
-            (Some(a), Some(b)) => (a.0.as_f64(), b.0.as_f64()),
-            _ => (0.0, 0.0),
-        };
-        let mut route = monotone_route(old_model.scaled(scale), first, last, SPLIT_FANOUT);
+        let mut route = monotone_route(old_model.scaled(scale), &pairs, SPLIT_FANOUT);
         let mut parts = partition_by_model(&pairs, &route, SPLIT_FANOUT);
         if parts.iter().any(|r| r.len() == pairs.len()) {
             // The inherited model routes everything to one child; retry
             // with a freshly fitted partition model before giving up.
             let fitted = root_partition_model(&pairs, SPLIT_FANOUT);
-            route = monotone_route(fitted, first, last, SPLIT_FANOUT);
+            route = monotone_route(fitted, &pairs, SPLIT_FANOUT);
             parts = partition_by_model(&pairs, &route, SPLIT_FANOUT);
             if parts.iter().any(|r| r.len() == pairs.len()) {
                 return None;

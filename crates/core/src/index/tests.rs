@@ -517,3 +517,41 @@ fn bulk_insert_into_empty_index() {
     }
     index.debug_assert_invariants();
 }
+
+#[test]
+fn duplicate_inserts_never_split_a_full_leaf_in_either_regime() {
+    use super::EpochAlex;
+
+    // No delta buffer, so the epoch index writes its base arrays as the
+    // dense one does and the two layouts compare byte for byte.
+    let cfg = AlexConfig::ga_armi().with_max_node_keys(128).with_splitting().with_delta_buffer(0);
+    let full = pairs(128, 10);
+    let duplicates = &full[..20];
+    let mut dense = AlexIndex::bulk_load(&full, cfg);
+    let epoch = EpochAlex::bulk_load(&full, cfg);
+    assert_eq!(dense.num_data_nodes(), 1, "the loaded keys fill one leaf");
+
+    assert_eq!(dense.insert(500, 0), Err(InsertError::DuplicateKey));
+    assert_eq!(epoch.insert(500, 0), Err(InsertError::DuplicateKey));
+    assert_eq!(dense.bulk_insert(duplicates), Ok(0));
+    assert_eq!(epoch.bulk_insert(duplicates), Ok(0));
+    assert_eq!(dense.num_data_nodes(), 1, "dense: a duplicate split the leaf");
+    assert_eq!(dense.write_stats().splits, 0);
+    assert_eq!(epoch.size_report().num_data_nodes, 1, "epoch: a duplicate split the leaf");
+
+    // A batch splits before its first fresh key, past the present ones.
+    let mut batch = AlexIndex::bulk_load(&full, cfg);
+    assert_eq!(batch.bulk_insert(&[(0, 0), (10, 0), (505, 5)]), Ok(1));
+
+    // The first fresh key splits both alike.
+    dense.insert(505, 5).unwrap();
+    epoch.insert(505, 5).unwrap();
+    let epoch = epoch.into_inner();
+    assert_eq!(dense.write_stats().splits, 1);
+    assert_eq!(epoch.write_stats().splits, 1);
+    assert_eq!(batch.write_stats().splits, 1);
+    assert_eq!(epoch.size_report(), dense.size_report());
+    assert_eq!(batch.size_report(), dense.size_report());
+    dense.debug_assert_invariants();
+    epoch.debug_assert_invariants();
+}

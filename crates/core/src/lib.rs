@@ -117,7 +117,7 @@ pub use data_node::{DataNode, InsertOutcome};
 pub use index::{AlexIndex, EpochAlex, EpochStats, EpochWriteStats};
 pub use iter::RangeIter;
 pub use key::AlexKey;
-pub use model::{LinearModel, PrefixLsq};
+pub use model::LinearModel;
 pub use stats::{ReadStats, SizeReport, WriteStats};
 
 // Re-export the key-model vocabulary so downstream crates can name

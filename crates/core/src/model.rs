@@ -86,115 +86,70 @@ impl LinearModel {
     }
 }
 
-/// Prefix-sum least-squares cache over one fixed sorted key set.
+/// Running least-squares sums over a sorted key sequence: `Σx`, `Σx²`
+/// and `Σi·x` over its first [`LsqSums::end`] keys, `i` being a key's
+/// global index.
 ///
-/// Algorithm 4 (adaptive bulk-load) fits a fresh partition model —
-/// `key → local_rank · parts / n` — at *every* level of its recursion,
-/// and each streaming [`LinearModel::fit`] re-reads and re-converts the
-/// same keys. Across the fanout tree that is `O(n · depth)` key
-/// conversions and multiply-adds. `PrefixLsq` does the `O(n)` work
-/// once: it caches the `f64` key conversions and the prefix sums of
-/// `x`, `x²`, and `i·x`, after which the OLS fit for **any**
-/// subrange-and-fanout combination is `O(1)` — the normal-equation
-/// sums fall out of four prefix differences.
-///
-/// The fit replicates [`LinearModel::fit`]'s closed form, including the
-/// degenerate (all-equal-`x`) guard; results agree up to floating-point
-/// re-association of the sums.
-///
-/// ```
-/// use alex_core::model::{LinearModel, PrefixLsq};
-///
-/// let keys: Vec<f64> = (0..1000).map(|i| (i * i) as f64).collect();
-/// let lsq = PrefixLsq::new(keys.iter().copied());
-/// let fast = lsq.fit_partitions(100..900, 16);
-/// let slow = LinearModel::fit(
-///     keys[100..900].iter().enumerate().map(|(i, &x)| (x, i as f64 * 16.0 / 800.0)),
-/// );
-/// assert!((fast.slope - slow.slope).abs() < 1e-9 * slow.slope.abs());
-/// ```
-#[derive(Debug, Clone)]
-pub struct PrefixLsq {
-    /// Cached key→f64 conversions (the build recursion's partition
-    /// probing reuses these instead of re-converting keys).
-    xs: Vec<f64>,
-    /// `px[i] = Σ xs[0..i]` (length `n + 1`).
-    px: Vec<f64>,
-    /// `pxx[i] = Σ xs[j]²  for j < i`.
-    pxx: Vec<f64>,
-    /// `pix[i] = Σ j · xs[j]  for j < i` (global index `j`).
-    pix: Vec<f64>,
+/// Algorithm 4 (bulk load) fits one partition-routing model
+/// `key → local_rank · parts / n` per inner node, each over a range of
+/// the sorted keys. Taking these sums at a range's two ends gives the
+/// fit in `O(1)` ([`LsqSums::fit_partitions`]), so a build keeps one
+/// pair of sums per range it fits instead of any per-key array.
+/// Folding always runs left to right from index 0, so the sums at a
+/// boundary are the same bits however many steps reached it.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LsqSums {
+    end: usize,
+    sx: f64,
+    sxx: f64,
+    six: f64,
 }
 
-impl PrefixLsq {
-    /// Build the cache from keys already converted to `f64`, in sorted
-    /// order. `O(n)` time and space.
-    pub fn new(xs: impl Iterator<Item = f64>) -> Self {
-        let xs: Vec<f64> = xs.collect();
-        let n = xs.len();
-        let (mut px, mut pxx, mut pix) = (
-            Vec::with_capacity(n + 1),
-            Vec::with_capacity(n + 1),
-            Vec::with_capacity(n + 1),
-        );
-        px.push(0.0);
-        pxx.push(0.0);
-        pix.push(0.0);
-        for (i, &x) in xs.iter().enumerate() {
-            px.push(px[i] + x);
-            pxx.push(pxx[i] + x * x);
-            pix.push(pix[i] + i as f64 * x);
+impl LsqSums {
+    /// Fold the key at global index [`LsqSums::end`], as `f64`.
+    #[inline]
+    pub(crate) fn push(&mut self, x: f64) {
+        self.sx += x;
+        self.sxx += x * x;
+        self.six += self.end as f64 * x;
+        self.end += 1;
+    }
+
+    /// Fold `pairs[self.end()..to]`, where `pairs` is the whole sorted
+    /// sequence the sums run over.
+    pub(crate) fn advance_to<K: AlexKey, V>(&mut self, pairs: &[(K, V)], to: usize) {
+        for (k, _) in &pairs[self.end..to] {
+            self.push(k.as_f64());
         }
-        Self { xs, px, pxx, pix }
     }
 
-    /// Build the cache from a sorted key slice.
-    pub fn from_keys<K: AlexKey>(keys: &[K]) -> Self {
-        Self::new(keys.iter().map(|k| k.as_f64()))
-    }
-
-    /// Number of cached keys.
+    /// Number of keys folded: the global index the sums stop before.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.xs.len()
+    pub(crate) fn end(&self) -> usize {
+        self.end
     }
 
-    /// Whether the cache is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-
-    /// The cached `f64` keys (global indexing; slice with the same
-    /// ranges passed to [`PrefixLsq::fit_partitions`]).
-    #[inline]
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// Fit `key → local_rank · parts / n` over `range` in `O(1)`: the
-    /// partition-routing model Algorithm 4 needs at each recursion
-    /// level. Equivalent to streaming
+    /// Fit `key → local_rank · parts / n` over the keys from
+    /// `self.end()` to `to.end()` — the partition-routing model
+    /// Algorithm 4 needs per inner node — from the sums at the range's
+    /// two ends. Equivalent to streaming
     /// `LinearModel::fit((x_i, (i − start) · parts / n))` up to
-    /// floating-point re-association.
-    ///
-    /// # Panics
-    /// Panics if `range` is out of bounds.
-    pub fn fit_partitions(&self, range: core::ops::Range<usize>, parts: usize) -> LinearModel {
-        let (start, end) = (range.start, range.end);
-        assert!(start <= end && end <= self.xs.len(), "range out of bounds");
-        let n = (end - start) as f64;
+    /// floating-point re-association, including its all-equal-`x`
+    /// guard; an empty range gives the default model.
+    pub(crate) fn fit_partitions(&self, to: &Self, parts: usize) -> LinearModel {
+        let start = self.end;
+        let n = (to.end - start) as f64;
         if n == 0.0 {
             return LinearModel::default();
         }
-        let sx = self.px[end] - self.px[start];
-        let sxx = self.pxx[end] - self.pxx[start];
+        let sx = to.sx - self.sx;
+        let sxx = to.sxx - self.sxx;
         // Targets are the arithmetic ramp y_i = (i − start) · c with
         // c = parts / n, so Σy and Σx·y reduce to closed forms over the
-        // cached sums — no per-key work.
+        // sums — no per-key work.
         let c = parts as f64 / n;
         let sy = c * (n - 1.0) * n / 2.0;
-        let sxy = c * ((self.pix[end] - self.pix[start]) - start as f64 * sx);
+        let sxy = c * ((to.six - self.six) - start as f64 * sx);
         let denom = n * sxx - sx * sx;
         if denom.abs() < f64::EPSILON * n * sxx.abs().max(1.0) {
             return LinearModel {
@@ -258,7 +213,41 @@ mod tests {
         assert!((s.predict(7.0) - 3.0 * m.predict(7.0)).abs() < 1e-12);
     }
 
-    /// The streaming fit the prefix cache must reproduce.
+    /// Oracle: the routing fit over `xs[range]` from prefix-sum arrays
+    /// `px`, `pxx` and `pix` folded over every key from index 0 and
+    /// differenced at the range's ends.
+    fn prefix_array_fit(xs: &[f64], range: core::ops::Range<usize>, parts: usize) -> LinearModel {
+        let (mut px, mut pxx, mut pix) = (vec![0.0], vec![0.0], vec![0.0]);
+        for (i, &x) in xs.iter().enumerate() {
+            px.push(px[i] + x);
+            pxx.push(pxx[i] + x * x);
+            pix.push(pix[i] + i as f64 * x);
+        }
+        let (start, end) = (range.start, range.end);
+        let n = (end - start) as f64;
+        if n == 0.0 {
+            return LinearModel::default();
+        }
+        let sx = px[end] - px[start];
+        let sxx = pxx[end] - pxx[start];
+        let c = parts as f64 / n;
+        let sy = c * (n - 1.0) * n / 2.0;
+        let sxy = c * ((pix[end] - pix[start]) - start as f64 * sx);
+        let denom = n * sxx - sx * sx;
+        if denom.abs() < f64::EPSILON * n * sxx.abs().max(1.0) {
+            return LinearModel {
+                slope: 0.0,
+                intercept: sy / n,
+            };
+        }
+        let slope = (n * sxy - sx * sy) / denom;
+        LinearModel {
+            slope,
+            intercept: (sy - slope * sx) / n,
+        }
+    }
+
+    /// The streaming fit the sums approximate.
     fn streaming_partition_fit(xs: &[f64], range: core::ops::Range<usize>, parts: usize) -> LinearModel {
         let n = range.len();
         LinearModel::fit(
@@ -270,47 +259,64 @@ mod tests {
     }
 
     #[test]
-    fn prefix_lsq_matches_streaming_fit() {
-        // Non-uniform key distribution: quadratic + a dense cluster.
-        let mut xs: Vec<f64> = (0..500u64).map(|i| (i * i) as f64).collect();
-        xs.extend((0..200u64).map(|i| 250_000.0 + i as f64 * 0.25));
-        xs.sort_by(f64::total_cmp);
-        let lsq = PrefixLsq::new(xs.iter().copied());
-        for (range, parts) in [(0..700, 32), (0..700, 2), (100..650, 8), (640..700, 4), (33..34, 2)] {
-            let fast = lsq.fit_partitions(range.clone(), parts);
-            let slow = streaming_partition_fit(&xs, range.clone(), parts);
-            let tol = 1e-9 * slow.slope.abs().max(1.0);
-            assert!(
-                (fast.slope - slow.slope).abs() < tol,
-                "slope mismatch on {range:?}/{parts}: {fast:?} vs {slow:?}"
-            );
-            let tol = 1e-9 * slow.intercept.abs().max(1.0);
-            assert!(
-                (fast.intercept - slow.intercept).abs() < tol,
-                "intercept mismatch on {range:?}/{parts}: {fast:?} vs {slow:?}"
-            );
+    fn sums_fit_bit_for_bit_like_prefix_arrays() {
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: usize| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 33) as usize % bound
+        };
+        // Non-uniform keys (quadratic plus a dense cluster); integers
+        // packed near 2⁴⁰, where `n·Σx² − (Σx)²` cancels; and random
+        // fractional gaps, where every sum rounds.
+        let mut quadratic: Vec<f64> = (0..500u64).map(|i| (i * i) as f64).collect();
+        quadratic.extend((0..200u64).map(|i| 250_000.0 + i as f64 * 0.25));
+        quadratic.sort_by(f64::total_cmp);
+        let packed: Vec<f64> = (0..3000u64).map(|i| ((1u64 << 40) + 3 * i) as f64).collect();
+        let mut x = 0.0;
+        let fractional: Vec<f64> = (0..2000)
+            .map(|_| {
+                x += 0.001 + next(1000) as f64 / 7.0;
+                x
+            })
+            .collect();
+        for xs in [quadratic, packed, fractional] {
+            let pairs: Vec<(f64, ())> = xs.iter().map(|&x| (x, ())).collect();
+            for _ in 0..200 {
+                let mut cut = [next(xs.len() + 1), next(xs.len() + 1)];
+                cut.sort_unstable();
+                let parts = 2 + next(64);
+                // Advance one cursor in two random steps to each end.
+                let mut lo = LsqSums::default();
+                lo.advance_to(&pairs, cut[0] / 2);
+                lo.advance_to(&pairs, cut[0]);
+                let mut hi = lo;
+                hi.advance_to(&pairs, (cut[0] + cut[1]) / 2);
+                hi.advance_to(&pairs, cut[1]);
+                let got = lo.fit_partitions(&hi, parts);
+                let want = prefix_array_fit(&xs, cut[0]..cut[1], parts);
+                assert_eq!(
+                    (got.slope.to_bits(), got.intercept.to_bits()),
+                    (want.slope.to_bits(), want.intercept.to_bits()),
+                    "{:?}/{parts}: {got:?} vs {want:?}",
+                    cut[0]..cut[1]
+                );
+            }
         }
     }
 
     #[test]
-    fn prefix_lsq_degenerate_and_empty_ranges() {
+    fn sums_degenerate_and_empty_ranges() {
         let xs = vec![7.0; 64];
-        let lsq = PrefixLsq::new(xs.iter().copied());
-        let m = lsq.fit_partitions(8..40, 4);
+        let pairs: Vec<(f64, ())> = xs.iter().map(|&x| (x, ())).collect();
+        let (mut lo, mut hi) = (LsqSums::default(), LsqSums::default());
+        lo.advance_to(&pairs, 8);
+        hi.advance_to(&pairs, 40);
+        let m = lo.fit_partitions(&hi, 4);
         // All-equal x: constant model predicting the mean target.
         assert_eq!(m.slope, 0.0);
         let slow = streaming_partition_fit(&xs, 8..40, 4);
         assert!((m.intercept - slow.intercept).abs() < 1e-9);
-        assert_eq!(lsq.fit_partitions(5..5, 4), LinearModel::default());
-        assert_eq!(PrefixLsq::new(core::iter::empty()).fit_partitions(0..0, 2), LinearModel::default());
-    }
-
-    #[test]
-    fn prefix_lsq_from_keys_caches_conversions() {
-        let keys: Vec<u64> = (0..100).map(|i| i * 3 + 7).collect();
-        let lsq = PrefixLsq::from_keys(&keys);
-        assert_eq!(lsq.len(), 100);
-        assert!(!lsq.is_empty());
-        assert_eq!(lsq.xs()[10], 37.0);
+        assert_eq!(lo.fit_partitions(&lo, 4), LinearModel::default());
+        assert_eq!(LsqSums::default().fit_partitions(&LsqSums::default(), 2), LinearModel::default());
     }
 }
