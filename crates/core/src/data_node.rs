@@ -254,16 +254,24 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
         self.degraded
     }
 
-    /// Look up `key`.
+    /// Look up `key`, counted in the read stats.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {
         self.find(key).map(|s| &self.slots.values[s])
     }
 
-    /// Look up `key` mutably.
+    /// Look up `key` without counting a read: the presence probe of a
+    /// write, which must not make a write-hot leaf look read-hot.
+    #[inline]
+    pub(crate) fn peek(&self, key: &K) -> Option<&V> {
+        self.slot_of(key).map(|s| &self.slots.values[s])
+    }
+
+    /// Look up `key` mutably. Only writes take a payload mutably, so
+    /// this is not counted as a read either.
     #[inline]
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        self.find(key).map(|s| &mut self.slots.values[s])
+        self.slot_of(key).map(|s| &mut self.slots.values[s])
     }
 
     /// Slot holding `key`, counted in the read stats: the hint's own
@@ -276,6 +284,12 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
         let (slot, comparisons) = self.slots.find_key(key, hint);
         self.reads.record(probes + comparisons, !self.degraded && slot == Some(hint));
         slot
+    }
+
+    /// Slot holding `key`, uncounted: the search of every write.
+    #[inline]
+    fn slot_of(&self, key: &K) -> Option<usize> {
+        self.slots.find_key(key, self.predict(key)).0
     }
 
     /// First occupied slot with key `>= key` (for range scans), or
@@ -465,8 +479,7 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
     /// Remove `key`, returning its value. The slot becomes a gap; the
     /// node contracts when density falls below the lower limit.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let (slot, _) = self.slots.find_key(key, self.predict(key));
-        let v = self.slots.remove_at(slot?);
+        let v = self.slots.remove_at(self.slot_of(key)?);
         self.writes.deletes += 1;
         if self.capacity() > MIN_CAPACITY && self.density() < LOWER_DENSITY {
             self.contract();

@@ -361,7 +361,7 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
         let _guard = self.index.store.pin();
         loop {
             let (id, leaf) = self.index.route_to_leaf(&key);
-            if leaf.live_get(&key).is_some() {
+            if leaf.live_peek(&key).is_some() {
                 return Err(InsertError::DuplicateKey);
             }
             // Split-on-insert on the merged live count, published
@@ -381,7 +381,7 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
         let _guard = self.index.store.pin();
         let (id, leaf) = self.index.route_to_leaf(key);
         // Absent keys need no publication round trip.
-        let evicted = leaf.live_get(key)?.clone();
+        let evicted = leaf.live_peek(key)?.clone();
         self.edit(id, leaf, *key, DeltaOp::Tombstone, -1);
         Some(evicted)
     }
@@ -392,7 +392,7 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
         let _writer = self.write_lock();
         let _guard = self.index.store.pin();
         let (id, leaf) = self.index.route_to_leaf(key);
-        let old = leaf.live_get(key)?.clone();
+        let old = leaf.live_peek(key)?.clone();
         self.edit(id, leaf, *key, DeltaOp::Put(value), 0);
         Some(old)
     }
@@ -431,12 +431,12 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
             // A run is cut at the leaf's split room, as the exclusive
             // batch path cuts it; a full leaf splits only before a
             // fresh key, and one no model can split (the split fails)
-            // takes the whole run instead.
+            // takes that key alone, as a per-key insert would.
             let room = match self.index.split_room(leaf) {
                 0 => match present_prefix(leaf, &rest[..len]) {
                     // The slot became a routing node: re-route.
                     0 if self.index.split_leaf_shared(id) => continue,
-                    0 => usize::MAX,
+                    0 => 1,
                     present => {
                         rest = &rest[present..];
                         continue;
@@ -450,7 +450,7 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
             // an identical leaf: skip the clone and retirement outright
             // (short-circuits at the first fresh key, so fresh-heavy
             // batches pay one probe).
-            if leaf.delta.is_empty() && run.iter().all(|(k, _)| leaf.live_get(k).is_some()) {
+            if leaf.delta.is_empty() && run.iter().all(|(k, _)| leaf.live_peek(k).is_some()) {
                 continue;
             }
             // One clone + one publication for the whole run.
@@ -974,5 +974,78 @@ mod tests {
         for (k, v) in all.iter().step_by(37) {
             assert_eq!(index.get(k), Some(*v), "key {k}");
         }
+    }
+
+    #[test]
+    fn writes_never_count_as_reads() {
+        let index = EpochAlex::bulk_load(&pairs(10_000, 10), AlexConfig::ga_armi());
+        let fresh: Vec<(u64, u64)> = (0..1000u64).map(|i| (i * 70 + 5, i)).collect();
+        for &(k, v) in &fresh {
+            index.insert(k, v).unwrap();
+        }
+        assert_eq!(index.read_stats(), (0, 0, 0), "inserts recorded reads");
+        assert_eq!(index.insert(fresh[0].0, 0), Err(InsertError::DuplicateKey));
+        assert_eq!(index.bulk_insert(&fresh[..100]), Ok(0));
+        for &(k, v) in &fresh[..100] {
+            assert_eq!(index.update(&k, v + 1), Some(v));
+        }
+        for &(k, _) in &fresh {
+            assert!(index.remove(&k).is_some());
+        }
+        // A batch that lands after the flushes and tombstones above.
+        let more: Vec<(u64, u64)> = (0..500u64).map(|i| (i * 20 + 3, i)).collect();
+        assert_eq!(index.bulk_insert(&more), Ok(500));
+        assert_eq!(index.read_stats(), (0, 0, 0), "writes recorded reads");
+        for k in 0..100u64 {
+            assert_eq!(index.get(&(k * 10)), Some(k));
+        }
+        assert_eq!(index.read_stats().0, 100, "one lookup per get");
+        assert!(index.contains(&0));
+        assert_eq!(index.get_many(&[10, 20, 30]), vec![Some(1), Some(2), Some(3)]);
+        assert_eq!(index.read_stats().0, 104);
+    }
+
+    #[test]
+    fn an_unsplittable_full_leaf_retries_its_split_once_it_doubles() {
+        // Past 2^53 neighbouring u64 keys share an f64, so no model
+        // separates them and every split of their leaf fails.
+        let cfg = AlexConfig::ga_armi().with_max_node_keys(256).with_splitting();
+        let keys: Vec<(u64, u64)> = (0..2000).map(|i| ((1u64 << 60) + i, i)).collect();
+        let first = &keys[..257];
+
+        let mut dense = AlexIndex::new(cfg);
+        let epoch = EpochAlex::new(cfg);
+        for &(k, v) in first {
+            dense.insert(k, v).unwrap();
+            epoch.insert(k, v).unwrap();
+        }
+        // The last insert found 256 keys and no split: the leaf takes
+        // keys until it holds 513, the next retry point.
+        assert_eq!(dense.split_room(dense.route_to_leaf(&keys[0].0).1), 256);
+        {
+            let _guard = epoch.index.store.pin();
+            assert_eq!(epoch.index.split_room(epoch.index.route_to_leaf(&keys[0].0).1), 256);
+        }
+
+        // Batch and per-key inserts try (and fail) the same splits at
+        // the same moments, and so build the same leaf.
+        for &(k, v) in &keys[257..] {
+            dense.insert(k, v).unwrap();
+            epoch.insert(k, v).unwrap();
+        }
+        let mut batch = AlexIndex::new(cfg);
+        assert_eq!(batch.bulk_insert(&keys), Ok(2000));
+        let epoch_batch = EpochAlex::new(cfg);
+        assert_eq!(epoch_batch.bulk_insert(&keys), Ok(2000));
+        let epoch = epoch.into_inner();
+        let epoch_batch = epoch_batch.into_inner();
+        for index in [&batch, &epoch, &epoch_batch] {
+            assert_eq!(index.write_stats(), dense.write_stats());
+            assert_eq!(index.size_report(), dense.size_report());
+            // Failed at 256, 513 and 1027 keys; next at 2055.
+            assert_eq!(index.split_room(index.route_to_leaf(&keys[0].0).1), 55);
+            index.debug_assert_invariants();
+        }
+        assert_eq!((dense.write_stats().splits, dense.num_data_nodes()), (0, 1));
     }
 }

@@ -39,6 +39,11 @@
 //! holds one: the exclusive (`&mut`) path asserts that in debug builds
 //! ([`super::store::Dense::leaf_data_mut`]) and the dense iterators
 //! walk base slots only.
+//!
+//! A flush gives the buffer's allocation back
+//! ([`DeltaBuf::take_entries`]): neither a leaf published after a
+//! flush nor the dense index `into_inner` returns holds the capacity
+//! of an emptied buffer, which the size report would count.
 
 use crate::key::AlexKey;
 use std::sync::Arc;
@@ -144,9 +149,11 @@ impl<K: AlexKey, V> DeltaBuf<K, V> {
         self.entries.iter().map(|(k, op)| (k, op))
     }
 
-    /// Drain all entries in key order (flush).
-    pub fn drain(&mut self) -> impl Iterator<Item = (K, DeltaOp<V>)> + '_ {
-        self.entries.drain(..)
+    /// Take all entries in key order (flush), leaving the buffer
+    /// empty and without an allocation: [`DeltaBuf::size_bytes`]
+    /// counts capacity, and a flushed leaf holds none.
+    pub fn take_entries(&mut self) -> impl Iterator<Item = (K, DeltaOp<V>)> {
+        core::mem::take(&mut self.entries).into_iter()
     }
 
     /// Heap bytes held by the buffer (size accounting).
@@ -162,7 +169,7 @@ impl<K: AlexKey, V> DeltaBuf<K, V> {
 impl<K: AlexKey, V: Clone + Default> LeafNode<K, V> {
     /// Look up `key` through the merged view: the delta wins (a `Put`
     /// shadows the base payload, a tombstone hides it), the base
-    /// answers otherwise.
+    /// answers otherwise, counted in its read stats.
     #[inline]
     pub fn live_get(&self, key: &K) -> Option<&V> {
         if self.delta.is_empty() {
@@ -172,6 +179,19 @@ impl<K: AlexKey, V: Clone + Default> LeafNode<K, V> {
             Some(DeltaOp::Put(v)) => Some(v),
             Some(DeltaOp::Tombstone) => None,
             None => self.data.get(key),
+        }
+    }
+
+    /// [`LeafNode::live_get`] without counting a read: a write's
+    /// presence probe. Written out rather than sharing one
+    /// closure-taking helper with `live_get`: that helper slowed gets
+    /// measurably.
+    #[inline]
+    pub(crate) fn live_peek(&self, key: &K) -> Option<&V> {
+        match self.delta.get(key) {
+            Some(DeltaOp::Put(v)) => Some(v),
+            Some(DeltaOp::Tombstone) => None,
+            None => self.data.peek(key),
         }
     }
 
@@ -211,7 +231,7 @@ impl<K: AlexKey, V: Clone + Default> LeafNode<K, V> {
         for (k, op) in self.delta.iter() {
             match op {
                 DeltaOp::Put(_) => {
-                    if self.data.get(k).is_none() {
+                    if self.data.peek(k).is_none() {
                         n += 1;
                     }
                 }
@@ -244,7 +264,7 @@ impl<K: AlexKey, V: Clone + Default> LeafNode<K, V> {
             DeltaOp::Put(value) => self.delta.put(key, value),
             DeltaOp::Tombstone => {
                 let buffered = matches!(self.delta.get(&key), Some(DeltaOp::Put(_)));
-                if buffered && self.data.get(&key).is_none() {
+                if buffered && self.data.peek(&key).is_none() {
                     self.delta.remove_entry(&key);
                 } else {
                     self.delta.tombstone(key);
@@ -322,16 +342,17 @@ impl<K: AlexKey, V: Clone + Default> LeafNode<K, V> {
     }
 
     /// Fold the delta into the base array in place, leaving the buffer
-    /// empty. Clones the base first if it is still shared with a
-    /// published snapshot (`Arc::make_mut`); with a uniquely owned
-    /// base (the exclusive regime) the fold is in place.
+    /// empty and its allocation released. Clones the base first if it
+    /// is still shared with a published snapshot (`Arc::make_mut`);
+    /// with a uniquely owned base (the exclusive regime) the fold is in
+    /// place.
     pub fn flush_delta(&mut self) {
         if self.delta.is_empty() {
             return;
         }
         self.delta_net = 0;
         let data = Arc::make_mut(&mut self.data);
-        for (key, op) in self.delta.drain() {
+        for (key, op) in self.delta.take_entries() {
             match op {
                 DeltaOp::Put(value) => match data.get_mut(&key) {
                     Some(slot) => *slot = value,
@@ -355,7 +376,7 @@ impl<K: AlexKey, V: Clone + Default> LeafNode<K, V> {
             assert!(prev.is_none_or(|p| p < k), "delta buffer out of order at {k:?}");
             if matches!(op, DeltaOp::Tombstone) {
                 assert!(
-                    self.data.get(k).is_some(),
+                    self.data.peek(k).is_some(),
                     "tombstone for {k:?} without a base occupant"
                 );
             }

@@ -285,6 +285,9 @@ impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
     }
 
     /// Aggregated read counters: `(lookups, comparisons, direct_hits)`.
+    /// Only reads count: `get`, `contains_key` and `get_many` record
+    /// each key a base array answers, and a write's own probes record
+    /// nothing.
     pub fn read_stats(&self) -> (u64, u64, u64) {
         let mut lookups = 0;
         let mut comparisons = 0;

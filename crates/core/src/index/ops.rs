@@ -217,7 +217,8 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     // ------------------------------------------------------------------
 
     /// Look up `key` and return a mutable reference to its payload
-    /// (payload updates, §3.2).
+    /// (payload updates, §3.2). A write, so not counted in
+    /// [`AlexIndex::read_stats`].
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let leaf = self.find_leaf(key);
         self.store.leaf_data_mut(leaf).get_mut(key)
@@ -235,7 +236,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
         let (id, leaf) = self.route_to_leaf(&key);
         // A duplicate never splits a full leaf; it falls through to
         // the leaf's own refusal.
-        if self.split_room(leaf) == 0 && leaf.live_get(&key).is_none() && self.split_leaf(id) {
+        if self.split_room(leaf) == 0 && leaf.live_peek(&key).is_none() && self.split_leaf(id) {
             // The leaf became a routing node: re-route.
             return self.insert(key, value);
         }
@@ -277,9 +278,10 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
     /// Equivalent to calling [`AlexIndex::insert`] per pair, including
     /// split-on-insert behaviour: a run is cut at the leaf's split
     /// room, so the leaf splits before the fresh key that finds it
-    /// full, and a key already present never splits it. The one
-    /// exception is a full leaf no model can split, which takes the
-    /// rest of its run at once instead of retrying the split per key.
+    /// full, and a key already present never splits it. A full leaf
+    /// no model can split takes that fresh key alone, as a per-key
+    /// insert would, so both paths try it again at the same next retry
+    /// point (see `split_room`).
     ///
     /// # Panics
     /// Panics (debug builds) if `pairs` is not sorted non-decreasing by
@@ -300,8 +302,9 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
                     // The leaf became a routing node: re-route.
                     0 if self.split_leaf(id) => continue,
                     // No model separates its keys: the full leaf takes
-                    // the run.
-                    0 => usize::MAX,
+                    // the fresh key, which moves its room on to the
+                    // next retry point.
+                    0 => 1,
                     present => {
                         rest = &rest[present..];
                         continue;
@@ -347,7 +350,7 @@ pub(super) fn present_prefix<K: AlexKey, V: Clone + Default>(
     leaf: &LeafNode<K, V>,
     run: &[(K, V)],
 ) -> usize {
-    run.iter().take_while(|(k, _)| leaf.live_get(k).is_some()).count()
+    run.iter().take_while(|(k, _)| leaf.live_peek(k).is_some()).count()
 }
 
 /// Insert a sorted run of pairs into one leaf's base array, skipping

@@ -5,7 +5,10 @@
 //! [`AlexIndex::split_room`]: how many more keys the leaf can take
 //! before split-on-insert must split it. At zero the leaf splits
 //! before the insert; a batch run is cut at the room, so a batch
-//! splits at the same moments as inserting key by key.
+//! splits at the same moments as inserting key by key. A leaf no
+//! model can split (its keys' `f64` projection is flat) takes the key
+//! anyway, and the room then counts to its next retry point, so the
+//! O(leaf) planning is paid once per doubling, not on every insert.
 //!
 //! A full leaf's model becomes an inner model routing to
 //! [`SPLIT_FANOUT`] fresh leaves; data is redistributed by the
@@ -134,14 +137,29 @@ impl<K: AlexKey, V: Clone + Default, S: NodeStore<K, V>> AlexIndex<K, V, S> {
 
     /// How many more keys the leaf `leaf` can take before
     /// split-on-insert must split it; zero means the next insert
-    /// splits it first. Unbounded without split-on-insert. Counts the
-    /// merged live keys, so a buffered edit counts like a stored one.
+    /// tries to split it first. Unbounded without split-on-insert.
+    /// Counts the merged live keys, so a buffered edit counts like a
+    /// stored one.
+    ///
+    /// A leaf grows past `max_node_keys` only when no model could
+    /// split it. Its next try is then at the next retry point, each
+    /// twice the last plus one (`m`, `2m + 1`, `4m + 3`, ...), so it
+    /// is re-planned once per doubling. The points follow from the
+    /// live count alone: nothing records the failure, and a leaf stays
+    /// as small as before.
     pub(super) fn split_room(&self, leaf: &LeafNode<K, V>) -> usize {
         match self.config.rmi {
             RmiMode::Adaptive {
                 max_node_keys,
                 split_on_insert: true,
-            } => max_node_keys.saturating_sub(leaf.live_keys()),
+            } => {
+                let live = leaf.live_keys();
+                let mut retry_at = max_node_keys;
+                while retry_at < live {
+                    retry_at = retry_at.saturating_mul(2).saturating_add(1);
+                }
+                retry_at - live
+            }
             _ => usize::MAX,
         }
     }

@@ -555,3 +555,53 @@ fn duplicate_inserts_never_split_a_full_leaf_in_either_regime() {
     dense.debug_assert_invariants();
     epoch.debug_assert_invariants();
 }
+
+#[test]
+fn a_flushed_delta_buffer_gives_its_allocation_back() {
+    use super::EpochAlex;
+
+    // One fresh insert: the epoch index buffers it, `into_inner` folds
+    // it, and the dense index takes it directly.
+    let cfg = AlexConfig::ga_armi().with_max_node_keys(128).with_splitting();
+    let full = pairs(128, 10);
+    let mut dense = AlexIndex::bulk_load(&full, cfg);
+    let epoch = EpochAlex::bulk_load(&full, cfg);
+    dense.insert(505, 5).unwrap();
+    epoch.insert(505, 5).unwrap();
+    assert_eq!(epoch.write_stats().delta_hits, 1, "the insert was buffered");
+    assert_eq!(epoch.into_inner().size_report(), dense.size_report());
+
+    // A thousand, through many flushes of full buffers.
+    let loaded = pairs(10_000, 10);
+    let mut dense = AlexIndex::bulk_load(&loaded, AlexConfig::ga_armi());
+    let epoch = EpochAlex::bulk_load(&loaded, AlexConfig::ga_armi());
+    for i in 0..1000u64 {
+        dense.insert(i * 70 + 5, i).unwrap();
+        epoch.insert(i * 70 + 5, i).unwrap();
+    }
+    assert!(epoch.write_stats().flushes > 0);
+    assert_eq!(epoch.into_inner().size_report(), dense.size_report());
+}
+
+#[test]
+fn writes_never_count_as_reads() {
+    let loaded = pairs(10_000, 10);
+    let fresh: Vec<(u64, u64)> = (0..1000u64).map(|i| (i * 70 + 5, i)).collect();
+    let mut dense = AlexIndex::bulk_load(&loaded, AlexConfig::ga_armi().with_splitting());
+    for &(k, v) in &fresh {
+        dense.insert(k, v).unwrap();
+    }
+    assert_eq!(dense.insert(fresh[0].0, 0), Err(InsertError::DuplicateKey));
+    assert_eq!(dense.bulk_insert(&fresh[..100]), Ok(0));
+    for &(k, v) in &fresh[..100] {
+        assert_eq!(dense.update(&k, v + 1), Some(v));
+    }
+    for &(k, _) in &fresh {
+        assert!(dense.remove(&k).is_some());
+    }
+    assert_eq!(dense.read_stats(), (0, 0, 0), "writes recorded reads");
+    for k in 0..100u64 {
+        assert_eq!(dense.get(&(k * 10)), Some(&k));
+    }
+    assert_eq!(dense.read_stats().0, 100, "one lookup per get");
+}

@@ -45,6 +45,16 @@
 //! sorted [`bulk_insert`] run would copy every leaf it touches whole.
 //! A client's own `BatchInsert` still takes [`bulk_insert`].
 //!
+//! # Wake-ups
+//!
+//! Every condvar in the crate — the queue's two and each request's
+//! [`Rendezvous`](worker::Rendezvous) — is signalled only when a
+//! thread is parked on it: a futex wake is a syscall even with no
+//! sleeper, and under load the pipelining client and the worker are
+//! mostly awake. Each waiter counts itself under the mutex that
+//! guards its condition before it parks, and each signaller reads
+//! that count under the same mutex, so no wake-up is lost.
+//!
 //! # Example
 //!
 //! ```
@@ -82,3 +92,32 @@ pub use protocol::{Request, Response};
 pub use queue::BoundedQueue;
 pub use server::{Client, Pending, Server, ServerConfig, ServerStats};
 pub use worker::{WorkerStats, WorkerStatsSnapshot};
+
+/// Run a test body that may block on a condvar, failing after 30 s
+/// instead of hanging: a lost wake-up shows as a timeout.
+#[cfg(test)]
+pub(crate) fn within_deadline(body: impl FnOnce() + Send + 'static) {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (done, finished) = channel();
+    let runner = std::thread::spawn(move || {
+        body();
+        let _ = done.send(());
+    });
+    let deadline = std::time::Duration::from_secs(30);
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(deadline) {
+        panic!("still blocked after 30 s: a wake-up was lost");
+    }
+    // Finished or panicked: either way the runner has ended.
+    if let Err(panic) = runner.join() {
+        std::panic::resume_unwind(panic);
+    }
+}
+
+/// Poll `parked` until it reads `want`, so a test signals only once
+/// the thread it means to wake is really asleep.
+#[cfg(test)]
+pub(crate) fn await_parked(want: usize, parked: impl Fn() -> usize) {
+    while parked() != want {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+}

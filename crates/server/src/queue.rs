@@ -11,6 +11,17 @@
 //! the consumer falls behind, converting overload into client-side
 //! queueing delay (visible in open-loop latency) instead of unbounded
 //! memory growth.
+//!
+//! # Wake-ups
+//!
+//! A condvar is signalled only when a thread is parked on it: a futex
+//! wake is a syscall even when nobody sleeps, and under load both
+//! sides are usually awake. Each side counts its parked threads under
+//! the queue mutex, incrementing before it waits and decrementing once
+//! it wakes, and the other side reads that count under the same mutex
+//! before it signals. A thread that is about to park has already
+//! counted itself, so no wake-up is lost. [`close`](BoundedQueue::close)
+//! wakes everyone regardless.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -18,6 +29,10 @@ use std::sync::{Condvar, Mutex};
 struct Inner<T> {
     items: VecDeque<T>,
     closed: bool,
+    /// Producers parked in `send` on a full queue.
+    parked_producers: usize,
+    /// Consumers parked in `recv_batch` on an empty queue.
+    parked_consumers: usize,
 }
 
 /// Error returned by [`BoundedQueue::send`] once the queue is closed.
@@ -37,7 +52,12 @@ impl<T> BoundedQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "a zero-capacity queue can never accept");
         BoundedQueue {
-            inner: Mutex::new(Inner { items: VecDeque::with_capacity(capacity), closed: false }),
+            inner: Mutex::new(Inner {
+                items: VecDeque::with_capacity(capacity),
+                closed: false,
+                parked_producers: 0,
+                parked_consumers: 0,
+            }),
             capacity,
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
@@ -54,10 +74,14 @@ impl<T> BoundedQueue<T> {
             }
             if inner.items.len() < self.capacity {
                 inner.items.push_back(item);
-                self.not_empty.notify_one();
+                if inner.parked_consumers > 0 {
+                    self.not_empty.notify_one();
+                }
                 return Ok(());
             }
+            inner.parked_producers += 1;
             inner = self.not_full.wait(inner).expect("queue lock");
+            inner.parked_producers -= 1;
         }
     }
 
@@ -75,29 +99,43 @@ impl<T> BoundedQueue<T> {
                 out.extend(inner.items.drain(..take));
                 // Waking every blocked producer is deliberate: a batch
                 // drain frees many slots at once.
-                self.not_full.notify_all();
+                if inner.parked_producers > 0 {
+                    self.not_full.notify_all();
+                }
                 return Some(depth);
             }
             if inner.closed {
                 return None;
             }
+            inner.parked_consumers += 1;
             inner = self.not_empty.wait(inner).expect("queue lock");
+            inner.parked_consumers -= 1;
         }
     }
 
     /// Close the queue: future sends fail, and the consumer drains
-    /// what remains before `recv_batch` returns `None`.
+    /// what remains before `recv_batch` returns `None`. Wakes every
+    /// parked thread, counted or not.
     pub fn close(&self) {
         let mut inner = self.inner.lock().expect("queue lock");
         inner.closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
+
+    /// Parked producers and consumers, for tests that must signal only
+    /// once a thread sleeps.
+    #[cfg(test)]
+    fn parked(&self) -> (usize, usize) {
+        let inner = self.inner.lock().expect("queue lock");
+        (inner.parked_producers, inner.parked_consumers)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{await_parked, within_deadline};
     use std::sync::Arc;
     use std::thread;
 
@@ -189,5 +227,66 @@ mod tests {
         assert_eq!(all.len(), 2000);
         all.dedup();
         assert_eq!(all.len(), 2000, "no duplicates either");
+    }
+
+    #[test]
+    fn a_consumer_parked_on_an_empty_queue_wakes_on_a_later_send() {
+        within_deadline(|| {
+            let q = Arc::new(BoundedQueue::new(4));
+            let consumer = {
+                let q = Arc::clone(&q);
+                thread::spawn(move || {
+                    let mut out = Vec::new();
+                    let depth = q.recv_batch(8, &mut out);
+                    (depth, out)
+                })
+            };
+            await_parked(1, || q.parked().1);
+            q.send(7u64).unwrap();
+            assert_eq!(consumer.join().unwrap(), (Some(1), vec![7]));
+        });
+    }
+
+    #[test]
+    fn a_producer_parked_on_a_full_queue_wakes_on_a_drain() {
+        within_deadline(|| {
+            let q = Arc::new(BoundedQueue::new(2));
+            q.send(0u64).unwrap();
+            q.send(1).unwrap();
+            let producer = {
+                let q = Arc::clone(&q);
+                thread::spawn(move || q.send(2))
+            };
+            await_parked(1, || q.parked().0);
+            let mut out = Vec::new();
+            assert_eq!(q.recv_batch(8, &mut out), Some(2));
+            assert_eq!(producer.join().unwrap(), Ok(()));
+            out.clear();
+            assert_eq!(q.recv_batch(8, &mut out), Some(1));
+            assert_eq!(out, vec![2]);
+        });
+    }
+
+    #[test]
+    fn close_wakes_a_parked_consumer_and_a_parked_producer() {
+        within_deadline(|| {
+            let empty = Arc::new(BoundedQueue::<u64>::new(2));
+            let full = Arc::new(BoundedQueue::new(1));
+            full.send(0u64).unwrap();
+            let consumer = {
+                let q = Arc::clone(&empty);
+                thread::spawn(move || q.recv_batch(8, &mut Vec::new()))
+            };
+            let producer = {
+                let q = Arc::clone(&full);
+                thread::spawn(move || q.send(1))
+            };
+            await_parked(1, || empty.parked().1);
+            await_parked(1, || full.parked().0);
+            empty.close();
+            full.close();
+            assert_eq!(consumer.join().unwrap(), None);
+            assert_eq!(producer.join().unwrap(), Err(SendError(1)));
+        });
     }
 }

@@ -312,8 +312,10 @@ impl ServerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::within_deadline;
     use alex_core::AlexConfig;
     use alex_sharded::ShardedAlex;
+    use std::collections::VecDeque;
 
     fn serve(n: u64, shards: usize) -> Server<u64, u64, ShardedAlex<u64, u64>> {
         let pairs: Vec<(u64, u64)> = (0..n).map(|k| (k * 2, k)).collect();
@@ -416,5 +418,61 @@ mod tests {
             "every op was a lookup run member or a singleton"
         );
         server.shutdown();
+    }
+
+    /// Client `t`'s `i`-th request and the response it must get. Odd
+    /// keys are fresh and this client's own; the get of one follows its
+    /// insert through the same queue, so it reads the write.
+    fn checked_op(clients: u64, t: u64, i: u64) -> (Request<u64, u64>, Response<u64, u64>) {
+        let fresh = 2 * ((i / 3) * clients + t) + 1;
+        let loaded = (i * 7919) % 4000;
+        match i % 3 {
+            0 => (Request::Insert { key: fresh, value: i }, Response::Inserted(true)),
+            1 => (Request::Get { key: fresh }, Response::Value(Some(i - 1))),
+            _ => {
+                let want = (loaded < 2000).then_some(loaded);
+                (Request::Get { key: loaded * 2 }, Response::Value(want))
+            }
+        }
+    }
+
+    #[test]
+    fn pipelined_clients_past_a_small_queue_bound_lose_no_wake_up() {
+        // Four clients keep 64 requests each in flight against two
+        // workers whose queues hold 4, so producers park on full
+        // queues, the workers park on empty ones between bursts, and
+        // the clients park on replies that have not landed yet.
+        const CLIENTS: u64 = 4;
+        const OPS: u64 = 3000;
+        within_deadline(|| {
+            let pairs: Vec<(u64, u64)> = (0..2000).map(|k| (k * 2, k)).collect();
+            let index = ShardedAlex::bulk_load(&pairs, 2, AlexConfig::ga_armi());
+            let server = Server::start(index, ServerConfig { queue_capacity: 4, max_batch: 8 });
+            assert_eq!(server.num_workers(), 2);
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|t| {
+                    let client = server.client();
+                    std::thread::spawn(move || {
+                        let mut in_flight = VecDeque::new();
+                        for i in 0..OPS {
+                            let (request, want) = checked_op(CLIENTS, t, i);
+                            in_flight.push_back((client.submit(request), want));
+                            if in_flight.len() == 64 {
+                                let (pending, want) = in_flight.pop_front().unwrap();
+                                assert_eq!(pending.wait(), want);
+                            }
+                        }
+                        for (pending, want) in in_flight {
+                            assert_eq!(pending.wait(), want);
+                        }
+                    })
+                })
+                .collect();
+            for client in clients {
+                client.join().unwrap();
+            }
+            let index = server.shutdown();
+            assert_eq!(index.len() as u64, 2000 + CLIENTS * OPS.div_ceil(3));
+        });
     }
 }

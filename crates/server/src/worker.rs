@@ -32,6 +32,13 @@ use crate::queue::BoundedQueue;
 
 /// A multi-part response meeting point: one per client request, with
 /// one part per owner-worker the request was split across.
+///
+/// The last part signals the condvar only when a `wait` is parked on
+/// it: a futex wake is a syscall even with no sleeper, and a
+/// pipelined client usually collects a reply after it has landed. The
+/// parked count is kept under the same mutex as `remaining`, so a
+/// `wait` that is about to park has already counted itself when the
+/// last part checks.
 pub struct Rendezvous<K, V> {
     state: Mutex<RendezvousState<K, V>>,
     done: Condvar,
@@ -39,6 +46,8 @@ pub struct Rendezvous<K, V> {
 
 struct RendezvousState<K, V> {
     remaining: usize,
+    /// Threads parked in `wait`.
+    parked: usize,
     parts: Vec<Option<Response<K, V>>>,
 }
 
@@ -47,6 +56,7 @@ impl<K, V> Rendezvous<K, V> {
         Rendezvous {
             state: Mutex::new(RendezvousState {
                 remaining: parts,
+                parked: 0,
                 parts: (0..parts).map(|_| None).collect(),
             }),
             done: Condvar::new(),
@@ -58,7 +68,7 @@ impl<K, V> Rendezvous<K, V> {
         debug_assert!(state.parts[part].is_none(), "part {part} completed twice");
         state.parts[part] = Some(response);
         state.remaining -= 1;
-        if state.remaining == 0 {
+        if state.remaining == 0 && state.parked > 0 {
             self.done.notify_all();
         }
     }
@@ -67,9 +77,18 @@ impl<K, V> Rendezvous<K, V> {
     pub(crate) fn wait(&self) -> Vec<Response<K, V>> {
         let mut state = self.state.lock().expect("rendezvous lock");
         while state.remaining > 0 {
+            state.parked += 1;
             state = self.done.wait(state).expect("rendezvous lock");
+            state.parked -= 1;
         }
         state.parts.iter_mut().map(|slot| slot.take().expect("all parts present")).collect()
+    }
+
+    /// Threads parked in `wait`, for tests that must complete the last
+    /// part only once a waiter sleeps.
+    #[cfg(test)]
+    fn parked(&self) -> usize {
+        self.state.lock().expect("rendezvous lock").parked
     }
 }
 
@@ -283,8 +302,10 @@ pub(crate) fn run_worker<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{await_parked, within_deadline};
     use alex_core::AlexConfig;
     use alex_sharded::ShardedAlex;
+    use std::thread;
 
     fn backend(n: u64) -> ShardedAlex<u64, u64> {
         let pairs: Vec<(u64, u64)> = (0..n).map(|k| (k * 2, k)).collect();
@@ -425,5 +446,43 @@ mod tests {
         run_worker(&index, &queue, 16, &WorkerStats::default());
         assert_eq!(hist.count(), 10);
         assert!(hist.snapshot().max() > 0);
+    }
+
+    #[test]
+    fn a_wait_parked_before_any_part_wakes_on_the_last_of_three() {
+        within_deadline(|| {
+            let rendezvous = Arc::new(Rendezvous::<u64, u64>::new(3));
+            let waiter = {
+                let rendezvous = Arc::clone(&rendezvous);
+                thread::spawn(move || rendezvous.wait())
+            };
+            await_parked(1, || rendezvous.parked());
+            let completers: Vec<_> = [vec![0, 2], vec![1]]
+                .into_iter()
+                .map(|parts| {
+                    let rendezvous = Arc::clone(&rendezvous);
+                    thread::spawn(move || {
+                        for part in parts {
+                            rendezvous.complete(part, Response::Removed(Some(part as u64)));
+                        }
+                    })
+                })
+                .collect();
+            for completer in completers {
+                completer.join().unwrap();
+            }
+            let want: Vec<_> = (0..3).map(|part| Response::Removed(Some(part))).collect();
+            assert_eq!(waiter.join().unwrap(), want);
+        });
+    }
+
+    #[test]
+    fn a_wait_after_completion_returns_at_once() {
+        within_deadline(|| {
+            let rendezvous = Rendezvous::<u64, u64>::new(2);
+            rendezvous.complete(1, Response::Value(None));
+            rendezvous.complete(0, Response::Value(Some(3)));
+            assert_eq!(rendezvous.wait(), vec![Response::Value(Some(3)), Response::Value(None)]);
+        });
     }
 }

@@ -1116,6 +1116,28 @@ mod tests {
     }
 
     #[test]
+    fn writes_never_count_as_shard_reads() {
+        // A write-hot shard must not look read-hot to the rebalancer.
+        let index = ShardedAlex::bulk_load(&pairs(10_000, 10), 4, AlexConfig::ga_armi());
+        let fresh: Vec<(u64, u64)> = (0..1000u64).map(|i| (i * 70 + 5, i)).collect();
+        for &(k, v) in &fresh {
+            index.insert(k, v).unwrap();
+        }
+        assert_eq!(index.bulk_insert(&fresh), Ok(0));
+        for &(k, v) in &fresh {
+            assert_eq!(index.update(&k, v + 1), Some(v));
+            assert_eq!(index.remove(&k), Some(v + 1));
+        }
+        assert_eq!(index.shard_read_stats(), vec![ShardReadStats::default(); 4]);
+        assert!(index.rebalance_plan().is_none(), "writes alone are no read traffic");
+        for k in 0..100u64 {
+            assert_eq!(index.get(&(k * 10)), Some(k));
+        }
+        let lookups: u64 = index.shard_read_stats().iter().map(|s| s.lookups).sum();
+        assert_eq!(lookups, 100, "one lookup per get");
+    }
+
+    #[test]
     fn apply_rebalance_preserves_every_pair() {
         let data = pairs(20_000, 3);
         let mut index = ShardedAlex::bulk_load(&data, 4, AlexConfig::ga_armi());
