@@ -72,6 +72,7 @@ fn main() {
     let report = run_load(&server.client(), &keys, fresh_base, &spec);
     let stats = server.stats().aggregate();
     server.shutdown();
+    let parks_per_op = stats.parks as f64 / stats.ops.max(1) as f64;
 
     match format {
         ReportFormat::Csv => {
@@ -79,6 +80,7 @@ fn main() {
             emit_metric(run, &label, "achieved_ops_per_sec", format!("{:.0}", report.achieved_rate()));
             if let Some(offered) = report.offered_rate {
                 emit_metric(run, &label, "offered_ops_per_sec", format!("{offered:.0}"));
+                emit_metric(run, &label, "late_frac", format!("{:.4}", report.late_frac()));
             }
             emit_metric(run, &label, "batches", stats.batches);
             emit_metric(
@@ -91,6 +93,7 @@ fn main() {
             emit_metric(run, &label, "queue_depth_max", stats.queue_depth_max);
             emit_metric(run, &label, "get_run_ops", stats.get_run_ops);
             emit_metric(run, &label, "singletons", stats.singletons);
+            emit_metric(run, &label, "parks_per_op", format!("{parks_per_op:.4}"));
         }
         ReportFormat::Table => {
             let lat = &report.latency;
@@ -120,6 +123,10 @@ fn main() {
                 stats.singletons,
                 stats.queue_depth_mean(),
                 stats.queue_depth_max,
+            );
+            println!(
+                "wake-ups: {parks_per_op:.4} worker parks per op; {:.4} of sends late by > 20 us",
+                report.late_frac()
             );
             println!("\npaper shape: backlog converts to batch occupancy, not dropped requests");
         }

@@ -416,6 +416,20 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
     /// # Panics
     /// Panics (debug builds) if `pairs` is not sorted by key.
     pub fn bulk_insert(&self, pairs: &[(K, V)]) -> Result<usize, InsertError> {
+        self.bulk_insert_with(pairs, |_| {})
+    }
+
+    /// [`EpochAlex::bulk_insert`], handing each pair that landed to
+    /// `landed`, in key order: a repeat of a key within the batch
+    /// lands only the first time. `DurableAlex` logs exactly these.
+    ///
+    /// # Panics
+    /// Panics (debug builds) if `pairs` is not sorted by key.
+    pub fn bulk_insert_with(
+        &self,
+        pairs: &[(K, V)],
+        mut landed: impl FnMut(&(K, V)),
+    ) -> Result<usize, InsertError> {
         check_batch_keys(pairs)?;
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 <= w[1].0),
@@ -456,10 +470,10 @@ impl<K: AlexKey, V: Clone + Default> EpochAlex<K, V> {
             // One clone + one publication for the whole run.
             let mut fresh = leaf.clone();
             self.flush_clone(&mut fresh);
-            let landed = insert_run(Arc::make_mut(&mut fresh.data), run);
+            let count = insert_run(Arc::make_mut(&mut fresh.data), run, &mut landed);
             self.index.store.publish(id, Node::Leaf(fresh));
-            self.index.len.fetch_add(landed, Ordering::Relaxed);
-            inserted += landed;
+            self.index.len.fetch_add(count, Ordering::Relaxed);
+            inserted += count;
         }
         Ok(inserted)
     }
@@ -1003,6 +1017,22 @@ mod tests {
         assert!(index.contains(&0));
         assert_eq!(index.get_many(&[10, 20, 30]), vec![Some(1), Some(2), Some(3)]);
         assert_eq!(index.read_stats().0, 104);
+    }
+
+    #[test]
+    fn gets_the_delta_buffer_answers_count_as_reads() {
+        let index = EpochAlex::bulk_load(&pairs(10_000, 10), AlexConfig::ga_armi());
+        index.insert(5, 50).unwrap();
+        assert_eq!(index.write_stats().delta_hits, 1, "the insert was buffered");
+        for _ in 0..100 {
+            assert_eq!(index.get(&5), Some(50));
+        }
+        // One probe of a one-entry buffer per get, never a direct hit.
+        assert_eq!(index.read_stats(), (100, 100, 0));
+        // A buffered tombstone answers too.
+        assert_eq!(index.remove(&10), Some(1));
+        assert_eq!(index.get(&10), None);
+        assert_eq!(index.read_stats().0, 101);
     }
 
     #[test]

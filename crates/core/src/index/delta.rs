@@ -101,6 +101,18 @@ impl<K: AlexKey, V> DeltaBuf<K, V> {
         self.idx(key).ok().map(|i| &self.entries[i].1)
     }
 
+    /// [`DeltaBuf::get`], also returning how many entries its binary
+    /// search compared `key` against: a buffered read's comparisons.
+    #[inline]
+    fn get_counted(&self, key: &K) -> (Option<&DeltaOp<V>>, u32) {
+        let mut probes = 0;
+        let found = self.entries.binary_search_by(|(k, _)| {
+            probes += 1;
+            k.partial_cmp(key).unwrap_or(core::cmp::Ordering::Less)
+        });
+        (found.ok().map(|i| &self.entries[i].1), probes)
+    }
+
     /// Whether the buffer holds an entry (of either kind) for `key`.
     #[inline]
     pub fn contains(&self, key: &K) -> bool {
@@ -169,17 +181,22 @@ impl<K: AlexKey, V> DeltaBuf<K, V> {
 impl<K: AlexKey, V: Clone + Default> LeafNode<K, V> {
     /// Look up `key` through the merged view: the delta wins (a `Put`
     /// shadows the base payload, a tombstone hides it), the base
-    /// answers otherwise, counted in its read stats.
+    /// answers otherwise. Either way the read is counted in the base's
+    /// read stats; a buffered answer counts the buffer search's probes
+    /// as its comparisons and is never a direct hit.
     #[inline]
     pub fn live_get(&self, key: &K) -> Option<&V> {
         if self.delta.is_empty() {
             return self.data.get(key);
         }
-        match self.delta.get(key) {
+        let (op, probes) = self.delta.get_counted(key);
+        let value = match op {
             Some(DeltaOp::Put(v)) => Some(v),
             Some(DeltaOp::Tombstone) => None,
-            None => self.data.get(key),
-        }
+            None => return self.data.get(key),
+        };
+        self.data.read_stats().record(probes, false);
+        value
     }
 
     /// [`LeafNode::live_get`] without counting a read: a write's

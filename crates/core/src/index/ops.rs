@@ -313,7 +313,7 @@ impl<K: AlexKey, V: Clone + Default> AlexIndex<K, V> {
                 room => room,
             };
             let (run, tail) = rest.split_at(len.min(room));
-            let landed = insert_run(self.store.leaf_data_mut(id), run);
+            let landed = insert_run(self.store.leaf_data_mut(id), run, |_| {});
             self.len.fetch_add(landed, Ordering::Relaxed);
             inserted += landed;
             rest = tail;
@@ -354,13 +354,16 @@ pub(super) fn present_prefix<K: AlexKey, V: Clone + Default>(
 }
 
 /// Insert a sorted run of pairs into one leaf's base array, skipping
-/// duplicates; returns how many landed. Both batch inserts apply their
-/// runs through it.
+/// duplicates; hands each pair that landed to `landed`, in order, and
+/// returns how many did. Both batch inserts apply their runs through
+/// it.
 pub(super) fn insert_run<K: AlexKey, V: Clone + Default>(
     data: &mut DataNode<K, V>,
     run: &[(K, V)],
+    mut landed: impl FnMut(&(K, V)),
 ) -> usize {
     run.iter()
         .filter(|(k, v)| matches!(data.insert(*k, v.clone()), InsertOutcome::Inserted { .. }))
+        .inspect(|&pair| landed(pair))
         .count()
 }

@@ -332,21 +332,13 @@ where
             "bulk_insert input must be sorted by key"
         );
         let mut wal = self.wal_lock();
-        let keys: Vec<K> = pairs.iter().map(|(k, _)| *k).collect();
-        let present = self.inner.get_many(&keys);
-        let mut fresh: Vec<(K, V)> = Vec::with_capacity(pairs.len());
-        for ((key, value), hit) in pairs.iter().zip(&present) {
-            // Also collapses equal-key repeats within the batch (first
-            // wins, matching the in-memory path's outcome).
-            if hit.is_none() && fresh.last().is_none_or(|(last, _)| *last < *key) {
-                fresh.push((*key, value.clone()));
-            }
-        }
+        // The index hands back the pairs that land, in key order, with
+        // a key repeated within the batch landing only the first time.
+        let mut fresh: Vec<(K, V)> = Vec::new();
         let landed = self
             .inner
-            .bulk_insert(&fresh)
-            .expect("sentinel rejected up front, pre-filtered batch cannot fail");
-        debug_assert_eq!(landed, fresh.len(), "pre-filtered batch must land in full");
+            .bulk_insert_with(pairs, |pair| fresh.push(pair.clone()))
+            .expect("sentinel rejected up front, the batch cannot fail");
         for chunk in fresh.chunks(crate::record::MAX_PUT_RUN_PAIRS) {
             wal.append(&WalRecord::PutRun { pairs: chunk.to_vec() });
         }
@@ -587,6 +579,24 @@ mod tests {
         assert_eq!(back.get(&20), Some(200));
         assert_eq!(back.get(&30), Some(300));
         assert_eq!(back.len(), 3);
+    }
+
+    #[test]
+    fn a_durable_batch_write_counts_no_read() {
+        let dir = TempDir::new("durable-bulk-reads");
+        let pairs: Vec<(u64, u64)> = (0..10_000).map(|k| (k * 10, k)).collect();
+        let cfg = AlexConfig::ga_armi();
+        let index = DurableAlex::create(dir.path(), &pairs, cfg, no_sync()).unwrap();
+        // 1000 fresh keys, the first of them twice: only its first pair
+        // lands, and only landed pairs are logged.
+        let mut batch: Vec<(u64, u64)> = (0..1000u64).map(|i| (i * 70 + 5, i)).collect();
+        batch.insert(1, (5, 999));
+        assert_eq!(index.bulk_insert(&batch).unwrap(), 1000);
+        assert_eq!(index.index().read_stats(), (0, 0, 0), "a batch write recorded reads");
+        drop(index);
+        let (back, _) = DurableAlex::<u64, u64>::open(dir.path(), cfg, no_sync()).unwrap();
+        assert_eq!(back.get(&5), Some(0), "replay must keep the first pair of a repeated key");
+        assert_eq!(back.len(), 11_000);
     }
 
     fn wal_bytes(dir: &std::path::Path) -> u64 {

@@ -12,7 +12,11 @@
 //!   not its actual dispatch. A stalled server keeps accumulating
 //!   scheduled-but-unserved arrivals, so the stall appears in the
 //!   tail as queueing delay — the standard defense against
-//!   coordinated omission.
+//!   coordinated omission. A client sleeps only when its next send is
+//!   more than 200 µs away and yields otherwise, because a sleep
+//!   overshoots by tens of µs and the overshoot would count as server
+//!   latency; sends issued more than 20 µs after their due time are
+//!   counted ([`LoadReport::late_sends`]).
 //!
 //! Both paths record into one shared [`LatencyHistogram`]; the report
 //! carries its snapshot plus the aggregate worker-side batching
@@ -35,6 +39,13 @@ use rand::{RngExt, SeedableRng};
 use crate::histogram::{HistogramSnapshot, LatencyHistogram};
 use crate::protocol::{Request, Response};
 use crate::server::Client;
+
+/// An open-loop send issued more than this after its due time counts
+/// as late.
+const LATE: Duration = Duration::from_micros(20);
+/// An open-loop client sleeps only when its next send is further away
+/// than this, and yields otherwise.
+const SLEEP_ABOVE: Duration = Duration::from_micros(200);
 
 /// The driving discipline.
 #[derive(Debug, Clone, Copy)]
@@ -76,6 +87,9 @@ pub struct LoadReport {
     pub latency: HistogramSnapshot,
     /// The configured open-loop rate, if any.
     pub offered_rate: Option<f64>,
+    /// Open-loop sends issued more than 20 µs after their due time
+    /// (always 0 closed-loop).
+    pub late_sends: u64,
 }
 
 impl LoadReport {
@@ -85,6 +99,24 @@ impl LoadReport {
             0.0
         } else {
             self.ops as f64 / self.elapsed.as_secs_f64()
+        }
+    }
+
+    /// Share of sends issued more than 20 µs after their due time.
+    pub fn late_frac(&self) -> f64 {
+        self.late_sends as f64 / self.ops.max(1) as f64
+    }
+}
+
+/// Wait until `due`: sleep while it is more than `SLEEP_ABOVE` away,
+/// then yield. Returns the time the wait ended.
+fn wait_until(due: Instant) -> Instant {
+    loop {
+        let now = Instant::now();
+        match due.checked_duration_since(now) {
+            None => return now,
+            Some(lead) if lead > SLEEP_ABOVE => std::thread::sleep(lead - SLEEP_ABOVE),
+            Some(_) => std::thread::yield_now(),
         }
     }
 }
@@ -124,7 +156,8 @@ pub fn run_load(
     let chunk = (per_client + 1) as u64;
 
     let start = Instant::now();
-    std::thread::scope(|scope| {
+    let late_sends = std::thread::scope(|scope| {
+        let mut threads = Vec::with_capacity(spec.clients);
         for c in 0..spec.clients {
             let ops = per_client + usize::from(c < remainder);
             let client = client.clone();
@@ -132,40 +165,42 @@ pub fn run_load(
             let hist = Arc::clone(&hist);
             let mut fresh_next = fresh_base + c as u64 * chunk;
             let mut rng = StdRng::seed_from_u64(spec.seed ^ (c as u64).wrapping_mul(0x9E37));
-            match spec.arrival {
-                Arrival::Closed => {
-                    scope.spawn(move || {
-                        for _ in 0..ops {
-                            let request =
-                                next_request(&mut rng, spec.read_pct, &existing, &mut fresh_next);
-                            let issued = Instant::now();
-                            let response = client.call(request);
-                            let nanos = issued.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                            hist.record(nanos);
-                            debug_assert!(!matches!(response, Response::Inserted(false)));
-                        }
-                    });
-                }
+            threads.push(match spec.arrival {
+                Arrival::Closed => scope.spawn(move || {
+                    for _ in 0..ops {
+                        let request =
+                            next_request(&mut rng, spec.read_pct, &existing, &mut fresh_next);
+                        let issued = Instant::now();
+                        let response = client.call(request);
+                        let nanos = issued.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+                        hist.record(nanos);
+                        debug_assert!(!matches!(response, Response::Inserted(false)));
+                    }
+                    0
+                }),
                 Arrival::Open { rate_per_sec } => {
                     let rate = rate_per_sec / spec.clients as f64;
                     let schedule = poisson_schedule(rate, ops, spec.seed ^ ((c as u64) << 17));
                     scope.spawn(move || {
                         let epoch = Instant::now();
+                        let mut late = 0u64;
                         for at in schedule {
                             let scheduled = epoch + at;
                             // Late is fine — the lateness lands in the
                             // measured latency, as open loop demands.
-                            if let Some(lead) = scheduled.checked_duration_since(Instant::now()) {
-                                std::thread::sleep(lead);
+                            if wait_until(scheduled) - scheduled > LATE {
+                                late += 1;
                             }
                             let request =
                                 next_request(&mut rng, spec.read_pct, &existing, &mut fresh_next);
                             client.submit_measured(request, scheduled, &hist);
                         }
-                    });
+                        late
+                    })
                 }
-            }
+            });
         }
+        threads.into_iter().map(|t| t.join().expect("load client panicked")).sum::<u64>()
     });
     // Closed-loop clients finish with all responses in hand; open-loop
     // clients exit after dispatching, so wait for the histogram to
@@ -182,6 +217,7 @@ pub fn run_load(
             Arrival::Closed => None,
             Arrival::Open { rate_per_sec } => Some(rate_per_sec),
         },
+        late_sends,
     }
 }
 
@@ -212,6 +248,7 @@ mod tests {
         assert!(report.latency.p999() >= report.latency.p99());
         assert!(report.achieved_rate() > 0.0);
         assert!(report.offered_rate.is_none());
+        assert_eq!(report.late_sends, 0, "a closed loop has no due times");
         let index = server.shutdown();
         // ~25% of 4000 ops inserted fresh keys, all disjoint.
         let inserted = index.len() - 5000;

@@ -14,6 +14,14 @@
 //!
 //! # Wake-ups
 //!
+//! A thread that has to wait first polls a lock-free copy of its
+//! condition, for up to 50 µs (`poll`), and parks on a condvar only if
+//! the condition is still false after that: parking is cheap, but on a
+//! VM the wake-up after it is not (see the crate docs). The copies
+//! (`queued` and `closed`) are written under the queue mutex at every
+//! push, drain and close; a waiter re-checks the real condition under
+//! the mutex before it parks, so a copy is only ever a hint.
+//!
 //! A condvar is signalled only when a thread is parked on it: a futex
 //! wake is a syscall even when nobody sleeps, and under load both
 //! sides are usually awake. Each side counts its parked threads under
@@ -24,7 +32,44 @@
 //! wakes everyone regardless.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Condvar, Mutex};
+use std::time::{Duration, Instant};
+
+/// How long a wait polls before it parks: about what parking and the
+/// wake-up after it cost on a virtual CPU (Karlin et al., "Empirical
+/// Studies of Competitive Spinning for a Shared-Memory
+/// Multiprocessor", SOSP 1991: spin for about as long as blocking
+/// costs, then block).
+pub(crate) const POLL_FOR: Duration = Duration::from_micros(50);
+
+/// Checks made with a `spin_loop` hint between them before the poll
+/// starts yielding and reading the clock.
+const SPINS: u32 = 32;
+
+/// Poll `ready` until it returns true or [`POLL_FOR`] has passed, and
+/// return its last answer. Never parks: a short `spin_loop` burst, then
+/// `yield_now` between checks, so a thread that shares its CPU with the
+/// one it waits on lets that thread run. Every wait in the crate polls
+/// through here before it parks.
+pub(crate) fn poll(ready: impl Fn() -> bool) -> bool {
+    for _ in 0..SPINS {
+        if ready() {
+            return true;
+        }
+        std::hint::spin_loop();
+    }
+    let start = Instant::now();
+    loop {
+        if ready() {
+            return true;
+        }
+        if start.elapsed() >= POLL_FOR {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+}
 
 struct Inner<T> {
     items: VecDeque<T>,
@@ -44,6 +89,11 @@ pub struct SendError<T>(pub T);
 pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     capacity: usize,
+    /// `items.len()` and `closed`, copied under the mutex at every
+    /// change, for a waiter to poll before it parks. Relaxed: they
+    /// publish no data, because a waiter re-checks under the mutex.
+    queued: AtomicUsize,
+    closed: AtomicBool,
     not_full: Condvar,
     not_empty: Condvar,
 }
@@ -59,6 +109,8 @@ impl<T> BoundedQueue<T> {
                 parked_consumers: 0,
             }),
             capacity,
+            queued: AtomicUsize::new(0),
+            closed: AtomicBool::new(false),
             not_full: Condvar::new(),
             not_empty: Condvar::new(),
         }
@@ -67,6 +119,7 @@ impl<T> BoundedQueue<T> {
     /// Enqueue one item, blocking while the queue is full. Fails only
     /// after [`close`](BoundedQueue::close).
     pub fn send(&self, item: T) -> Result<(), SendError<T>> {
+        poll(|| self.queued.load(Relaxed) < self.capacity || self.closed.load(Relaxed));
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
             if inner.closed {
@@ -74,6 +127,7 @@ impl<T> BoundedQueue<T> {
             }
             if inner.items.len() < self.capacity {
                 inner.items.push_back(item);
+                self.queued.store(inner.items.len(), Relaxed);
                 if inner.parked_consumers > 0 {
                     self.not_empty.notify_one();
                 }
@@ -91,12 +145,25 @@ impl<T> BoundedQueue<T> {
     /// consumer's measure of how far behind it was — or `None` when
     /// closed-and-empty (the consumer's signal to exit).
     pub fn recv_batch(&self, max: usize, out: &mut Vec<T>) -> Option<usize> {
+        self.recv_batch_counting(max, out, &AtomicU64::new(0))
+    }
+
+    /// [`recv_batch`](BoundedQueue::recv_batch), adding one to `parks`
+    /// each time the consumer parks, before it sleeps.
+    pub(crate) fn recv_batch_counting(
+        &self,
+        max: usize,
+        out: &mut Vec<T>,
+        parks: &AtomicU64,
+    ) -> Option<usize> {
+        poll(|| self.queued.load(Relaxed) > 0 || self.closed.load(Relaxed));
         let mut inner = self.inner.lock().expect("queue lock");
         loop {
             if !inner.items.is_empty() {
                 let depth = inner.items.len();
                 let take = depth.min(max);
                 out.extend(inner.items.drain(..take));
+                self.queued.store(inner.items.len(), Relaxed);
                 // Waking every blocked producer is deliberate: a batch
                 // drain frees many slots at once.
                 if inner.parked_producers > 0 {
@@ -108,6 +175,7 @@ impl<T> BoundedQueue<T> {
                 return None;
             }
             inner.parked_consumers += 1;
+            parks.fetch_add(1, Relaxed);
             inner = self.not_empty.wait(inner).expect("queue lock");
             inner.parked_consumers -= 1;
         }
@@ -119,6 +187,7 @@ impl<T> BoundedQueue<T> {
     pub fn close(&self) {
         let mut inner = self.inner.lock().expect("queue lock");
         inner.closed = true;
+        self.closed.store(true, Relaxed);
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
@@ -136,8 +205,31 @@ impl<T> BoundedQueue<T> {
 mod tests {
     use super::*;
     use crate::{await_parked, within_deadline};
+    use std::cell::Cell;
     use std::sync::Arc;
     use std::thread;
+
+    #[test]
+    fn poll_returns_true_once_its_condition_turns_true_mid_poll() {
+        // Mid-burst, and on the first check after the burst, before the
+        // poll first reads the clock: neither can time out.
+        for turns_at in [2, SPINS + 1] {
+            let checks = Cell::new(0);
+            let ready = || {
+                checks.set(checks.get() + 1);
+                checks.get() >= turns_at
+            };
+            assert!(poll(ready));
+            assert_eq!(checks.get(), turns_at, "the poll stops at the first true check");
+        }
+    }
+
+    #[test]
+    fn poll_gives_up_no_sooner_than_poll_for() {
+        let start = Instant::now();
+        assert!(!poll(|| false));
+        assert!(start.elapsed() >= POLL_FOR);
+    }
 
     #[test]
     fn batches_drain_in_fifo_order_and_report_depth() {

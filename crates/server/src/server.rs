@@ -420,6 +420,27 @@ mod tests {
         server.shutdown();
     }
 
+    #[test]
+    fn an_idle_worker_parks_once_its_poll_runs_out() {
+        // The poll before a park is bounded: a worker with nothing to
+        // do parks, a request still wakes it, and it parks again.
+        within_deadline(|| {
+            let server = serve(100, 1);
+            // Wait until the worker has parked more than `n` times.
+            let parks_above = |n: u64| {
+                while server.stats().aggregate().parks <= n {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                server.stats().aggregate().parks
+            };
+            let parked = parks_above(0);
+            let client = server.client();
+            assert_eq!(client.call(Request::Get { key: 4 }), Response::Value(Some(2)));
+            parks_above(parked);
+            server.shutdown();
+        });
+    }
+
     /// Client `t`'s `i`-th request and the response it must get. Odd
     /// keys are fresh and this client's own; the get of one follows its
     /// insert through the same queue, so it reads the write.

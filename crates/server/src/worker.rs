@@ -19,7 +19,7 @@
 //! [`insert`]: crate::backend::ServeBackend::insert
 //! [`bulk_insert`]: crate::backend::ServeBackend::bulk_insert
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
@@ -28,19 +28,25 @@ use alex_core::InsertError;
 use crate::backend::{ServeBackend, ServerKey, ServerValue};
 use crate::histogram::LatencyHistogram;
 use crate::protocol::{Request, Response};
-use crate::queue::BoundedQueue;
+use crate::queue::{poll, BoundedQueue};
 
 /// A multi-part response meeting point: one per client request, with
 /// one part per owner-worker the request was split across.
 ///
-/// The last part signals the condvar only when a `wait` is parked on
-/// it: a futex wake is a syscall even with no sleeper, and a
-/// pipelined client usually collects a reply after it has landed. The
-/// parked count is kept under the same mutex as `remaining`, so a
-/// `wait` that is about to park has already counted itself when the
-/// last part checks.
+/// A `wait` first polls a lock-free copy of `remaining`, written
+/// under the mutex at every `complete`, and parks only once the poll
+/// gives up: a closed-loop client's reply usually lands within the
+/// poll, and then neither side pays a wake-up. The last part signals
+/// the condvar only when a `wait` is parked on it: a futex wake is a
+/// syscall even with no sleeper, and a pipelined client usually
+/// collects a reply after it has landed. The parked count is kept
+/// under the same mutex as `remaining`, so a `wait` that is about to
+/// park has already counted itself when the last part checks.
 pub struct Rendezvous<K, V> {
     state: Mutex<RendezvousState<K, V>>,
+    /// `state.remaining`, for `wait` to poll before it parks. Relaxed:
+    /// it publishes no data, because `wait` re-checks under the mutex.
+    remaining: AtomicUsize,
     done: Condvar,
 }
 
@@ -59,6 +65,7 @@ impl<K, V> Rendezvous<K, V> {
                 parked: 0,
                 parts: (0..parts).map(|_| None).collect(),
             }),
+            remaining: AtomicUsize::new(parts),
             done: Condvar::new(),
         }
     }
@@ -68,6 +75,7 @@ impl<K, V> Rendezvous<K, V> {
         debug_assert!(state.parts[part].is_none(), "part {part} completed twice");
         state.parts[part] = Some(response);
         state.remaining -= 1;
+        self.remaining.store(state.remaining, Ordering::Relaxed);
         if state.remaining == 0 && state.parked > 0 {
             self.done.notify_all();
         }
@@ -75,6 +83,7 @@ impl<K, V> Rendezvous<K, V> {
 
     /// Block until every part has arrived; returns them in part order.
     pub(crate) fn wait(&self) -> Vec<Response<K, V>> {
+        poll(|| self.remaining.load(Ordering::Relaxed) == 0);
         let mut state = self.state.lock().expect("rendezvous lock");
         while state.remaining > 0 {
             state.parked += 1;
@@ -132,6 +141,7 @@ pub struct WorkerStats {
     pub(crate) singletons: AtomicU64,
     pub(crate) queue_depth_sum: AtomicU64,
     pub(crate) queue_depth_max: AtomicU64,
+    pub(crate) parks: AtomicU64,
 }
 
 /// A plain copy of one worker's counters.
@@ -154,6 +164,9 @@ pub struct WorkerStatsSnapshot {
     pub queue_depth_sum: u64,
     /// Deepest backlog any drain observed.
     pub queue_depth_max: u64,
+    /// Times the worker parked on an empty queue after its poll gave
+    /// up; each park costs the next request a thread wake-up.
+    pub parks: u64,
 }
 
 impl WorkerStats {
@@ -167,6 +180,7 @@ impl WorkerStats {
             singletons: self.singletons.load(Ordering::Relaxed),
             queue_depth_sum: self.queue_depth_sum.load(Ordering::Relaxed),
             queue_depth_max: self.queue_depth_max.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
         }
     }
 }
@@ -198,6 +212,7 @@ impl WorkerStatsSnapshot {
         self.singletons += other.singletons;
         self.queue_depth_sum += other.queue_depth_sum;
         self.queue_depth_max = self.queue_depth_max.max(other.queue_depth_max);
+        self.parks += other.parks;
     }
 }
 
@@ -277,7 +292,7 @@ pub(crate) fn run_worker<K: ServerKey, V: ServerValue, B: ServeBackend<K, V> + ?
 ) {
     let mut batch: Vec<Envelope<K, V>> = Vec::with_capacity(max_batch);
     let mut gets: Vec<(K, Reply<K, V>)> = Vec::new();
-    while let Some(depth) = queue.recv_batch(max_batch, &mut batch) {
+    while let Some(depth) = queue.recv_batch_counting(max_batch, &mut batch, &stats.parks) {
         stats.batches.fetch_add(1, Ordering::Relaxed);
         stats.ops.fetch_add(batch.len() as u64, Ordering::Relaxed);
         stats.queue_depth_sum.fetch_add(depth as u64, Ordering::Relaxed);
