@@ -7,9 +7,14 @@
 //! Every mutation runs under the WAL mutex, which therefore doubles
 //! as the operation serializer for durable writes (the inner
 //! [`EpochAlex`] writer mutex still serializes against any direct
-//! writers and splits). Within one hold the operation checks the
-//! index, appends its record, applies the change, and lets the group
-//! commit policy decide whether to flush — so the log's record order
+//! writers and splits). Within one hold a point write applies itself
+//! through the index's own write (which refuses a duplicate insert, or
+//! an update or remove of an absent key, without touching anything),
+//! appends its record only if the write landed, and lets the group
+//! commit policy decide whether to flush; a batch write appends the
+//! pairs that landed the same way. No write probes the index first, so
+//! a write never counts as a read in [`EpochAlex::read_stats`]. Since
+//! each apply and its append sit in one hold, the log's record order
 //! **is** the apply order, the invariant all replay reasoning rests
 //! on. Readers never touch the mutex: they go straight to the
 //! epoch-pinned lock-free read path.
@@ -28,7 +33,10 @@
 //! committed once more: every record appended up to that point — a
 //! superset of all records whose effects any leaf captured — is
 //! durable, so a restored snapshot can never contain the effect of a
-//! record the crash lost. Recovery replays every record with
+//! record the crash lost. (A leaf may capture a write applied in a
+//! hold that has not appended its record yet; that commit takes the
+//! WAL mutex, so it waits for the hold to end and the record to be
+//! appended.) Recovery replays every record with
 //! LSN `> L` in order: records in `(L, Lᵢ]` for some leaf are
 //! *re-applied* to state that already contains them, which is safe
 //! because both record kinds are idempotent re-applications — a `Put`
@@ -245,19 +253,16 @@ where
     /// Insert a fresh pair. `Ok(false)` (duplicate) neither changes
     /// the index nor logs anything. The reserved `MAX_KEY` sentinel and
     /// a NaN key are rejected with [`io::ErrorKind::InvalidInput`]
-    /// **before** any record is appended — logging first and letting
-    /// the in-memory insert refuse would leave a record in the WAL
-    /// whose effect never happened.
+    /// before the index is touched, so a refused key is an error and
+    /// not a duplicate.
     pub fn insert(&self, key: K, value: V) -> io::Result<bool> {
         reject_sentinel(&key)?;
         let mut wal = self.wal_lock();
-        if self.inner.contains(&key) {
+        if self.inner.insert(key, value.clone()).is_err() {
+            // The sentinel was refused above, so this is a duplicate.
             return Ok(false);
         }
-        wal.append(&WalRecord::Put { key, value: value.clone() });
-        self.inner
-            .insert(key, value)
-            .expect("key checked absent under the WAL mutex");
+        wal.append(&WalRecord::Put { key, value });
         wal.commit_if_due()?;
         Ok(true)
     }
@@ -266,14 +271,12 @@ where
     /// nothing.
     pub fn update(&self, key: &K, value: V) -> io::Result<Option<V>> {
         let mut wal = self.wal_lock();
-        if !self.inner.contains(key) {
+        let Some(old) = self.inner.update(key, value.clone()) else {
             return Ok(None);
-        }
-        wal.append(&WalRecord::Put { key: *key, value: value.clone() });
-        let old = self.inner.update(key, value);
-        debug_assert!(old.is_some(), "key checked present under the WAL mutex");
+        };
+        wal.append(&WalRecord::Put { key: *key, value });
         wal.commit_if_due()?;
-        Ok(old)
+        Ok(Some(old))
     }
 
     /// Insert-or-replace; both cases log the same `Put` record (and
@@ -593,10 +596,25 @@ mod tests {
         batch.insert(1, (5, 999));
         assert_eq!(index.bulk_insert(&batch).unwrap(), 1000);
         assert_eq!(index.index().read_stats(), (0, 0, 0), "a batch write recorded reads");
+        // Point writes: 1000 fresh inserts and a duplicate of each,
+        // then an update of each and of an absent key.
+        for i in 0..1000u64 {
+            assert!(index.insert(i * 70 + 7, i).unwrap());
+            assert!(!index.insert(i * 70 + 7, i + 1).unwrap(), "duplicate insert must refuse");
+        }
+        for i in 0..1000u64 {
+            assert_eq!(index.update(&(i * 70 + 7), i + 2).unwrap(), Some(i));
+        }
+        assert_eq!(index.update(&3, 0).unwrap(), None, "absent key");
+        assert_eq!(index.index().read_stats(), (0, 0, 0), "a point write recorded reads");
         drop(index);
         let (back, _) = DurableAlex::<u64, u64>::open(dir.path(), cfg, no_sync()).unwrap();
         assert_eq!(back.get(&5), Some(0), "replay must keep the first pair of a repeated key");
-        assert_eq!(back.len(), 11_000);
+        assert_eq!(back.len(), 12_000);
+        for i in (0..1000u64).step_by(37) {
+            assert_eq!(back.get(&(i * 70 + 7)), Some(i + 2), "replay must keep the update");
+        }
+        assert_eq!(back.get(&3), None, "an update of an absent key logs nothing");
     }
 
     fn wal_bytes(dir: &std::path::Path) -> u64 {

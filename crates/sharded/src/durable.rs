@@ -1,4 +1,10 @@
-//! One log per shard: [`DurableShardedAlex`].
+//! One log per shard: [`DurableShardedAlex`], the [`Sharded`] index
+//! whose shards are [`DurableAlex`] indexes.
+//!
+//! Reads, routing and stats are the shared [`Sharded`] methods, which
+//! go through each shard's [`EpochAlex`](alex_core::EpochAlex); this
+//! module holds what durability adds: the on-disk layout, `create`
+//! and `open`, the logged writes and the durability controls.
 //!
 //! Each shard is a full [`DurableAlex`] in its own subdirectory
 //! (`shard-0000`, `shard-0001`, …) with its own WAL, snapshots, and
@@ -6,21 +12,20 @@
 //! recovery is per-shard (a torn tail in one shard's log cannot touch
 //! another's), and snapshots can be staggered. The only shared state
 //! is the boundary vector, persisted once at `create` into a
-//! CRC-guarded `SHARDS` file: boundaries are immutable for the life
-//! of the store, exactly as in the in-memory [`ShardedAlex`], so the
-//! file is written once and only ever read back. It is written
-//! *after* every shard directory exists — the tmp+rename of `SHARDS`
-//! is create's commit point, so a crash mid-create yields a
-//! directory [`DurableShardedAlex::open`] refuses rather than one it
-//! would silently treat as partially empty.
+//! CRC-guarded `SHARDS` file: a durable store's boundaries are fixed
+//! for its life, so the file is written once and only ever read back.
+//! It is written *after* every shard directory exists — the
+//! tmp+rename of `SHARDS` is create's commit point, so a crash
+//! mid-create yields a directory [`DurableShardedAlex::open`] refuses
+//! rather than one it would silently treat as partially empty. For
+//! the same reason `open` refuses a store whose shard directory is
+//! gone instead of recovering that shard empty.
 //!
 //! Cross-shard consistency matches the in-memory type's contract:
 //! per-key operations are atomic and durable per their shard's group
 //! commit; there are no cross-shard transactions. A crash may
 //! therefore recover different shards to different LSN frontiers —
 //! each one an exact prefix of its own operation sequence.
-//!
-//! [`ShardedAlex`]: crate::ShardedAlex
 
 use std::fs::{self, File};
 use std::io::{self, Write};
@@ -30,18 +35,13 @@ use alex_core::AlexConfig;
 use alex_wal::record::Lsn;
 use alex_wal::{crc32, DurableAlex, DurableKey, RecoveryReport, WalCodec, WalOptions};
 
-use crate::{route_key, sample_cdf_boundaries, split_sorted_runs};
+use crate::{sample_cdf_boundaries, shard_runs, split_sorted_runs, Sharded};
 
 const SHARDS_MAGIC: &[u8; 8] = b"ALEXSHRD";
 
-/// A range-partitioned set of [`DurableAlex`] shards, one WAL per
-/// shard. See the module docs for the layout and consistency
-/// contract.
-#[derive(Debug)]
-pub struct DurableShardedAlex<K, V> {
-    shards: Vec<DurableAlex<K, V>>,
-    boundaries: Vec<K>,
-}
+/// Range-partitioned [`DurableAlex`] shards, one WAL per shard. See
+/// the module docs for the layout and consistency contract.
+pub type DurableShardedAlex<K, V> = Sharded<K, DurableAlex<K, V>>;
 
 fn shard_dir(dir: &Path, i: usize) -> PathBuf {
     dir.join(format!("shard-{i:04}"))
@@ -118,10 +118,8 @@ where
         opts: WalOptions,
     ) -> io::Result<Self> {
         assert!(num_shards > 0, "need at least one shard");
-        debug_assert!(
-            pairs.windows(2).all(|w| w[0].0 < w[1].0),
-            "create input must be strictly increasing"
-        );
+        let boundaries = sample_cdf_boundaries(pairs, num_shards);
+        let runs = shard_runs(pairs, &boundaries);
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
         if dir.join("SHARDS").exists() {
@@ -130,21 +128,11 @@ where
                 "directory already holds a durable sharded index",
             ));
         }
-        let boundaries = sample_cdf_boundaries(pairs, num_shards);
-        let mut shards = Vec::with_capacity(boundaries.len() + 1);
-        let mut rest = pairs;
-        for (i, bound) in boundaries.iter().enumerate() {
-            let cut = rest.partition_point(|(k, _)| k < bound);
-            let (run, tail) = rest.split_at(cut);
-            shards.push(DurableAlex::create(shard_dir(&dir, i), run, config, opts)?);
-            rest = tail;
-        }
-        shards.push(DurableAlex::create(
-            shard_dir(&dir, boundaries.len()),
-            rest,
-            config,
-            opts,
-        )?);
+        let shards = runs
+            .into_iter()
+            .enumerate()
+            .map(|(i, run)| DurableAlex::create(shard_dir(&dir, i), run, config, opts))
+            .collect::<io::Result<_>>()?;
         // SHARDS is the commit point, so it goes last: a crash
         // mid-create leaves a directory `open` refuses (NotFound)
         // instead of one it would silently recover with the missing
@@ -155,6 +143,11 @@ where
 
     /// Recover every shard in `dir`. Returns one [`RecoveryReport`]
     /// per shard, in shard order.
+    ///
+    /// Fails with [`io::ErrorKind::NotFound`] when `SHARDS` or any
+    /// shard directory is missing, before any shard is opened:
+    /// [`DurableAlex::open`] recovers a missing directory as an empty
+    /// index, which would silently drop that shard's keys.
     pub fn open(
         dir: impl Into<PathBuf>,
         config: AlexConfig,
@@ -162,69 +155,36 @@ where
     ) -> io::Result<(Self, Vec<RecoveryReport>)> {
         let dir = dir.into();
         let boundaries: Vec<K> = read_boundaries(&dir)?;
-        let mut shards = Vec::with_capacity(boundaries.len() + 1);
-        let mut reports = Vec::with_capacity(boundaries.len() + 1);
-        for i in 0..=boundaries.len() {
-            let (shard, report) = DurableAlex::open(shard_dir(&dir, i), config, opts)?;
+        let dirs: Vec<PathBuf> = (0..=boundaries.len()).map(|i| shard_dir(&dir, i)).collect();
+        if let Some(missing) = dirs.iter().find(|d| !d.is_dir()) {
+            return Err(io::Error::new(
+                io::ErrorKind::NotFound,
+                format!("shard directory {} is missing", missing.display()),
+            ));
+        }
+        let mut shards = Vec::with_capacity(dirs.len());
+        let mut reports = Vec::with_capacity(dirs.len());
+        for path in dirs {
+            let (shard, report) = DurableAlex::open(path, config, opts)?;
             shards.push(shard);
             reports.push(report);
         }
         Ok((Self { shards, boundaries }, reports))
     }
 
-    /// Which shard owns `key` (same arithmetic as the in-memory
-    /// type: shard `i + 1` owns keys `>= boundaries[i]`).
-    #[inline]
-    fn shard_for(&self, key: &K) -> usize {
-        route_key(&self.boundaries, key)
-    }
-
-    /// Point lookup (lock-free within the owning shard).
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.shards[self.shard_for(key)].get(key)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.shards[self.shard_for(key)].contains(key)
-    }
-
     /// Logged insert into the owning shard. `Ok(false)` = duplicate.
     pub fn insert(&self, key: K, value: V) -> io::Result<bool> {
-        self.shards[self.shard_for(&key)].insert(key, value)
-    }
-
-    /// Logged insert-or-replace in the owning shard.
-    pub fn upsert(&self, key: K, value: V) -> io::Result<Option<V>> {
-        self.shards[self.shard_for(&key)].upsert(key, value)
+        self.shard_for(&key).insert(key, value)
     }
 
     /// Logged payload replacement in the owning shard.
     pub fn update(&self, key: &K, value: V) -> io::Result<Option<V>> {
-        self.shards[self.shard_for(key)].update(key, value)
+        self.shard_for(key).update(key, value)
     }
 
     /// Logged removal from the owning shard.
     pub fn remove(&self, key: &K) -> io::Result<Option<V>> {
-        self.shards[self.shard_for(key)].remove(key)
-    }
-
-    /// Sorted-batch lookup: keys split into per-shard runs, each served
-    /// by the owning shard's lock-free `get_many` (mirrors
-    /// [`ShardedAlex::get_many`]).
-    ///
-    /// [`ShardedAlex::get_many`]: crate::ShardedAlex::get_many
-    ///
-    /// # Panics
-    /// Panics (debug builds) if `keys` is not sorted non-decreasing,
-    /// apart from NaN keys, which may sit anywhere and answer `None`.
-    pub fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
-        debug_assert!(alex_core::is_sorted_ignoring_nan(keys), "get_many input must be sorted");
-        let mut out = Vec::with_capacity(keys.len());
-        split_sorted_runs(&self.boundaries, keys, |k| k, |shard, run| {
-            out.extend(self.shards[shard].index().get_many(run));
-        });
-        out
+        self.shard_for(key).remove(key)
     }
 
     /// Sorted-batch insert: pairs split into per-shard runs, each
@@ -260,33 +220,6 @@ where
         }
     }
 
-    /// Visit up to `limit` entries with key `>= key` in order, crossing
-    /// shard boundaries one shard at a time (same relaxation as
-    /// [`ShardedAlex::scan_from`]). Returns the number visited.
-    ///
-    /// [`ShardedAlex::scan_from`]: crate::ShardedAlex::scan_from
-    pub fn scan_from(&self, key: &K, limit: usize, mut f: impl FnMut(&K, &V)) -> usize {
-        let mut visited = 0usize;
-        for shard in self.shard_for(key)..self.shards.len() {
-            if visited >= limit {
-                break;
-            }
-            visited += self.shards[shard].scan_from(key, limit - visited, &mut f);
-        }
-        visited
-    }
-
-    /// Total entries across shards. Like the in-memory type, summed
-    /// per shard without a global lock.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(DurableAlex::len).sum()
-    }
-
-    /// Whether every shard is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.is_empty())
-    }
-
     /// Commit every shard's buffered records now.
     pub fn flush_all(&self) -> io::Result<Vec<Lsn>> {
         self.shards.iter().map(DurableAlex::flush_wal).collect()
@@ -297,22 +230,6 @@ where
     /// snapshot LSN.
     pub fn snapshot_all(&self) -> io::Result<Vec<Lsn>> {
         self.shards.iter().map(DurableAlex::snapshot).collect()
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard boundaries (shard `i + 1` owns keys `>= boundaries[i]`).
-    pub fn boundaries(&self) -> &[K] {
-        &self.boundaries
-    }
-
-    /// Direct access to one shard, e.g. for per-shard stats or
-    /// staggered snapshot scheduling.
-    pub fn shard(&self, i: usize) -> &DurableAlex<K, V> {
-        &self.shards[i]
     }
 }
 
@@ -436,6 +353,27 @@ mod tests {
         std::fs::remove_file(dir.path().join("SHARDS")).unwrap();
         let err = DurableShardedAlex::<u64, u64>::open(dir.path(), config(), no_sync()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
+    }
+
+    #[test]
+    fn a_missing_shard_directory_fails_open_instead_of_recovering_empty() {
+        // `DurableAlex::open` recovers a missing directory as an empty
+        // index, so a lost shard directory must fail the whole open,
+        // on every attempt, rather than drop that shard's keys.
+        let dir = TempDir::new("sharded-missing-shard");
+        let pairs: Vec<(u64, u64)> = (0..3000).map(|k| (k * 2, k)).collect();
+        let index = DurableShardedAlex::create(dir.path(), &pairs, 3, config(), no_sync()).unwrap();
+        assert_eq!(index.num_shards(), 3);
+        drop(index);
+        let lost = dir.path().join("shard-0001");
+        std::fs::remove_dir_all(&lost).unwrap();
+        for _ in 0..2 {
+            let err =
+                DurableShardedAlex::<u64, u64>::open(dir.path(), config(), no_sync()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::NotFound);
+            assert!(err.to_string().contains("shard-0001"), "error names the shard: {err}");
+            assert!(!lost.exists(), "a failed open must not recreate the shard directory");
+        }
     }
 
     #[test]

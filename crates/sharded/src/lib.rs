@@ -7,9 +7,25 @@
 //! same empirical-quantile trick as `alex_datasets::cdf`), so skewed
 //! datasets (lognormal, longlat) still balance.
 //!
+//! ## One sharded type, two shard kinds
+//!
+//! [`Sharded<K, S>`](Sharded) holds the shards and the boundary vector
+//! and is written once over a sealed [`Shard`] trait: routing, every
+//! read (`get`, `contains`, `get_many`, `scan_from`, `len`), the
+//! aggregated stats and the rebalance planner go through each shard's
+//! [`EpochAlex`]. Only the writes differ by shard kind:
+//!
+//! - [`ShardedAlex<K, V>`](ShardedAlex) shards are plain
+//!   [`EpochAlex`] indexes held in memory; writes return
+//!   [`InsertError`] and the index can be rebalanced in place.
+//! - [`DurableShardedAlex<K, V>`](DurableShardedAlex) shards are
+//!   [`DurableAlex`] indexes, each with its own `alex-wal` write-ahead
+//!   log and snapshots under one directory; writes are logged and
+//!   return `io::Result` (see the [`durable`] module docs).
+//!
 //! ## Lock-free shards
 //!
-//! Every shard is an [`EpochAlex`]: it is bulk-loaded as an exclusive
+//! Every shard reads through an [`EpochAlex`]: it is bulk-loaded as an exclusive
 //! `AlexIndex` on the dense store, then moved to the epoch store.
 //! Readers pin an epoch and descend the RMI with **no lock at all**,
 //! wait-free with respect to node splits; writers serialize per shard
@@ -35,11 +51,11 @@
 //! buffered write is visible the instant it is published.
 //! [`ShardedAlex::bulk_insert`] additionally groups each shard's
 //! sorted run by owning leaf and clones/publishes once per run.
-//! [`ShardedAlex::write_stats`] aggregates the per-shard
+//! [`Sharded::write_stats`] aggregates the per-shard
 //! `leaf_clones` / `delta_hits` / `flushes` counters that prove the
 //! amortization (see the `fig_write_amp` bench bin).
 //!
-//! The type implements the full `alex-api` trait family:
+//! [`ShardedAlex`] implements the full `alex-api` trait family:
 //! [`IndexRead`] plus [`ConcurrentIndex`] (shared access, used by the
 //! multi-threaded driver `run_workload_mt`), with [`IndexWrite`]
 //! delegating `&mut self` calls to the `&self` surface and
@@ -49,9 +65,9 @@
 //!
 //! Boundaries drawn from the bulk-load CDF equalize *key counts*, not
 //! *traffic*: under a zipfian read mix one shard can absorb most
-//! lookups while its neighbours idle. [`ShardedAlex::rebalance_plan`]
+//! lookups while its neighbours idle. [`Sharded::rebalance_plan`]
 //! turns the per-shard lookup counters
-//! ([`ShardedAlex::shard_read_stats`]) into a
+//! ([`Sharded::shard_read_stats`]) into a
 //! replacement boundary set that equalizes estimated lookup mass, and
 //! [`ShardedAlex::apply_rebalance`] restages the whole index in one
 //! ordered pass: each new shard is staged and bulk-loaded exactly
@@ -59,7 +75,9 @@
 //! consumed, so the transient footprint is one staged shard — never a
 //! second copy of the index — and the work is linear in the key count
 //! (a tombstone-based band drain would clone the shrinking source
-//! leaf once per flush, quadratic in band length).
+//! leaf once per flush, quadratic in band length). A durable store's
+//! boundaries are fixed when it is created, so only the in-memory kind
+//! applies a plan.
 //!
 //! **When to trigger it.** Rebalancing is a *maintenance operation*,
 //! not a background daemon: call `rebalance_plan` after a
@@ -72,12 +90,6 @@
 //! cadence: once after a workload shift — e.g. when
 //! `shard_read_stats` shows the hottest shard taking several times
 //! the mean — rather than on a timer.
-//!
-//! ## Durable shards
-//!
-//! [`DurableShardedAlex`] gives every shard its own `alex-wal`
-//! write-ahead log and snapshots under one directory, with the same
-//! range partitioning (see the [`durable`] module docs).
 //!
 //! ## Consistency model
 //! Every individual operation is atomic with respect to its shard.
@@ -120,9 +132,10 @@ use alex_api::{
 use alex_core::stats::SizeReport;
 use alex_core::{AlexConfig, AlexKey, EpochAlex, EpochStats, EpochWriteStats};
 use alex_datasets::cdf_points;
+use alex_wal::{DurableAlex, DurableKey, WalCodec};
 
 /// One shard's read-counter snapshot (see
-/// [`ShardedAlex::shard_read_stats`]).
+/// [`Sharded::shard_read_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardReadStats {
     /// Lookups served by this shard.
@@ -134,13 +147,13 @@ pub struct ShardReadStats {
 }
 
 /// A proposed replacement boundary set computed by
-/// [`ShardedAlex::rebalance_plan`] from per-shard lookup skew. Apply
+/// [`Sharded::rebalance_plan`] from per-shard lookup skew. Apply
 /// it with [`ShardedAlex::apply_rebalance`]; see the crate docs'
 /// *Read-skew rebalancing* section for when to trigger one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RebalancePlan<K> {
     /// Strictly increasing replacement for
-    /// [`ShardedAlex::boundaries`] (same length, so the shard count is
+    /// [`Sharded::boundaries`] (same length, so the shard count is
     /// preserved).
     pub boundaries: Vec<K>,
     /// The per-shard lookup counts the plan was computed from
@@ -159,17 +172,293 @@ pub struct RebalanceReport {
     pub bands: usize,
 }
 
-/// Range-partitioned ALEX shards, each an [`EpochAlex`] with
-/// lock-free readers.
+mod sealed {
+    pub trait Sealed {}
+}
+
+/// A shard kind [`Sharded`] routes over: anything whose reads go
+/// through an [`EpochAlex`]. Sealed; the two kinds are [`EpochAlex`]
+/// itself and [`DurableAlex`].
+pub trait Shard<K>: sealed::Sealed {
+    /// The payload type.
+    type Value: Clone + Default;
+
+    /// The epoch index this shard reads through.
+    fn index(&self) -> &EpochAlex<K, Self::Value>;
+}
+
+impl<K, V> sealed::Sealed for EpochAlex<K, V> {}
+
+impl<K: AlexKey, V: Clone + Default> Shard<K> for EpochAlex<K, V> {
+    type Value = V;
+
+    #[inline]
+    fn index(&self) -> &EpochAlex<K, V> {
+        self
+    }
+}
+
+impl<K, V> sealed::Sealed for DurableAlex<K, V> {}
+
+impl<K: DurableKey, V: Clone + Default + WalCodec> Shard<K> for DurableAlex<K, V> {
+    type Value = V;
+
+    #[inline]
+    fn index(&self) -> &EpochAlex<K, V> {
+        DurableAlex::index(self)
+    }
+}
+
+/// Range-partitioned ALEX shards of kind `S`, each read lock-free
+/// through its [`EpochAlex`]. Use it through [`ShardedAlex`] (in
+/// memory) or [`DurableShardedAlex`] (one WAL per shard).
 ///
 /// See the [crate-level docs](crate) for the design and the
 /// consistency model.
 #[derive(Debug)]
-pub struct ShardedAlex<K, V> {
-    shards: Vec<EpochAlex<K, V>>,
+pub struct Sharded<K, S> {
+    shards: Vec<S>,
     /// `boundaries[i]` is the smallest key owned by shard `i + 1`
     /// (strictly increasing, `len() == shards.len() - 1`).
     boundaries: Vec<K>,
+}
+
+/// In-memory shards: each an [`EpochAlex`] with lock-free readers.
+pub type ShardedAlex<K, V> = Sharded<K, EpochAlex<K, V>>;
+
+impl<K: AlexKey, S: Shard<K>> Sharded<K, S> {
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The shard boundaries (shard `i + 1` owns keys `>= boundaries[i]`).
+    pub fn boundaries(&self) -> &[K] {
+        &self.boundaries
+    }
+
+    /// The shard that owns `key`.
+    #[inline]
+    fn shard_for(&self, key: &K) -> &S {
+        &self.shards[route_key(&self.boundaries, key)]
+    }
+
+    /// Every shard's epoch index, in shard order.
+    fn indexes(&self) -> impl Iterator<Item = &EpochAlex<K, S::Value>> {
+        self.shards.iter().map(Shard::index)
+    }
+
+    /// Look up `key`, cloning the payload out of the shard. Takes no
+    /// lock.
+    pub fn get(&self, key: &K) -> Option<S::Value> {
+        self.shard_for(key).index().get(key)
+    }
+
+    /// Whether `key` is present.
+    pub fn contains(&self, key: &K) -> bool {
+        self.shard_for(key).index().contains(key)
+    }
+
+    /// Visit up to `limit` entries with key `>= key` in order. Crosses
+    /// shard boundaries (one shard at a time). Returns the number of
+    /// entries visited.
+    pub fn scan_from(&self, key: &K, limit: usize, mut f: impl FnMut(&K, &S::Value)) -> usize {
+        let mut visited = 0usize;
+        for shard in &self.shards[route_key(&self.boundaries, key)..] {
+            if visited >= limit {
+                break;
+            }
+            // Keys in later shards are all `>= key` (they sit above the
+            // boundary that routed `key`), so the same lower bound works
+            // in every shard.
+            visited += shard.index().scan_from(key, limit - visited, &mut f);
+        }
+        visited
+    }
+
+    /// Sorted-batch lookup: keys are split into per-shard runs, each
+    /// served by the shard's native `get_many` (one epoch pin per
+    /// run).
+    ///
+    /// # Panics
+    /// Panics (debug builds) if `keys` is not sorted non-decreasing,
+    /// apart from NaN keys, which may sit anywhere and answer `None`.
+    pub fn get_many(&self, keys: &[K]) -> Vec<Option<S::Value>> {
+        debug_assert!(is_sorted_ignoring_nan(keys), "get_many input must be sorted");
+        let mut out = Vec::with_capacity(keys.len());
+        split_sorted_runs(&self.boundaries, keys, |k| k, |shard, run| {
+            out.extend(self.shards[shard].index().get_many(run));
+        });
+        out
+    }
+
+    /// Total number of stored entries (sums shard lengths; each shard
+    /// is read at a possibly different instant).
+    pub fn len(&self) -> usize {
+        self.indexes().map(EpochAlex::len).sum()
+    }
+
+    /// Whether the index is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Entry counts per shard (load-balance diagnostics).
+    pub fn shard_lens(&self) -> Vec<usize> {
+        self.indexes().map(EpochAlex::len).collect()
+    }
+
+    /// Aggregated §5.1 size accounting across shards.
+    pub fn size_report(&self) -> SizeReport {
+        let mut total = SizeReport::default();
+        for r in self.indexes().map(EpochAlex::size_report) {
+            total.index_bytes += r.index_bytes;
+            total.data_bytes += r.data_bytes;
+            total.num_data_nodes += r.num_data_nodes;
+            total.num_inner_nodes += r.num_inner_nodes;
+        }
+        total
+    }
+
+    /// Aggregated epoch write-amplification counters across shards:
+    /// full leaf clones, delta-buffer hits, and flushes.
+    pub fn write_stats(&self) -> EpochWriteStats {
+        let mut total = EpochWriteStats::default();
+        for stats in self.indexes().map(EpochAlex::write_stats) {
+            total.leaf_clones += stats.leaf_clones;
+            total.delta_hits += stats.delta_hits;
+            total.flushes += stats.flushes;
+        }
+        total
+    }
+
+    /// Aggregated epoch-reclamation counters across shards
+    /// (`global_epoch` is the maximum over shards).
+    pub fn epoch_stats(&self) -> EpochStats {
+        let mut total = EpochStats::default();
+        for stats in self.indexes().map(EpochAlex::epoch_stats) {
+            total.global_epoch = total.global_epoch.max(stats.global_epoch);
+            total.pending += stats.pending;
+            total.retired_total += stats.retired_total;
+            total.freed_total += stats.freed_total;
+        }
+        total
+    }
+
+    /// Drive every shard's retire list toward empty; returns the
+    /// number of nodes still pending across shards. At quiescence (no
+    /// concurrent readers) this reaches 0.
+    pub fn flush_retired(&self) -> usize {
+        self.indexes().map(EpochAlex::flush_retired).sum()
+    }
+
+    // ------------------------------------------------------------------
+    // Read-skew rebalancing (see the crate docs)
+    // ------------------------------------------------------------------
+
+    /// Per-shard read counters, in shard order. Counters are advisory
+    /// load signals (they ride leaf snapshots and relaxed atomics);
+    /// take before/after snapshots to measure one traffic window.
+    /// Writes never count as reads, whichever the shard kind.
+    pub fn shard_read_stats(&self) -> Vec<ShardReadStats> {
+        self.indexes()
+            .map(|index| {
+                let (lookups, comparisons, direct_hits) = index.read_stats();
+                ShardReadStats {
+                    lookups,
+                    comparisons,
+                    direct_hits,
+                }
+            })
+            .collect()
+    }
+
+    /// Propose boundaries that equalize estimated lookup mass across
+    /// shards, assuming lookups spread uniformly within each current
+    /// shard (the per-shard counters are the only signal; there is no
+    /// per-key histogram). Cut keys are found by rank through one
+    /// in-order walk, so the plan costs `O(n)` time and `O(shards)`
+    /// extra space.
+    ///
+    /// Returns `None` when there is nothing to do: fewer than two
+    /// shards, no recorded lookups (no traffic yet), fewer stored keys
+    /// than shards, or a plan
+    /// identical to the current boundaries.
+    pub fn rebalance_plan(&self) -> Option<RebalancePlan<K>> {
+        let num_shards = self.shards.len();
+        if num_shards < 2 {
+            return None;
+        }
+        let lookups: Vec<u64> = self.indexes().map(|index| index.read_stats().0).collect();
+        let total: u64 = lookups.iter().sum();
+        if total == 0 {
+            return None;
+        }
+        let lens = self.shard_lens();
+        let total_len: usize = lens.iter().sum();
+        if total_len < num_shards {
+            return None;
+        }
+
+        // Global ranks where cumulative estimated mass crosses each
+        // multiple of the per-shard target.
+        let target = total as f64 / num_shards as f64;
+        let num_cuts = num_shards - 1;
+        let mut cuts: Vec<usize> = Vec::with_capacity(num_cuts);
+        let mut shard = 0usize;
+        let mut mass_before = 0f64; // lookup mass below `shard`
+        let mut offset = 0usize; // global rank of `shard`'s first key
+        for j in 1..num_shards {
+            let want = j as f64 * target;
+            while shard + 1 < num_shards && mass_before + lookups[shard] as f64 <= want {
+                mass_before += lookups[shard] as f64;
+                offset += lens[shard];
+                shard += 1;
+            }
+            let mass = lookups[shard] as f64;
+            let frac = if mass > 0.0 {
+                ((want - mass_before) / mass).clamp(0.0, 1.0)
+            } else {
+                0.0
+            };
+            cuts.push(offset + (frac * lens[shard] as f64) as usize);
+        }
+        // Monotonize: each cut strictly above the previous one, and
+        // low/high enough that every shard keeps at least one key.
+        let mut prev = 0usize;
+        for (i, cut) in cuts.iter_mut().enumerate() {
+            *cut = (*cut).max(prev + 1).min(total_len - (num_cuts - i));
+            prev = *cut;
+        }
+
+        // One in-order walk across shards turns ranks into keys.
+        let mut boundaries: Vec<K> = Vec::with_capacity(num_cuts);
+        let mut rank = 0usize;
+        let mut next_cut = 0usize;
+        for index in self.indexes() {
+            if next_cut >= cuts.len() {
+                break;
+            }
+            index.leaf_snapshots(|pairs| {
+                for (k, _) in pairs {
+                    if next_cut < cuts.len() && rank == cuts[next_cut] {
+                        boundaries.push(*k);
+                        next_cut += 1;
+                    }
+                    rank += 1;
+                }
+            });
+        }
+        // Concurrent removals can shrink shards under the walk; a
+        // partial boundary set is not a usable plan.
+        if boundaries.len() != num_cuts || boundaries == self.boundaries {
+            return None;
+        }
+        Some(RebalancePlan {
+            boundaries,
+            shard_lookups: lookups,
+        })
+    }
 }
 
 impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
@@ -185,20 +474,9 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     /// strictly increasing by key.
     pub fn bulk_load(pairs: &[(K, V)], num_shards: usize, config: AlexConfig) -> Self {
         assert!(num_shards > 0, "need at least one shard");
-        debug_assert!(
-            pairs.windows(2).all(|w| w[0].0 < w[1].0),
-            "bulk_load input must be strictly increasing"
-        );
         let boundaries = sample_cdf_boundaries(pairs, num_shards);
-        let mut shards = Vec::with_capacity(boundaries.len() + 1);
-        let mut rest = pairs;
-        for bound in &boundaries {
-            let cut = rest.partition_point(|(k, _)| k < bound);
-            let (run, tail) = rest.split_at(cut);
-            shards.push(EpochAlex::bulk_load(run, config));
-            rest = tail;
-        }
-        shards.push(EpochAlex::bulk_load(rest, config));
+        let runs = shard_runs(pairs, &boundaries);
+        let shards = runs.into_iter().map(|run| EpochAlex::bulk_load(run, config)).collect();
         Self { shards, boundaries }
     }
 
@@ -268,94 +546,22 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
         Self::bulk_load_blocks(core::iter::empty(), boundaries, config)
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard boundaries (shard `i + 1` owns keys `>= boundaries[i]`).
-    pub fn boundaries(&self) -> &[K] {
-        &self.boundaries
-    }
-
-    /// Which shard owns `key`.
-    #[inline]
-    fn shard_for(&self, key: &K) -> usize {
-        route_key(&self.boundaries, key)
-    }
-
-    /// Look up `key`, cloning the payload out of the shard. Takes no
-    /// lock.
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.shards[self.shard_for(key)].get(key)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.shards[self.shard_for(key)].contains(key)
-    }
-
     /// Insert a pair; [`InsertError::DuplicateKey`] when present and
     /// [`InsertError::UnsupportedKey`] for the reserved sentinel or a
     /// NaN key. Takes `&self`: only the owning shard's writer is
     /// serialized.
     pub fn insert(&self, key: K, value: V) -> Result<(), InsertError> {
-        self.shards[self.shard_for(&key)].insert(key, value)
+        self.shard_for(&key).insert(key, value)
     }
 
     /// Remove `key`, returning its payload.
     pub fn remove(&self, key: &K) -> Option<V> {
-        self.shards[self.shard_for(key)].remove(key)
+        self.shard_for(key).remove(key)
     }
 
     /// Replace the payload of an existing key, returning the old value.
     pub fn update(&self, key: &K, value: V) -> Option<V> {
-        self.shards[self.shard_for(key)].update(key, value)
-    }
-
-    /// Visit up to `limit` entries with key `>= key` in order. Crosses
-    /// shard boundaries (one shard at a time). Returns the number of
-    /// entries visited.
-    pub fn scan_from(&self, key: &K, limit: usize, mut f: impl FnMut(&K, &V)) -> usize {
-        let mut visited = 0usize;
-        for shard in self.shard_for(key)..self.shards.len() {
-            if visited >= limit {
-                break;
-            }
-            // Keys in later shards are all `>= key` (they sit above the
-            // boundary that routed `key`), so the same lower bound works
-            // in every shard.
-            visited += self.shards[shard].scan_from(key, limit - visited, &mut f);
-        }
-        visited
-    }
-
-    /// Split a key-sorted slice into maximal per-shard runs and invoke
-    /// `f` once per `(shard, run)` (delegates to the free function
-    /// [`split_sorted_runs`] over this index's boundaries).
-    fn for_each_shard_run<'a, T>(
-        &self,
-        items: &'a [T],
-        key_of: impl Fn(&T) -> &K,
-        f: impl FnMut(usize, &'a [T]),
-    ) {
-        split_sorted_runs(&self.boundaries, items, key_of, f);
-    }
-
-    /// Sorted-batch lookup: keys are split into per-shard runs, each
-    /// served by the shard's native `get_many` (one epoch pin per
-    /// run).
-    ///
-    /// # Panics
-    /// Panics (debug builds) if `keys` is not sorted non-decreasing,
-    /// apart from NaN keys, which may sit anywhere and answer `None`.
-    pub fn get_many(&self, keys: &[K]) -> Vec<Option<V>> {
-        debug_assert!(is_sorted_ignoring_nan(keys), "get_many input must be sorted");
-        let mut out = Vec::with_capacity(keys.len());
-        self.for_each_shard_run(keys, |k| k, |shard, run| {
-            out.extend(self.shards[shard].get_many(run));
-        });
-        out
+        self.shard_for(key).update(key, value)
     }
 
     /// Sorted-batch insert: pairs are split into per-shard runs, each
@@ -378,183 +584,12 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
             "bulk_insert input must be sorted by key"
         );
         let mut inserted = 0usize;
-        self.for_each_shard_run(pairs, |(k, _)| k, |shard, run| {
+        split_sorted_runs(&self.boundaries, pairs, |(k, _)| k, |shard, run| {
             inserted += self.shards[shard]
                 .bulk_insert(run)
                 .expect("sentinel rejected up front, runs cannot fail");
         });
         Ok(inserted)
-    }
-
-    /// Total number of stored entries (sums shard lengths; each shard
-    /// is read at a possibly different instant).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(EpochAlex::len).sum()
-    }
-
-    /// Whether the index is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Entry counts per shard (load-balance diagnostics).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(EpochAlex::len).collect()
-    }
-
-    /// Aggregated §5.1 size accounting across shards.
-    pub fn size_report(&self) -> SizeReport {
-        let mut total = SizeReport::default();
-        for shard in &self.shards {
-            let r = shard.size_report();
-            total.index_bytes += r.index_bytes;
-            total.data_bytes += r.data_bytes;
-            total.num_data_nodes += r.num_data_nodes;
-            total.num_inner_nodes += r.num_inner_nodes;
-        }
-        total
-    }
-
-    /// Aggregated epoch write-amplification counters across shards:
-    /// full leaf clones, delta-buffer hits, and flushes.
-    pub fn write_stats(&self) -> EpochWriteStats {
-        let mut total = EpochWriteStats::default();
-        for shard in &self.shards {
-            let stats = shard.write_stats();
-            total.leaf_clones += stats.leaf_clones;
-            total.delta_hits += stats.delta_hits;
-            total.flushes += stats.flushes;
-        }
-        total
-    }
-
-    /// Aggregated epoch-reclamation counters across shards
-    /// (`global_epoch` is the maximum over shards).
-    pub fn epoch_stats(&self) -> EpochStats {
-        let mut total = EpochStats::default();
-        for shard in &self.shards {
-            let stats = shard.epoch_stats();
-            total.global_epoch = total.global_epoch.max(stats.global_epoch);
-            total.pending += stats.pending;
-            total.retired_total += stats.retired_total;
-            total.freed_total += stats.freed_total;
-        }
-        total
-    }
-
-    /// Drive every shard's retire list toward empty; returns the
-    /// number of nodes still pending across shards. At quiescence (no
-    /// concurrent readers) this reaches 0.
-    pub fn flush_retired(&self) -> usize {
-        self.shards.iter().map(EpochAlex::flush_retired).sum()
-    }
-
-    // ------------------------------------------------------------------
-    // Read-skew rebalancing (see the crate docs)
-    // ------------------------------------------------------------------
-
-    /// Per-shard read counters, in shard order. Counters are advisory
-    /// load signals (they ride leaf snapshots and relaxed atomics);
-    /// take before/after snapshots to measure one traffic window.
-    pub fn shard_read_stats(&self) -> Vec<ShardReadStats> {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let (lookups, comparisons, direct_hits) = shard.read_stats();
-                ShardReadStats {
-                    lookups,
-                    comparisons,
-                    direct_hits,
-                }
-            })
-            .collect()
-    }
-
-    /// Propose boundaries that equalize estimated lookup mass across
-    /// shards, assuming lookups spread uniformly within each current
-    /// shard (the per-shard counters are the only signal; there is no
-    /// per-key histogram). Cut keys are found by rank through one
-    /// in-order walk, so the plan costs `O(n)` time and `O(shards)`
-    /// extra space.
-    ///
-    /// Returns `None` when there is nothing to do: fewer than two
-    /// shards, no recorded lookups (no traffic yet), fewer stored keys
-    /// than shards, or a plan
-    /// identical to the current boundaries.
-    pub fn rebalance_plan(&self) -> Option<RebalancePlan<K>> {
-        let num_shards = self.shards.len();
-        if num_shards < 2 {
-            return None;
-        }
-        let lookups: Vec<u64> = self.shards.iter().map(|s| s.read_stats().0).collect();
-        let total: u64 = lookups.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let lens = self.shard_lens();
-        let total_len: usize = lens.iter().sum();
-        if total_len < num_shards {
-            return None;
-        }
-
-        // Global ranks where cumulative estimated mass crosses each
-        // multiple of the per-shard target.
-        let target = total as f64 / num_shards as f64;
-        let num_cuts = num_shards - 1;
-        let mut cuts: Vec<usize> = Vec::with_capacity(num_cuts);
-        let mut shard = 0usize;
-        let mut mass_before = 0f64; // lookup mass below `shard`
-        let mut offset = 0usize; // global rank of `shard`'s first key
-        for j in 1..num_shards {
-            let want = j as f64 * target;
-            while shard + 1 < num_shards && mass_before + lookups[shard] as f64 <= want {
-                mass_before += lookups[shard] as f64;
-                offset += lens[shard];
-                shard += 1;
-            }
-            let mass = lookups[shard] as f64;
-            let frac = if mass > 0.0 {
-                ((want - mass_before) / mass).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            cuts.push(offset + (frac * lens[shard] as f64) as usize);
-        }
-        // Monotonize: each cut strictly above the previous one, and
-        // low/high enough that every shard keeps at least one key.
-        let mut prev = 0usize;
-        for (i, cut) in cuts.iter_mut().enumerate() {
-            *cut = (*cut).max(prev + 1).min(total_len - (num_cuts - i));
-            prev = *cut;
-        }
-
-        // One in-order walk across shards turns ranks into keys.
-        let mut boundaries: Vec<K> = Vec::with_capacity(num_cuts);
-        let mut rank = 0usize;
-        let mut next_cut = 0usize;
-        for s in &self.shards {
-            if next_cut >= cuts.len() {
-                break;
-            }
-            s.leaf_snapshots(|pairs| {
-                for (k, _) in pairs {
-                    if next_cut < cuts.len() && rank == cuts[next_cut] {
-                        boundaries.push(*k);
-                        next_cut += 1;
-                    }
-                    rank += 1;
-                }
-            });
-        }
-        // Concurrent removals can shrink shards under the walk; a
-        // partial boundary set is not a usable plan.
-        if boundaries.len() != num_cuts || boundaries == self.boundaries {
-            return None;
-        }
-        Some(RebalancePlan {
-            boundaries,
-            shard_lookups: lookups,
-        })
     }
 
     /// Apply a [`RebalancePlan`]: restage every shard under the new
@@ -575,7 +610,7 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
     /// # Panics
     /// Panics if the plan's boundary count differs from the current
     /// one or its boundaries are not strictly increasing (a
-    /// hand-rolled plan; [`ShardedAlex::rebalance_plan`] upholds
+    /// hand-rolled plan; [`Sharded::rebalance_plan`] upholds
     /// both).
     pub fn apply_rebalance(&mut self, plan: &RebalancePlan<K>) -> RebalanceReport {
         assert_eq!(
@@ -639,10 +674,10 @@ impl<K: AlexKey, V: Clone + Default> ShardedAlex<K, V> {
 }
 
 /// Which shard owns `key` under `boundaries` (shard `i + 1` owns keys
-/// `>= boundaries[i]`) — the single routing rule shared by
-/// [`ShardedAlex`], [`DurableShardedAlex`], and external routers such as
-/// `alex-server`'s request dispatcher. `boundaries` must be strictly
-/// increasing.
+/// `>= boundaries[i]`) — the single routing rule behind every
+/// [`Sharded`] index, whichever its shard kind, and behind external
+/// routers such as `alex-server`'s request dispatcher. `boundaries`
+/// must be strictly increasing.
 #[inline]
 pub fn route_key<K: PartialOrd>(boundaries: &[K], key: &K) -> usize {
     boundaries.partition_point(|b| b <= key)
@@ -676,6 +711,28 @@ pub fn split_sorted_runs<'a, K: PartialOrd, T>(
         f(shard, run);
         rest = tail;
     }
+}
+
+/// Cut sorted `pairs` at `boundaries` into one run per shard, in
+/// shard order (a run may be empty): the initial layout of
+/// [`ShardedAlex::bulk_load`] and [`DurableShardedAlex::create`].
+///
+/// # Panics
+/// Panics (debug builds) if `pairs` is not strictly increasing by key.
+fn shard_runs<'a, K: PartialOrd, V>(pairs: &'a [(K, V)], boundaries: &[K]) -> Vec<&'a [(K, V)]> {
+    debug_assert!(
+        pairs.windows(2).all(|w| w[0].0 < w[1].0),
+        "bulk-load input must be strictly increasing"
+    );
+    let mut runs = Vec::with_capacity(boundaries.len() + 1);
+    let mut rest = pairs;
+    for bound in boundaries {
+        let (run, tail) = rest.split_at(rest.partition_point(|(k, _)| k < bound));
+        runs.push(run);
+        rest = tail;
+    }
+    runs.push(rest);
+    runs
 }
 
 /// Shard boundaries from the sample CDF of sorted `pairs`: sample up to
@@ -807,6 +864,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alex_wal::tempdir::TempDir;
+    use alex_wal::{SyncPolicy, WalOptions};
 
     fn pairs(n: u64, stride: u64) -> Vec<(u64, u64)> {
         (0..n).map(|k| (k * stride, k)).collect()
@@ -1115,26 +1174,134 @@ mod tests {
         assert_eq!(plan.shard_lookups, stats.iter().map(|s| s.lookups).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn writes_never_count_as_shard_reads() {
-        // A write-hot shard must not look read-hot to the rebalancer.
-        let index = ShardedAlex::bulk_load(&pairs(10_000, 10), 4, AlexConfig::ga_armi());
+    /// Each shard kind's own writes in one shape, so one test body
+    /// drives both kinds.
+    trait Writes {
+        fn put(&self, key: u64, value: u64) -> bool;
+        fn put_run(&self, pairs: &[(u64, u64)]) -> usize;
+        fn replace(&self, key: &u64, value: u64) -> Option<u64>;
+        fn delete(&self, key: &u64) -> Option<u64>;
+    }
+
+    impl Writes for ShardedAlex<u64, u64> {
+        fn put(&self, key: u64, value: u64) -> bool {
+            self.insert(key, value).is_ok()
+        }
+        fn put_run(&self, pairs: &[(u64, u64)]) -> usize {
+            self.bulk_insert(pairs).unwrap()
+        }
+        fn replace(&self, key: &u64, value: u64) -> Option<u64> {
+            self.update(key, value)
+        }
+        fn delete(&self, key: &u64) -> Option<u64> {
+            self.remove(key)
+        }
+    }
+
+    impl Writes for DurableShardedAlex<u64, u64> {
+        fn put(&self, key: u64, value: u64) -> bool {
+            self.insert(key, value).unwrap()
+        }
+        fn put_run(&self, pairs: &[(u64, u64)]) -> usize {
+            self.bulk_insert(pairs).unwrap()
+        }
+        fn replace(&self, key: &u64, value: u64) -> Option<u64> {
+            self.update(key, value).unwrap()
+        }
+        fn delete(&self, key: &u64) -> Option<u64> {
+            self.remove(key).unwrap()
+        }
+    }
+
+    fn durable(dir: &TempDir, data: &[(u64, u64)], shards: usize) -> DurableShardedAlex<u64, u64> {
+        let opts = WalOptions { sync: SyncPolicy::Never, ..WalOptions::default() };
+        DurableShardedAlex::create(dir.path(), data, shards, AlexConfig::ga_armi(), opts).unwrap()
+    }
+
+    fn scan_all<S: Shard<u64, Value = u64>>(index: &Sharded<u64, S>) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        index.scan_from(&0, usize::MAX, |k, v| out.push((*k, *v)));
+        out
+    }
+
+    fn assert_writes_count_no_reads<S: Shard<u64, Value = u64>>(index: &Sharded<u64, S>)
+    where
+        Sharded<u64, S>: Writes,
+    {
         let fresh: Vec<(u64, u64)> = (0..1000u64).map(|i| (i * 70 + 5, i)).collect();
         for &(k, v) in &fresh {
-            index.insert(k, v).unwrap();
+            assert!(index.put(k, v));
         }
-        assert_eq!(index.bulk_insert(&fresh), Ok(0));
+        assert_eq!(index.put_run(&fresh), 0);
         for &(k, v) in &fresh {
-            assert_eq!(index.update(&k, v + 1), Some(v));
-            assert_eq!(index.remove(&k), Some(v + 1));
+            assert_eq!(index.replace(&k, v + 1), Some(v));
+            assert_eq!(index.delete(&k), Some(v + 1));
         }
-        assert_eq!(index.shard_read_stats(), vec![ShardReadStats::default(); 4]);
+        assert_eq!(index.shard_read_stats(), vec![ShardReadStats::default(); index.num_shards()]);
         assert!(index.rebalance_plan().is_none(), "writes alone are no read traffic");
         for k in 0..100u64 {
             assert_eq!(index.get(&(k * 10)), Some(k));
         }
         let lookups: u64 = index.shard_read_stats().iter().map(|s| s.lookups).sum();
         assert_eq!(lookups, 100, "one lookup per get");
+    }
+
+    #[test]
+    fn writes_never_count_as_shard_reads() {
+        // A write-hot shard must not look read-hot to the rebalancer,
+        // whichever kind of shard takes the writes.
+        let data = pairs(10_000, 10);
+        assert_writes_count_no_reads(&ShardedAlex::bulk_load(&data, 4, AlexConfig::ga_armi()));
+        let dir = TempDir::new("sharded-write-reads");
+        assert_writes_count_no_reads(&durable(&dir, &data, 4));
+    }
+
+    #[test]
+    fn both_shard_kinds_answer_alike_through_the_shared_reads() {
+        let data = pairs(20_000, 4);
+        let memory = ShardedAlex::bulk_load(&data, 4, AlexConfig::ga_armi());
+        let dir = TempDir::new("sharded-alike");
+        let durable = durable(&dir, &data, 4);
+        assert_eq!(memory.num_shards(), 4);
+        assert_eq!(memory.boundaries(), durable.boundaries());
+
+        // The same writes through each kind's own write methods: point
+        // inserts and removes on both sides of every boundary, and one
+        // batch spanning every shard.
+        let near: Vec<u64> = memory.boundaries().iter().flat_map(|&b| b - 8..b + 8).collect();
+        let batch: Vec<(u64, u64)> = (0..20_000u64).step_by(5).map(|k| (k * 4 + 2, k)).collect();
+        fn write<I: Writes>(index: &I, near: &[u64], batch: &[(u64, u64)]) {
+            for &k in near.iter().filter(|k| *k % 4 == 1) {
+                assert!(index.put(k, k + 7));
+            }
+            assert_eq!(index.put_run(batch), batch.len());
+            for &k in near.iter().filter(|k| *k % 4 == 0) {
+                assert_eq!(index.delete(&k), Some(k / 4));
+            }
+        }
+        write(&memory, &near, &batch);
+        write(&durable, &near, &batch);
+
+        let mut probes: Vec<u64> = near.clone();
+        probes.extend([0, 1, 2, 79_998, 80_000, 1 << 40]);
+        probes.sort_unstable();
+        probes.dedup();
+        for k in &probes {
+            assert_eq!(memory.get(k), durable.get(k), "key {k}");
+            assert_eq!(memory.contains(k), durable.contains(k), "key {k}");
+        }
+        let got = memory.get_many(&probes);
+        assert_eq!(got, durable.get_many(&probes));
+        assert!(got.iter().any(Option::is_some) && got.iter().any(Option::is_none));
+        let scan = scan_all(&memory);
+        assert_eq!(scan.len(), 20_000 + batch.len(), "as many inserts as removes near the bounds");
+        assert_eq!(scan, scan_all(&durable));
+        assert_eq!(memory.shard_lens(), durable.shard_lens());
+        assert_eq!(memory.len(), durable.len());
+        assert_eq!(memory.size_report(), durable.size_report());
+        let reads = memory.shard_read_stats();
+        assert!(reads.iter().all(|s| s.lookups > 0), "every shard was read: {reads:?}");
+        assert_eq!(reads, durable.shard_read_stats());
     }
 
     #[test]
