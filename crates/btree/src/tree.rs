@@ -246,11 +246,6 @@ impl<K: PartialOrd + Clone, V> BPlusTree<K, V> {
             .sum()
     }
 
-    /// Number of leaf nodes.
-    pub fn num_leaves(&self) -> usize {
-        self.leaves.len()
-    }
-
     /// Descend to the leaf that owns `key`.
     #[inline]
     fn find_leaf(&self, key: &K) -> u32 {

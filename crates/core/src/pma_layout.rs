@@ -92,13 +92,6 @@ impl Geometry {
         self.height
     }
 
-    /// The segment index containing `slot`.
-    #[inline]
-    pub fn segment_of(&self, slot: usize) -> usize {
-        debug_assert!(slot < self.capacity);
-        slot / self.segment_size
-    }
-
     /// The half-open slot range of the window at `depth` containing
     /// `slot`.
     ///
@@ -184,15 +177,5 @@ mod tests {
     #[test]
     fn density_bounds_height_zero_uses_root() {
         assert_eq!(upper_density_at(0, 0), UPPER_ROOT);
-    }
-
-    #[test]
-    fn segment_of_matches_window() {
-        let g = Geometry::for_capacity(512);
-        for slot in [0, 1, 31, 32, 511] {
-            let seg = g.segment_of(slot);
-            let w = g.window_at(slot, g.height());
-            assert_eq!(w.start, seg * g.segment_size());
-        }
     }
 }

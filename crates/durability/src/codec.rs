@@ -10,7 +10,7 @@
 //! self-delimiting *within* a frame — which fixed widths give for
 //! free.
 
-/// Types that can round-trip through a WAL record or snapshot cell.
+/// Types that can round-trip through a record of a log or snapshot file.
 ///
 /// `decode_from` consumes this value's encoding from the front of
 /// `input` (advancing the slice) and returns `None` if too few bytes

@@ -29,14 +29,15 @@
 //! leaf therefore reflects a per-leaf **prefix** of the operation
 //! sequence up to some `Lᵢ >= L` (operations are applied in LSN order
 //! and each publishes atomically). Once serialization finishes, and
-//! *before* the footer makes the file a restore candidate, the WAL is
-//! committed once more: every record appended up to that point — a
+//! *before* the end frame makes the file a restore candidate, the WAL
+//! is committed once more: every record appended up to that point — a
 //! superset of all records whose effects any leaf captured — is
 //! durable, so a restored snapshot can never contain the effect of a
 //! record the crash lost. (A leaf may capture a write applied in a
 //! hold that has not appended its record yet; that commit takes the
 //! WAL mutex, so it waits for the hold to end and the record to be
-//! appended.) Recovery replays every record with
+//! appended.) Recovery restores the newest snapshot file whose pages
+//! and end frame all parse, and replays every record with
 //! LSN `> L` in order: records in `(L, Lᵢ]` for some leaf are
 //! *re-applied* to state that already contains them, which is safe
 //! because both record kinds are idempotent re-applications — a `Put`
@@ -47,6 +48,14 @@
 //! why replay **must** upsert rather than insert-or-skip: an update
 //! logs a `Put`, and skipping it because the key exists would resurrect
 //! the older value.
+//!
+//! The older snapshots and the log segments below `L` are deleted only
+//! once the new snapshot is complete (its end frame synced, then the
+//! directory), so at every instant some restorable snapshot and the
+//! log above its LSN are on disk. A snapshot taken with nothing logged
+//! since the last complete one would carry that one's LSN, so
+//! [`DurableAlex::snapshot`] writes nothing then and never truncates a
+//! complete snapshot file.
 //!
 //! ## Replay runs before the index is shared
 //!
@@ -80,7 +89,7 @@ use crate::codec::WalCodec;
 use crate::DurableKey;
 use crate::log::{scan_and_repair, SyncPolicy, Wal, WalOptions, WalStats};
 use crate::record::{Lsn, WalRecord};
-use crate::snapshot::{find_best_snapshot, publish_snapshot, SnapshotWriter};
+use crate::snapshot::{find_best_snapshot, remove_snapshots_before, SnapshotWriter};
 
 /// What [`DurableAlex::open`] found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,8 +101,8 @@ pub struct RecoveryReport {
     /// Highest intact LSN in the log; the recovered index reflects
     /// exactly operations `1..=last_lsn`.
     pub last_lsn: Lsn,
-    /// `Put`/`Tombstone` records above the snapshot LSN that were
-    /// re-applied (checkpoint breadcrumbs are skipped, not counted).
+    /// Upserts and removes above the snapshot LSN that were
+    /// re-applied (a `PutRun` counts each of its pairs).
     pub replayed: usize,
     /// Bytes cut off a torn or corrupt segment tail.
     pub truncated_bytes: u64,
@@ -108,13 +117,14 @@ pub struct RecoveryReport {
 pub struct DurableAlex<K, V> {
     inner: EpochAlex<K, V>,
     wal: Mutex<Wal<K, V>>,
-    /// Serializes [`DurableAlex::snapshot`] calls: two snapshotters
-    /// capturing the same LSN would interleave pages into one
-    /// `snap-<lsn>.pages` file and race `truncate_before`. Held for
-    /// the whole snapshot, never while holding `wal` (the WAL mutex
-    /// is taken and released inside), so writers are still never
+    /// The LSN of the last complete snapshot (`None` before the
+    /// first). Its lock serializes [`DurableAlex::snapshot`] calls:
+    /// two snapshotters capturing the same LSN would interleave pages
+    /// into one `snap-<lsn>.pages` file and race `truncate_before`.
+    /// Held for the whole snapshot, never while holding `wal` (the WAL
+    /// mutex is taken and released inside), so writers are still never
     /// blocked on serialization.
-    snap_lock: Mutex<()>,
+    snap_lock: Mutex<Option<Lsn>>,
     dir: PathBuf,
     sync: SyncPolicy,
 }
@@ -153,7 +163,7 @@ where
         let this = Self {
             inner: EpochAlex::from_index(AlexIndex::bulk_load(pairs, config)),
             wal: Mutex::new(wal),
-            snap_lock: Mutex::new(()),
+            snap_lock: Mutex::new(None),
             dir,
             sync: opts.sync,
         };
@@ -173,7 +183,9 @@ where
     ) -> io::Result<(Self, RecoveryReport)> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let (snapshot_lsn, snapshot_leaves, pairs) = match find_best_snapshot::<K, V>(&dir)? {
+        let snapshot = find_best_snapshot::<K, V>(&dir)?;
+        let last_snapshot = snapshot.as_ref().map(|data| data.snapshot_lsn);
+        let (snapshot_lsn, snapshot_leaves, pairs) = match snapshot {
             Some(data) => (data.snapshot_lsn, data.pages, data.pairs),
             None => (0, 0, Vec::new()),
         };
@@ -230,7 +242,7 @@ where
         let this = Self {
             inner: EpochAlex::from_index(index),
             wal: Mutex::new(wal),
-            snap_lock: Mutex::new(()),
+            snap_lock: Mutex::new(last_snapshot),
             dir,
             sync: opts.sync,
         };
@@ -312,16 +324,15 @@ where
     }
 
     /// Sorted-batch insert through the run-level CoW path, logged as
-    /// one [`WalRecord::PutRun`] frame per
-    /// [`MAX_PUT_RUN_PAIRS`](crate::record::MAX_PUT_RUN_PAIRS)-sized
-    /// chunk (one CRC + LSN amortized over the run instead of 17
-    /// framing bytes per pair) and committed as one group. Returns the
-    /// number actually inserted.
+    /// [`WalRecord::PutRun`] frames, as many pairs to a frame as its
+    /// body holds (one CRC + LSN amortized over the run instead of 17
+    /// framing bytes per pair), and committed as one group. Returns
+    /// the number actually inserted.
     ///
     /// Only the pairs that *land* are logged: the in-memory path
     /// skips duplicates, but replay upserts, so logging a skipped
-    /// pair would make recovery disagree with the live index. A
-    /// chunk's pairs are strictly increasing by construction, as
+    /// pair would make recovery disagree with the live index. The
+    /// landed pairs are strictly increasing by construction, as
     /// [`WalRecord::PutRun`] requires.
     ///
     /// # Panics
@@ -342,8 +353,8 @@ where
             .inner
             .bulk_insert_with(pairs, |pair| fresh.push(pair.clone()))
             .expect("sentinel rejected up front, the batch cannot fail");
-        for chunk in fresh.chunks(crate::record::MAX_PUT_RUN_PAIRS) {
-            wal.append(&WalRecord::PutRun { pairs: chunk.to_vec() });
+        if !fresh.is_empty() {
+            wal.append(&WalRecord::PutRun { pairs: fresh });
         }
         // One commit for the whole batch regardless of group size:
         // the batch is acknowledged as a unit, so it is made durable
@@ -361,18 +372,21 @@ where
         self.wal_lock().commit()
     }
 
-    /// Write, publish, and GC down to a fresh snapshot of the current
-    /// state; returns its LSN. Writers are paused only to capture the
-    /// LSN (a commit), not while leaves serialize; see the module
-    /// docs for why concurrent writes during serialization recover
-    /// exactly. Concurrent `snapshot` calls serialize against each
-    /// other (they would otherwise race on the same pages file).
+    /// Write a fresh snapshot of the current state, then delete the
+    /// older snapshots and the log segments it covers; returns its
+    /// LSN. With nothing logged since the last complete snapshot it
+    /// writes nothing and returns that snapshot's LSN. Writers are
+    /// paused only to capture the LSN (a commit), not while leaves
+    /// serialize; see the module docs for why concurrent writes during
+    /// serialization recover exactly. Concurrent `snapshot` calls
+    /// serialize against each other (they would otherwise race on the
+    /// same pages file).
     pub fn snapshot(&self) -> io::Result<Lsn> {
-        let _snap = self.snap_lock.lock().unwrap_or_else(PoisonError::into_inner);
-        let lsn = {
-            let mut wal = self.wal_lock();
-            wal.commit()?
-        };
+        let mut last = self.snap_lock.lock().unwrap_or_else(PoisonError::into_inner);
+        let lsn = self.wal_lock().commit()?;
+        if *last == Some(lsn) {
+            return Ok(lsn);
+        }
         let mut writer: SnapshotWriter<K, V> =
             SnapshotWriter::create(&self.dir, lsn, self.sync == SyncPolicy::Always)?;
         let mut io_err: Option<io::Error> = None;
@@ -389,17 +403,14 @@ where
         // The serialized leaves reflect per-leaf prefixes up to some
         // Lᵢ >= L — and with group commit > 1, records in (L, Lᵢ]
         // may still sit in the WAL buffer. Commit them *before* the
-        // footer lands: the instant `finish` returns, the file is a
-        // restore candidate (even without the manifest, via the
-        // fallback scan), and the replay proof needs every captured
+        // end frame lands: once it is written the file is a restore
+        // candidate, and the replay proof needs every captured
         // effect's record to be in the durable log.
         self.wal_lock().commit()?;
         writer.finish()?;
-        publish_snapshot(&self.dir, lsn, self.sync == SyncPolicy::Always)?;
-        let mut wal = self.wal_lock();
-        wal.append(&WalRecord::Checkpoint { snapshot_lsn: lsn });
-        wal.commit_if_due()?;
-        wal.truncate_before(lsn)?;
+        *last = Some(lsn);
+        remove_snapshots_before(&self.dir, lsn)?;
+        self.wal_lock().truncate_before(lsn)?;
         Ok(lsn)
     }
 
@@ -435,7 +446,9 @@ where
     /// The wrapped concurrent index, for read-side APIs this wrapper
     /// does not mirror (stats, `get_many`, …). Its direct write
     /// methods also work — they just are not logged, which is only
-    /// sensible for data the caller re-derives after a crash.
+    /// sensible for data the caller re-derives after a crash. Nor does
+    /// a snapshot always keep them: a snapshot with nothing logged
+    /// since the last one writes nothing.
     pub fn index(&self) -> &EpochAlex<K, V> {
         &self.inner
     }
@@ -550,15 +563,13 @@ mod tests {
             index.insert(k, k).unwrap();
         }
         let snap_lsn = index.snapshot().unwrap();
-        // 200 inserts, plus the checkpoint breadcrumb create's own
-        // initial snapshot logged at LSN 1.
-        assert_eq!(snap_lsn, 201);
+        assert_eq!(snap_lsn, 200);
         for k in 200..230u64 {
             index.insert(k, k).unwrap();
         }
         drop(index);
         let (back, report) = DurableAlex::<u64, u64>::open(dir.path(), config(), no_sync()).unwrap();
-        assert_eq!(report.snapshot_lsn, 201);
+        assert_eq!(report.snapshot_lsn, 200);
         // Only the tail above the snapshot replays.
         assert_eq!(report.replayed, 30);
         assert_eq!(back.len(), 230);
@@ -638,9 +649,8 @@ mod tests {
         let run_dir = TempDir::new("durable-putrun-batched");
         let run_idx = DurableAlex::create(run_dir.path(), &[], config(), no_sync()).unwrap();
         assert_eq!(run_idx.bulk_insert(&batch).unwrap(), n as usize);
-        // One frame per 32768-pair chunk: 3000 pairs = 1 record,
-        // plus create's checkpoint breadcrumb.
-        assert_eq!(run_idx.wal_stats().appended, 2);
+        // 3000 pairs fit one frame.
+        assert_eq!(run_idx.wal_stats().appended, 1);
         drop(run_idx); // crash
 
         let pt_dir = TempDir::new("durable-putrun-pointwise");
@@ -670,6 +680,64 @@ mod tests {
         assert_eq!(pairs_a, pairs_b, "both logging forms recover the same state");
     }
 
+    type Url = alex_core::FixedStr<32>;
+
+    /// 40-byte pairs: a run of 30,000 is 1.2 MB, more than one frame
+    /// body holds.
+    fn url_pairs(keys: impl Iterator<Item = u64>) -> Vec<(Url, u64)> {
+        keys.map(|k| (Url::from(format!("{k:08}").as_str()), k)).collect()
+    }
+
+    #[test]
+    fn a_wide_batch_logs_frames_that_recovery_accepts() {
+        let dir = TempDir::new("durable-wide-batch");
+        let base = url_pairs((0..10).map(|i| i * 6000));
+        let index = DurableAlex::create(dir.path(), &base, config(), no_sync()).unwrap();
+        let batch = url_pairs((0..30_000).map(|i| i * 2 + 1));
+        assert_eq!(index.bulk_insert(&batch).unwrap(), 30_000);
+        assert_eq!(index.len(), 30_010);
+        drop(index);
+        let (back, report) = DurableAlex::<Url, u64>::open(dir.path(), config(), no_sync()).unwrap();
+        assert_eq!(report.truncated_bytes, 0, "recovery refused a frame the log wrote");
+        assert_eq!(report.replayed, 30_000);
+        assert_eq!(back.len(), 30_010);
+        assert_eq!(back.get(&batch[29_999].0), Some(batch[29_999].1));
+    }
+
+    #[test]
+    fn a_one_leaf_store_of_wide_pairs_round_trips() {
+        let dir = TempDir::new("durable-wide-leaf");
+        let pairs = url_pairs(0..30_000);
+        let cfg = AlexConfig::ga_srmi(1);
+        drop(DurableAlex::create(dir.path(), &pairs, cfg, no_sync()).unwrap());
+        let (back, report) = DurableAlex::<Url, u64>::open(dir.path(), cfg, no_sync()).unwrap();
+        assert_eq!(report.snapshot_leaves, 2, "the one leaf is cut into two pages");
+        let mut got = Vec::new();
+        back.scan_from(&pairs[0].0, usize::MAX, |k, v| got.push((*k, *v)));
+        assert_eq!(got, pairs);
+    }
+
+    #[test]
+    fn a_snapshot_with_nothing_logged_since_the_last_writes_no_file() {
+        // The bulk load lives only in snap-0…0.pages; a snapshot at the
+        // same LSN must not rewrite it.
+        let dir = TempDir::new("durable-snap-same-lsn");
+        let pairs: Vec<(u64, u64)> = (0..500).map(|k| (k * 2, k)).collect();
+        let opts = WalOptions { group_commit_ops: 64, ..no_sync() };
+        drop(DurableAlex::create(dir.path(), &pairs, config(), opts).unwrap());
+        let (index, report) = DurableAlex::<u64, u64>::open(dir.path(), config(), opts).unwrap();
+        assert_eq!(report.snapshot_lsn, 0);
+        let path = crate::snapshot::snapshot_path(dir.path(), 0);
+        let written = std::fs::metadata(&path).unwrap().modified().unwrap();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        assert_eq!(index.snapshot().unwrap(), 0);
+        let now = std::fs::metadata(&path).unwrap().modified().unwrap();
+        assert_eq!(now, written, "the snapshot file was rewritten");
+        drop(index);
+        let (back, _) = DurableAlex::<u64, u64>::open(dir.path(), config(), opts).unwrap();
+        assert_eq!(back.len(), 500);
+    }
+
     #[test]
     fn put_run_replay_upserts_over_older_values() {
         // A PutRun above the snapshot may re-apply pairs whose effects
@@ -696,11 +764,14 @@ mod tests {
     fn oversized_bulk_inserts_chunk_into_multiple_put_runs() {
         let dir = TempDir::new("durable-putrun-chunks");
         let idx = DurableAlex::create(dir.path(), &[], config(), no_sync()).unwrap();
-        let n = crate::record::MAX_PUT_RUN_PAIRS + 17;
+        // A PutRun body is the LSN, the tag and the count (13 bytes),
+        // then 16-byte pairs.
+        let per_frame = (crate::record::MAX_FRAME_BODY - 13) / 16;
+        let n = per_frame + 17;
         let batch: Vec<(u64, u64)> = (0..n as u64).map(|k| (k, k)).collect();
         assert_eq!(idx.bulk_insert(&batch).unwrap(), n);
-        // Two PutRun frames (cap + remainder) plus create's breadcrumb.
-        assert_eq!(idx.wal_stats().appended, 3);
+        // Two PutRun frames: a full one and the remainder.
+        assert_eq!(idx.wal_stats().appended, 2);
         drop(idx);
         let (back, report) = DurableAlex::<u64, u64>::open(dir.path(), config(), no_sync()).unwrap();
         assert_eq!(back.len(), n);
@@ -716,20 +787,19 @@ mod tests {
         for k in 0..25u64 {
             index.insert(k, k * 7).unwrap();
         }
-        // The checkpoint breadcrumb took LSN 1 and key k sits at LSN
-        // k + 2, so the second group commit closes at LSN 20 (key 18)
-        // and the 6 records above it sit in the buffer and die with
-        // the process.
+        // Key k sits at LSN k + 1, so the second group commit closes
+        // at LSN 20 (key 19) and the 5 records above it sit in the
+        // buffer and die with the process.
         let durable = index.committed_lsn();
         assert_eq!(durable, 20);
         drop(index);
         let (back, report) = DurableAlex::<u64, u64>::open(dir.path(), config(), no_sync()).unwrap();
         assert_eq!(report.last_lsn, durable);
-        assert_eq!(back.len(), 19, "exactly the committed prefix survives");
-        for k in 0..19u64 {
+        assert_eq!(back.len(), 20, "exactly the committed prefix survives");
+        for k in 0..20u64 {
             assert_eq!(back.get(&k), Some(k * 7));
         }
-        assert_eq!(back.get(&19), None);
+        assert_eq!(back.get(&20), None);
     }
 
     #[test]
@@ -741,9 +811,8 @@ mod tests {
             index.insert(k, k).unwrap();
         }
         let stats = index.wal_stats();
-        // 64 puts plus create's checkpoint breadcrumb.
-        assert_eq!(stats.appended, 65);
-        assert_eq!(stats.commits, 8, "65 records at group size 8 = 8 full write_alls");
+        assert_eq!(stats.appended, 64);
+        assert_eq!(stats.commits, 8, "64 records at group size 8 = 8 write_alls");
         assert_eq!(stats.syncs, 0);
     }
 
@@ -755,13 +824,20 @@ mod tests {
         let index = std::sync::Arc::new(
             DurableAlex::create(dir.path(), &[], config(), no_sync()).unwrap(),
         );
+        // A snapshot with nothing logged since the last one writes
+        // nothing, so the snapshots start only once writes have.
+        let started = &std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             let writer = std::sync::Arc::clone(&index);
             s.spawn(move || {
                 for k in 0..3000u64 {
                     writer.insert(k, k).unwrap();
+                    if k == 100 {
+                        started.wait();
+                    }
                 }
             });
+            started.wait();
             for _ in 0..3 {
                 index.snapshot().unwrap();
             }
@@ -841,16 +917,23 @@ mod tests {
         let index = std::sync::Arc::new(
             DurableAlex::create(dir.path(), &[], config(), no_sync()).unwrap(),
         );
+        // A snapshot with nothing logged since the last one writes
+        // nothing, so the snapshotters start only once writes have.
+        let started = &std::sync::Barrier::new(3);
         std::thread::scope(|s| {
             let writer = std::sync::Arc::clone(&index);
             s.spawn(move || {
                 for k in 0..2000u64 {
                     writer.insert(k, k * 3).unwrap();
+                    if k == 100 {
+                        started.wait();
+                    }
                 }
             });
             for _ in 0..2 {
                 let snapper = std::sync::Arc::clone(&index);
                 s.spawn(move || {
+                    started.wait();
                     for _ in 0..3 {
                         snapper.snapshot().unwrap();
                     }

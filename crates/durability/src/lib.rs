@@ -10,10 +10,10 @@
 //!   commit: appends buffer in memory and one `commit` pushes the
 //!   whole batch in a single `write_all` plus at most one `fsync`.
 //! - [`snapshot`] — a **snapshotter** serializing each leaf's merged
-//!   pairs into slotted pages, with an atomically renamed manifest
-//!   naming the authoritative snapshot. Writers are never stopped:
-//!   leaves are read through the same epoch-pinned CoW snapshots
-//!   readers use.
+//!   pairs as a `PutRun` frame of the log's own codec, closed by an
+//!   end frame; the newest file that parses is the restore point.
+//!   Writers are never stopped: leaves are read through the same
+//!   epoch-pinned CoW snapshots readers use.
 //! - [`durable`] — [`DurableAlex`], the wrapper wiring both onto the
 //!   index, and `open`, which rebuilds state as *newest complete
 //!   snapshot + WAL tail replay*, truncating torn tails at the first
@@ -35,19 +35,21 @@
 //! |-----|--------------|---------------------------------|----------------------|
 //! | 1   | `Put`        | key bytes, value bytes          | upsert (value wins)  |
 //! | 2   | `Tombstone`  | key bytes                       | remove if present    |
-//! | 3   | `Checkpoint` | snapshot LSN (u64 LE)           | none (breadcrumb)    |
+//! | 3   | `Checkpoint` | snapshot LSN (u64 LE)           | snapshot end frame only |
 //! | 4   | `PutRun`     | count (u32), count × (key, val) | upsert each, in order |
 //!
 //! `PutRun` is the batched form [`DurableAlex::bulk_insert`] logs: one
 //! frame + CRC + LSN for a whole sorted run instead of 17 bytes of
-//! framing per pair (see `record::MAX_PUT_RUN_PAIRS` for the chunking
-//! cap).
+//! framing per pair. A run too big for one frame body is cut into
+//! several by encoded size ([`record::encode_put_runs`]), so every
+//! frame decodes for any codec.
 //!
 //! Key and value bytes come from [`codec::WalCodec`], a closed family
 //! of fixed-width little-endian encodings covering the workspace's
 //! numeric key/payload types. Segments are `wal-<first-lsn>.log`;
-//! snapshots are `snap-<lsn>.pages` (slotted pages, one per leaf)
-//! plus a `MANIFEST` — see [`snapshot`] for the byte layout.
+//! snapshots are `snap-<lsn>.pages`, written in the same frames: one
+//! `PutRun` per leaf, numbered 1, 2, … in the LSN field, then a
+//! `Checkpoint` naming `<lsn>` — see [`snapshot`].
 //!
 //! # Group-commit semantics
 //!
@@ -108,11 +110,11 @@ pub mod tempdir;
 pub use codec::{crc32, WalCodec};
 pub use durable::{DurableAlex, RecoveryReport};
 pub use log::{scan_and_repair, SyncPolicy, Wal, WalOptions, WalScan, WalStats};
-pub use record::{Lsn, WalRecord, MAX_PUT_RUN_PAIRS};
+pub use record::{Lsn, WalRecord};
 pub use snapshot::{SnapshotData, SnapshotWriter};
 
 /// The key contract a durable index needs: the index's own key trait
-/// plus a byte codec for log records and snapshot cells. Blanket-
+/// plus a byte codec for log and snapshot records. Blanket-
 /// implemented — `u64`, `i64`, `u32`, and `f64` all qualify.
 pub trait DurableKey: alex_core::AlexKey + WalCodec {}
 

@@ -24,7 +24,7 @@ use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 use crate::codec::WalCodec;
-use crate::record::{decode_frame, encode_frame, FrameOutcome, Lsn, WalRecord};
+use crate::record::{decode_frame, encode_frame, encode_put_runs, FrameOutcome, Lsn, WalRecord};
 
 /// When `commit` calls `fsync` on the segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -175,18 +175,27 @@ impl<K: WalCodec, V: WalCodec> Wal<K, V> {
         }
     }
 
-    /// Buffer one record, assigning it the next LSN. Nothing touches
-    /// the disk until [`Wal::commit`] (or [`Wal::commit_if_due`]).
+    /// Buffer one record, assigning it the next LSN; a
+    /// [`WalRecord::PutRun`] too big for one frame is cut into several
+    /// ([`encode_put_runs`]), each taking the next LSN. Returns the
+    /// last LSN assigned. Nothing touches the disk until
+    /// [`Wal::commit`] (or [`Wal::commit_if_due`]).
     pub fn append(&mut self, record: &WalRecord<K, V>) -> Lsn {
         let lsn = self.next_lsn;
         if self.buf_records == 0 {
             self.buf_first_lsn = lsn;
         }
-        encode_frame(lsn, record, &mut self.buf);
-        self.next_lsn += 1;
-        self.buf_records += 1;
-        self.stats.appended += 1;
-        lsn
+        let frames = match record {
+            WalRecord::PutRun { pairs } => encode_put_runs(lsn, pairs, &mut self.buf),
+            _ => {
+                encode_frame(lsn, record, &mut self.buf);
+                1
+            }
+        };
+        self.next_lsn += frames;
+        self.buf_records += frames as usize;
+        self.stats.appended += frames;
+        self.next_lsn - 1
     }
 
     /// Commit iff the group-commit threshold is reached.
@@ -238,8 +247,11 @@ impl<K: WalCodec, V: WalCodec> Wal<K, V> {
                 // The data is durable, but the new file's directory
                 // entry is not until the directory itself is synced —
                 // without this a power failure can drop the whole
-                // committed segment.
-                sync_dir(&self.dir);
+                // committed segment. Its error is still dropped: an
+                // `Err` here makes the next commit write the buffer
+                // again, a hole the write fence of ROADMAP item 2 is
+                // to close first.
+                let _ = sync_dir(&self.dir);
             }
         }
         *bytes += self.buf.len() as u64;
@@ -288,18 +300,19 @@ impl<K: WalCodec, V: WalCodec> Wal<K, V> {
             }
         }
         if dropped > 0 && self.opts.sync == SyncPolicy::Always {
-            sync_dir(&self.dir);
+            sync_dir(&self.dir)?;
         }
         Ok(dropped)
     }
 }
 
-/// Best-effort directory fsync: makes a file creation, deletion, or
-/// rename in `dir` durable on platforms that allow opening a
-/// directory (silently a no-op elsewhere).
-pub(crate) fn sync_dir(dir: &Path) {
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
+/// Directory fsync: makes a file creation, deletion, or rename in
+/// `dir` durable. A directory that cannot be opened (platforms that do
+/// not allow it) is a no-op; a failed fsync is returned.
+pub fn sync_dir(dir: &Path) -> io::Result<()> {
+    match File::open(dir) {
+        Ok(d) => d.sync_all(),
+        Err(_) => Ok(()),
     }
 }
 
@@ -643,6 +656,15 @@ mod tests {
         assert_eq!(scan.records.len(), 6);
         assert_eq!(scan.last_lsn, 6);
         assert_eq!(list_segments(dir.path()).unwrap().len(), 2);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn sync_dir_returns_a_failed_fsync() {
+        // procfs opens as a directory but refuses fsync with EINVAL.
+        assert!(sync_dir(Path::new("/proc")).is_err());
+        let dir = TestDir::new("wal-syncdir");
+        sync_dir(dir.path()).unwrap();
     }
 
     #[test]

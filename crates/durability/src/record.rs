@@ -14,6 +14,9 @@
 //! | 3   | [`WalRecord::Checkpoint`]  | snapshot LSN (u64 LE)               |
 //! | 4   | [`WalRecord::PutRun`]      | count (u32 LE), count × (key, value) |
 //!
+//! Snapshot files are written in the same frames (see
+//! [`crate::snapshot`]), so one decoder reads both kinds of file.
+//!
 //! The reader classifies every stopping point (see [`FrameOutcome`]):
 //! a frame whose bytes run out mid-way is a **torn tail** (the write
 //! that was in flight when the process died), a frame whose CRC or
@@ -28,22 +31,16 @@ use crate::codec::{crc32, WalCodec};
 /// still starts strictly after it.
 pub type Lsn = u64;
 
-/// Upper bound on a frame body. Real bodies are tens of bytes (fixed
-/// width numerics); the guard keeps a corrupt length prefix from
-/// looking like a multi-gigabyte "incomplete frame" and masking the
-/// corruption as a torn tail.
+/// Upper bound on a frame body. A point record's body is tens of
+/// bytes and [`encode_put_runs`] cuts runs to fit; the guard keeps a
+/// corrupt length prefix from looking like a multi-gigabyte
+/// "incomplete frame" and masking the corruption as a torn tail.
 pub const MAX_FRAME_BODY: usize = 1 << 20;
 
 const TAG_PUT: u8 = 1;
 const TAG_TOMBSTONE: u8 = 2;
 const TAG_CHECKPOINT: u8 = 3;
 const TAG_PUT_RUN: u8 = 4;
-
-/// Largest pair count a [`WalRecord::PutRun`] may carry. Appenders
-/// chunk longer runs. Sized so a run of the widest codec pair
-/// (16 bytes) stays comfortably under [`MAX_FRAME_BODY`]:
-/// `32768 × 16 B = 512 KiB` against the 1 MiB frame cap.
-pub const MAX_PUT_RUN_PAIRS: usize = 32_768;
 
 /// One logical WAL record (decoded form).
 #[derive(Debug, Clone, PartialEq)]
@@ -54,17 +51,19 @@ pub enum WalRecord<K, V> {
     Put { key: K, value: V },
     /// Deletion marker; replaying it removes `key` if present.
     Tombstone { key: K },
-    /// A snapshot at `snapshot_lsn` completed. Purely informational
-    /// breadcrumb for log forensics — recovery trusts the manifest,
-    /// not checkpoints.
+    /// The end frame of a snapshot file: the file holds every record
+    /// up to `snapshot_lsn`, the LSN its name carries. The log itself
+    /// never holds one.
     Checkpoint { snapshot_lsn: Lsn },
     /// A sorted run of upserts under **one** frame + CRC + LSN — the
     /// batched form `bulk_insert` logs instead of one [`WalRecord::Put`]
-    /// frame per pair (17 bytes of framing amortized over the run).
-    /// Pairs must be strictly increasing by key. Replay upserts them
-    /// one by one, in place on the not-yet-shared index, exactly like
-    /// a run of `Put`s at the same position in the log: the run saves
-    /// log bytes, not replay work.
+    /// frame per pair (17 bytes of framing amortized over the run),
+    /// and the form a snapshot file stores each leaf in. Pairs must be
+    /// strictly increasing by key, and the body must fit
+    /// [`MAX_FRAME_BODY`]: [`encode_put_runs`] cuts longer runs. Replay
+    /// upserts them one by one, in place on the not-yet-shared index,
+    /// exactly like a run of `Put`s at the same position in the log:
+    /// the run saves log bytes, not replay work.
     PutRun { pairs: Vec<(K, V)> },
 }
 
@@ -82,44 +81,103 @@ pub enum FrameOutcome<K, V> {
 }
 
 /// Append one framed record to `out`. Returns the frame's total size.
+///
+/// # Panics
+/// Panics if the body exceeds [`MAX_FRAME_BODY`], which only a
+/// [`WalRecord::PutRun`] that did not go through [`encode_put_runs`]
+/// can: recovery would refuse such a frame and everything after it.
 pub fn encode_frame<K: WalCodec, V: WalCodec>(
     lsn: Lsn,
     record: &WalRecord<K, V>,
     out: &mut Vec<u8>,
 ) -> usize {
-    let mut body = Vec::with_capacity(32);
-    lsn.encode_into(&mut body);
+    let start = out.len();
     match record {
         WalRecord::Put { key, value } => {
-            body.push(TAG_PUT);
-            key.encode_into(&mut body);
-            value.encode_into(&mut body);
+            begin_frame(lsn, TAG_PUT, out);
+            key.encode_into(out);
+            value.encode_into(out);
         }
         WalRecord::Tombstone { key } => {
-            body.push(TAG_TOMBSTONE);
-            key.encode_into(&mut body);
+            begin_frame(lsn, TAG_TOMBSTONE, out);
+            key.encode_into(out);
         }
         WalRecord::Checkpoint { snapshot_lsn } => {
-            body.push(TAG_CHECKPOINT);
-            snapshot_lsn.encode_into(&mut body);
+            begin_frame(lsn, TAG_CHECKPOINT, out);
+            snapshot_lsn.encode_into(out);
         }
         WalRecord::PutRun { pairs } => {
             // Key ordering is the appender's contract (checked where
             // `PartialOrd` is in scope); here only the size cap is.
-            debug_assert!(pairs.len() <= MAX_PUT_RUN_PAIRS, "chunk runs before framing");
-            body.push(TAG_PUT_RUN);
-            (pairs.len() as u32).encode_into(&mut body);
-            for (key, value) in pairs {
-                key.encode_into(&mut body);
-                value.encode_into(&mut body);
-            }
+            let fitted = encode_run_body(lsn, pairs, out);
+            assert_eq!(fitted, pairs.len(), "a PutRun body must fit MAX_FRAME_BODY");
         }
     }
-    debug_assert!(body.len() <= MAX_FRAME_BODY);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    8 + body.len()
+    seal_frame(start, out)
+}
+
+/// Append `pairs` as consecutive [`WalRecord::PutRun`] frames numbered
+/// `first_lsn`, `first_lsn + 1`, …, cutting a new frame wherever the
+/// next pair would take the body past [`MAX_FRAME_BODY`], so every
+/// frame decodes for any codec. An empty `pairs` still makes one
+/// (empty) frame. Returns the number of frames, i.e. of LSNs used.
+pub fn encode_put_runs<K: WalCodec, V: WalCodec>(
+    first_lsn: Lsn,
+    mut pairs: &[(K, V)],
+    out: &mut Vec<u8>,
+) -> u64 {
+    let mut frames = 0;
+    loop {
+        let start = out.len();
+        let fitted = encode_run_body(first_lsn + frames, pairs, out);
+        seal_frame(start, out);
+        frames += 1;
+        if fitted == pairs.len() {
+            return frames;
+        }
+        assert!(fitted > 0, "one pair is wider than MAX_FRAME_BODY");
+        pairs = &pairs[fitted..];
+    }
+}
+
+/// Reserve the length and CRC words, then write `lsn` and `tag`.
+fn begin_frame(lsn: Lsn, tag: u8, out: &mut Vec<u8>) {
+    out.extend_from_slice(&[0; 8]);
+    lsn.encode_into(out);
+    out.push(tag);
+}
+
+/// Begin a `PutRun` frame and encode the longest prefix of `pairs`
+/// whose body fits [`MAX_FRAME_BODY`]. Returns the pairs encoded.
+fn encode_run_body<K: WalCodec, V: WalCodec>(lsn: Lsn, pairs: &[(K, V)], out: &mut Vec<u8>) -> usize {
+    let start = out.len();
+    begin_frame(lsn, TAG_PUT_RUN, out);
+    let count_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let mut fitted = 0;
+    for (key, value) in pairs {
+        let end = out.len();
+        key.encode_into(out);
+        value.encode_into(out);
+        if out.len() - start - 8 > MAX_FRAME_BODY {
+            out.truncate(end);
+            break;
+        }
+        fitted += 1;
+    }
+    out[count_at..count_at + 4].copy_from_slice(&(fitted as u32).to_le_bytes());
+    fitted
+}
+
+/// Fill in the length and CRC words of the frame begun at `start`.
+/// Returns the frame's total size.
+fn seal_frame(start: usize, out: &mut [u8]) -> usize {
+    let body_len = out.len() - start - 8;
+    assert!(body_len <= MAX_FRAME_BODY, "frame body over MAX_FRAME_BODY");
+    let crc = crc32(&out[start + 8..]);
+    out[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    8 + body_len
 }
 
 /// Decode the frame starting at the front of `input`.

@@ -1,51 +1,41 @@
-//! Leaf snapshots: slotted page files plus the manifest that names
-//! the authoritative one.
+//! Leaf snapshots, written in the log's own frames.
 //!
-//! A snapshot file `snap-<lsn>.pages` holds one **slotted page** per
-//! leaf, in key order, each page CRC-framed like a WAL record:
+//! A snapshot file `snap-<lsn>.pages` is a sequence of
+//! [`crate::record`] frames, the codec WAL segments use:
 //!
 //! ```text
-//! file   = [magic "ALEXSNP1"][snapshot_lsn u64 LE] page* footer
-//! page   = [page_len u32][crc32(page bytes) u32][page bytes]
-//! footer = [u32::MAX][page_count u32][crc32(lsn ‖ page_count) u32]
+//! file = PutRun(1) PutRun(2) … PutRun(n) Checkpoint { snapshot_lsn: lsn }(n + 1)
 //! ```
 //!
-//! Inside a page the cells follow the classic slot-array layout (the
-//! idiom the exemplar slotted-page codecs use): a slot directory
-//! grows from the front — `[num_cells u16][pad u16]` then one
-//! `[offset u32][len u32]` per cell — while the cells themselves are
-//! packed from the back of the page. A cell is one `key ‖ value`
-//! encoding pair ([`crate::codec::WalCodec`]).
+//! Each leaf, in key order, becomes one [`WalRecord::PutRun`] frame, a
+//! *page*: an empty leaf still gets an empty page, and a leaf whose
+//! pairs do not fit one frame body is cut into several
+//! ([`encode_put_runs`]). A page's LSN field carries its sequence
+//! number 1, 2, …, so the reader checks order and count the way
+//! [`crate::log::scan_and_repair`] checks LSN continuity. A
+//! [`WalRecord::Checkpoint`] end frame naming the LSN of the file
+//! name closes the file. A torn or corrupt frame, a sequence break,
+//! another record kind, bytes after the end frame or a missing end
+//! frame mean the file is not a restore point.
 //!
-//! A snapshot is **complete** only once its footer is on disk and the
-//! `MANIFEST` names it. The manifest is written to a temporary file
-//! and atomically renamed into place, so at every instant the
-//! directory names at most one authoritative snapshot and a crash
-//! mid-snapshot leaves the previous one authoritative. The loader
-//! trusts the manifest first but falls back to scanning
-//! `snap-*.pages` newest-first (a valid snapshot whose manifest
-//! rename was lost is still a correct restore point — it just may
-//! replay a longer tail).
+//! The restore point is the newest `snap-*.pages` that parses, so a
+//! crash mid-snapshot leaves the previous snapshot in charge. A
+//! snapshot is **complete** once [`SnapshotWriter::finish`] returns:
+//! its end frame is synced and the directory fsynced. Only then may
+//! older snapshots be deleted ([`remove_snapshots_before`]) and the
+//! log truncated.
 
 use std::fs::{self, File};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
-use crate::codec::{crc32, WalCodec};
-use crate::record::Lsn;
+use crate::codec::WalCodec;
+use crate::log::sync_dir;
+use crate::record::{decode_frame, encode_frame, encode_put_runs, FrameOutcome, Lsn, WalRecord};
 
-const SNAP_MAGIC: &[u8; 8] = b"ALEXSNP1";
-const MANIFEST_MAGIC: &[u8; 8] = b"ALEXMNF1";
-const FOOTER_MARK: u32 = u32::MAX;
-/// Pages above this are rejected as corrupt rather than allocated.
-const MAX_PAGE_BYTES: usize = 1 << 26;
-/// A slot directory entry is 8 bytes; the header is 4.
-const SLOT_DIR_HEADER: usize = 4;
-const SLOT_ENTRY: usize = 8;
-/// Cells per page are capped by the u16 cell count; oversized leaves
-/// simply span several pages.
-const MAX_CELLS_PER_PAGE: usize = u16::MAX as usize;
+/// Encoded pages go to the file once this many bytes are buffered.
+const WRITE_CHUNK: usize = 1 << 20;
 
 /// One decoded snapshot: every page's pairs, in key order.
 #[derive(Debug)]
@@ -53,8 +43,8 @@ pub struct SnapshotData<K, V> {
     /// Every record with LSN `<= snapshot_lsn` is reflected here;
     /// replay starts strictly after it.
     pub snapshot_lsn: Lsn,
-    /// Pages the file held (one per serialized leaf, more only for
-    /// leaves past 65 535 cells).
+    /// Pages the file held: one per serialized leaf, more only for a
+    /// leaf too big for one frame.
     pub pages: usize,
     /// All pages' pairs concatenated in file order, hence sorted.
     pub pairs: Vec<(K, V)>,
@@ -63,10 +53,13 @@ pub struct SnapshotData<K, V> {
 /// Streaming writer for one snapshot file.
 #[derive(Debug)]
 pub struct SnapshotWriter<K, V> {
-    out: BufWriter<File>,
-    path: PathBuf,
+    file: File,
+    buf: Vec<u8>,
+    dir: PathBuf,
     lsn: Lsn,
-    pages: u32,
+    /// Pages written so far; the next one carries sequence number
+    /// `pages + 1`.
+    pages: u64,
     sync: bool,
     _codec: PhantomData<(K, V)>,
 }
@@ -88,236 +81,98 @@ impl<K: WalCodec, V: WalCodec> SnapshotWriter<K, V> {
     /// Start `snap-<lsn>.pages` in `dir`, truncating any half-written
     /// file of the same LSN from an earlier attempt.
     pub fn create(dir: &Path, lsn: Lsn, sync: bool) -> io::Result<Self> {
-        let path = snapshot_path(dir, lsn);
-        let file = File::create(&path)?;
-        let mut out = BufWriter::new(file);
-        out.write_all(SNAP_MAGIC)?;
-        out.write_all(&lsn.to_le_bytes())?;
-        Ok(Self { out, path, lsn, pages: 0, sync, _codec: PhantomData })
+        let file = File::create(snapshot_path(dir, lsn))?;
+        Ok(Self {
+            file,
+            buf: Vec::new(),
+            dir: dir.to_path_buf(),
+            lsn,
+            pages: 0,
+            sync,
+            _codec: PhantomData,
+        })
     }
 
-    /// Serialize one leaf's merged pairs as one or more slotted
-    /// pages (several only past 65 535 cells).
+    /// Serialize one leaf's merged pairs as the next page (several
+    /// only for a leaf too big for one frame).
     pub fn append_leaf(&mut self, pairs: &[(K, V)]) -> io::Result<()> {
-        for chunk in pairs.chunks(MAX_CELLS_PER_PAGE.max(1)) {
-            let page = encode_page(chunk);
-            self.out.write_all(&(page.len() as u32).to_le_bytes())?;
-            self.out.write_all(&crc32(&page).to_le_bytes())?;
-            self.out.write_all(&page)?;
-            self.pages += 1;
-        }
-        if pairs.is_empty() {
-            // An empty leaf still becomes a page: the page count in
-            // the footer then always matches the leaf walk.
-            let page = encode_page::<K, V>(&[]);
-            self.out.write_all(&(page.len() as u32).to_le_bytes())?;
-            self.out.write_all(&crc32(&page).to_le_bytes())?;
-            self.out.write_all(&page)?;
-            self.pages += 1;
+        self.pages += encode_put_runs(self.pages + 1, pairs, &mut self.buf);
+        if self.buf.len() >= WRITE_CHUNK {
+            self.file.write_all(&self.buf)?;
+            self.buf.clear();
         }
         Ok(())
     }
 
-    /// Write the footer and make the file durable. Only after this
-    /// returns is the file a candidate restore point.
-    pub fn finish(mut self) -> io::Result<PathBuf> {
-        self.out.write_all(&FOOTER_MARK.to_le_bytes())?;
-        self.out.write_all(&self.pages.to_le_bytes())?;
-        self.out.write_all(&footer_crc(self.lsn, self.pages).to_le_bytes())?;
-        self.out.flush()?;
+    /// Write the end frame and, under `sync`, fsync the file and then
+    /// the directory. Once this returns the snapshot is complete.
+    pub fn finish(mut self) -> io::Result<()> {
+        let end = WalRecord::<K, V>::Checkpoint { snapshot_lsn: self.lsn };
+        encode_frame(self.pages + 1, &end, &mut self.buf);
+        self.file.write_all(&self.buf)?;
         if self.sync {
-            self.out.get_ref().sync_data()?;
+            self.file.sync_data()?;
+            sync_dir(&self.dir)?;
         }
-        Ok(self.path)
+        Ok(())
     }
 }
 
-fn footer_crc(lsn: Lsn, pages: u32) -> u32 {
-    let mut bytes = [0u8; 12];
-    bytes[..8].copy_from_slice(&lsn.to_le_bytes());
-    bytes[8..].copy_from_slice(&pages.to_le_bytes());
-    crc32(&bytes)
-}
-
-fn encode_page<K: WalCodec, V: WalCodec>(pairs: &[(K, V)]) -> Vec<u8> {
-    let mut cells: Vec<Vec<u8>> = Vec::with_capacity(pairs.len());
-    for (k, v) in pairs {
-        let mut cell = Vec::with_capacity(16);
-        k.encode_into(&mut cell);
-        v.encode_into(&mut cell);
-        cells.push(cell);
-    }
-    let dir_len = SLOT_DIR_HEADER + SLOT_ENTRY * cells.len();
-    let total = dir_len + cells.iter().map(Vec::len).sum::<usize>();
-    let mut page = vec![0u8; total];
-    page[0..2].copy_from_slice(&(cells.len() as u16).to_le_bytes());
-    // Slot directory from the front, cells packed from the back —
-    // directory entry i points at cell i, so iteration order (and
-    // with it key order) is preserved regardless of placement.
-    let mut cursor = total;
-    for (i, cell) in cells.iter().enumerate() {
-        cursor -= cell.len();
-        page[cursor..cursor + cell.len()].copy_from_slice(cell);
-        let entry = SLOT_DIR_HEADER + SLOT_ENTRY * i;
-        page[entry..entry + 4].copy_from_slice(&(cursor as u32).to_le_bytes());
-        page[entry + 4..entry + 8].copy_from_slice(&(cell.len() as u32).to_le_bytes());
-    }
-    page
-}
-
-/// Decode one page's cells onto the end of `out`.
-fn decode_page<K: WalCodec, V: WalCodec>(page: &[u8], out: &mut Vec<(K, V)>) -> Option<()> {
-    if page.len() < SLOT_DIR_HEADER {
-        return None;
-    }
-    let cells = u16::from_le_bytes(page[0..2].try_into().ok()?) as usize;
-    let dir_len = SLOT_DIR_HEADER.checked_add(SLOT_ENTRY.checked_mul(cells)?)?;
-    if page.len() < dir_len {
-        return None;
-    }
-    out.reserve(cells);
-    for i in 0..cells {
-        let entry = SLOT_DIR_HEADER + SLOT_ENTRY * i;
-        let offset = u32::from_le_bytes(page[entry..entry + 4].try_into().ok()?) as usize;
-        let len = u32::from_le_bytes(page[entry + 4..entry + 8].try_into().ok()?) as usize;
-        let end = offset.checked_add(len)?;
-        if offset < dir_len || end > page.len() {
-            return None;
-        }
-        let mut cursor = &page[offset..end];
-        let key = K::decode_from(&mut cursor)?;
-        let value = V::decode_from(&mut cursor)?;
-        if !cursor.is_empty() {
-            return None;
-        }
-        out.push((key, value));
-    }
-    Some(())
-}
-
-/// Parse one snapshot file. `Ok(None)` means the file is absent,
-/// incomplete (no footer — a crash mid-snapshot), or corrupt (any
-/// CRC, count, or structure mismatch); only I/O failures surface as
-/// errors.
+/// Parse one snapshot file. `Ok(None)` means the file is absent, its
+/// name is not a snapshot name, or it is not a restore point (see the
+/// module docs); only I/O failures surface as errors.
 pub fn load_snapshot<K: WalCodec, V: WalCodec>(
     path: &Path,
 ) -> io::Result<Option<SnapshotData<K, V>>> {
+    let Some(lsn) = path.file_name().and_then(|n| n.to_str()).and_then(parse_snapshot_name) else {
+        return Ok(None);
+    };
     let bytes = match fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    Ok(parse_snapshot(&bytes))
+    Ok(parse_snapshot(&bytes, lsn))
 }
 
-fn parse_snapshot<K: WalCodec, V: WalCodec>(bytes: &[u8]) -> Option<SnapshotData<K, V>> {
-    if bytes.len() < 16 || &bytes[..8] != SNAP_MAGIC {
-        return None;
-    }
-    let snapshot_lsn = u64::from_le_bytes(bytes[8..16].try_into().ok()?);
-    let mut pages = 0usize;
-    // No codec encodes a value wider than it is in memory, so this
-    // over-counts cells by at most the page headers' share; for the
-    // fixed-width numeric codecs it is the cell count within that
-    // slack, which keeps the decoded pairs one allocation.
-    let cell_bytes = SLOT_ENTRY + std::mem::size_of::<K>() + std::mem::size_of::<V>();
-    let mut pairs = Vec::with_capacity(bytes.len() / cell_bytes);
-    let mut offset = 16usize;
+fn parse_snapshot<K: WalCodec, V: WalCodec>(mut bytes: &[u8], lsn: Lsn) -> Option<SnapshotData<K, V>> {
+    // The numeric codecs encode a pair exactly as wide as it is in
+    // memory, so this is their pair count plus the frame headers'
+    // share: the decoded pairs take one allocation.
+    let pair_bytes = (std::mem::size_of::<K>() + std::mem::size_of::<V>()).max(1);
+    let mut pairs = Vec::with_capacity(bytes.len() / pair_bytes);
+    let mut seq = 0;
     loop {
-        if bytes.len() < offset + 4 {
-            return None; // ran out before a footer: incomplete
-        }
-        let len = u32::from_le_bytes(bytes[offset..offset + 4].try_into().ok()?);
-        if len == FOOTER_MARK {
-            if bytes.len() < offset + 12 {
-                return None;
-            }
-            let count = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().ok()?);
-            let crc = u32::from_le_bytes(bytes[offset + 8..offset + 12].try_into().ok()?);
-            if count as usize != pages || crc != footer_crc(snapshot_lsn, count) {
-                return None;
-            }
-            return Some(SnapshotData { snapshot_lsn, pages, pairs });
-        }
-        let len = len as usize;
-        if len > MAX_PAGE_BYTES || bytes.len() < offset + 8 + len {
+        let FrameOutcome::Ok { lsn: frame_seq, record, consumed } = decode_frame::<K, V>(bytes) else {
+            return None;
+        };
+        seq += 1;
+        if frame_seq != seq {
             return None;
         }
-        let expect_crc = u32::from_le_bytes(bytes[offset + 4..offset + 8].try_into().ok()?);
-        let page = &bytes[offset + 8..offset + 8 + len];
-        if crc32(page) != expect_crc {
-            return None;
+        bytes = &bytes[consumed..];
+        match record {
+            WalRecord::PutRun { pairs: page } => pairs.extend(page),
+            WalRecord::Checkpoint { snapshot_lsn } if snapshot_lsn == lsn && bytes.is_empty() => {
+                let pages = (seq - 1) as usize;
+                return Some(SnapshotData { snapshot_lsn, pages, pairs });
+            }
+            _ => return None,
         }
-        decode_page(page, &mut pairs)?;
-        pages += 1;
-        offset += 8 + len;
     }
 }
 
-// ----------------------------------------------------------------------
-// Manifest
-// ----------------------------------------------------------------------
-
-/// Atomically record `snap-<lsn>.pages` as the authoritative
-/// snapshot, then delete snapshot files older than it. The rename is
-/// the commit point: a crash on either side leaves a directory whose
-/// manifest names a complete snapshot.
-pub fn publish_snapshot(dir: &Path, lsn: Lsn, sync: bool) -> io::Result<()> {
-    let name = snapshot_path(dir, lsn);
-    let name = name.file_name().and_then(|n| n.to_str()).expect("generated name is utf-8");
-    let mut body = Vec::with_capacity(64);
-    body.extend_from_slice(MANIFEST_MAGIC);
-    body.extend_from_slice(&lsn.to_le_bytes());
-    body.extend_from_slice(&(name.len() as u16).to_le_bytes());
-    body.extend_from_slice(name.as_bytes());
-    let crc = crc32(&body);
-    body.extend_from_slice(&crc.to_le_bytes());
-    let tmp = dir.join("MANIFEST.tmp");
-    {
-        let mut file = File::create(&tmp)?;
-        file.write_all(&body)?;
-        if sync {
-            file.sync_data()?;
-        }
-    }
-    fs::rename(&tmp, dir.join("MANIFEST"))?;
-    if sync {
-        // Make the rename itself durable where the platform allows
-        // opening a directory (best-effort elsewhere).
-        crate::log::sync_dir(dir);
-    }
+/// Delete the snapshots older than `lsn`; call it only once
+/// `snap-<lsn>.pages` is complete. A file that fails to go stays until
+/// the next call: recovery restores the newest snapshot that parses,
+/// so an older one left behind is never used.
+pub fn remove_snapshots_before(dir: &Path, lsn: Lsn) -> io::Result<()> {
     for (old_lsn, path) in list_snapshots(dir)? {
         if old_lsn < lsn {
             let _ = fs::remove_file(path);
         }
     }
     Ok(())
-}
-
-/// The manifest's `(lsn, file name)` claim, if present and intact.
-pub fn read_manifest(dir: &Path) -> io::Result<Option<(Lsn, String)>> {
-    let bytes = match fs::read(dir.join("MANIFEST")) {
-        Ok(bytes) => bytes,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    if bytes.len() < 22 || &bytes[..8] != MANIFEST_MAGIC {
-        return Ok(None);
-    }
-    let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-    let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != crc {
-        return Ok(None);
-    }
-    let lsn = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes"));
-    let name_len = u16::from_le_bytes(body[16..18].try_into().expect("2 bytes")) as usize;
-    if body.len() != 18 + name_len {
-        return Ok(None);
-    }
-    let Ok(name) = std::str::from_utf8(&body[18..]) else {
-        return Ok(None);
-    };
-    Ok(Some((lsn, name.to_string())))
 }
 
 /// All `snap-*.pages` files in `dir`, sorted by LSN ascending.
@@ -334,23 +189,13 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<(Lsn, PathBuf)>> {
     Ok(out)
 }
 
-/// The newest restorable snapshot in `dir`: the manifest's choice if
-/// it parses and validates, otherwise the newest `snap-*.pages` that
-/// does. `Ok(None)` means "start empty" (a fresh directory, or every
-/// candidate damaged — the WAL still replays from LSN 1).
+/// The restore point in `dir`: the newest `snap-*.pages` that parses.
+/// `Ok(None)` means "start empty" (a fresh directory, or every
+/// candidate damaged — the WAL still replays from its first record).
 pub fn find_best_snapshot<K: WalCodec, V: WalCodec>(
     dir: &Path,
 ) -> io::Result<Option<SnapshotData<K, V>>> {
-    if let Some((lsn, name)) = read_manifest(dir)? {
-        if let Some(data) = load_snapshot(&dir.join(&name))? {
-            if data.snapshot_lsn == lsn {
-                return Ok(Some(data));
-            }
-        }
-    }
-    let mut candidates = list_snapshots(dir)?;
-    candidates.reverse();
-    for (_, path) in candidates {
+    for (_, path) in list_snapshots(dir)?.into_iter().rev() {
         if let Some(data) = load_snapshot(&path)? {
             return Ok(Some(data));
         }
@@ -368,7 +213,8 @@ mod tests {
         for leaf in leaves {
             w.append_leaf(leaf).unwrap();
         }
-        w.finish().unwrap()
+        w.finish().unwrap();
+        snapshot_path(dir, lsn)
     }
 
     #[test]
@@ -387,13 +233,14 @@ mod tests {
     }
 
     #[test]
-    fn missing_footer_invalidates_the_snapshot() {
-        let dir = TempDir::new("snap-nofooter");
+    fn any_truncation_invalidates_the_snapshot() {
+        let dir = TempDir::new("snap-truncated");
         let path = write_snapshot(dir.path(), 3, &[vec![(1, 1), (2, 2)]]);
         let bytes = fs::read(&path).unwrap();
-        // Chop the footer (12 bytes) plus a little of the last page.
-        fs::write(&path, &bytes[..bytes.len() - 13]).unwrap();
-        assert!(load_snapshot::<u64, u64>(&path).unwrap().is_none());
+        for cut in 0..bytes.len() {
+            fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(load_snapshot::<u64, u64>(&path).unwrap().is_none(), "cut at {cut}");
+        }
     }
 
     #[test]
@@ -413,63 +260,47 @@ mod tests {
     }
 
     #[test]
-    fn manifest_names_the_authoritative_snapshot_and_gcs_older_ones() {
-        let dir = TempDir::new("snap-manifest");
-        write_snapshot(dir.path(), 5, &[vec![(1, 1)]]);
-        publish_snapshot(dir.path(), 5, false).unwrap();
-        write_snapshot(dir.path(), 9, &[vec![(2, 2)]]);
-        publish_snapshot(dir.path(), 9, false).unwrap();
-        assert_eq!(read_manifest(dir.path()).unwrap(), Some((9, "snap-00000000000000000009.pages".into())));
+    fn a_snapshot_whose_frames_disagree_with_its_name_is_refused() {
+        let dir = TempDir::new("snap-misnamed");
+        let path = write_snapshot(dir.path(), 5, &[vec![(1, 1)], vec![(2, 2)]]);
+        let bytes = fs::read(&path).unwrap();
+        // Every frame intact, but the end frame names LSN 5.
+        let copy = snapshot_path(dir.path(), 9);
+        fs::write(&copy, &bytes).unwrap();
+        assert!(load_snapshot::<u64, u64>(&copy).unwrap().is_none());
         let found = find_best_snapshot::<u64, u64>(dir.path()).unwrap().unwrap();
-        assert_eq!(found.snapshot_lsn, 9);
-        assert_eq!(list_snapshots(dir.path()).unwrap().len(), 1, "older snapshot must be GC'd");
+        assert_eq!(found.snapshot_lsn, 5, "the misnamed copy is no restore point");
+        // The two pages swapped: each passes its CRC, the sequence breaks.
+        let FrameOutcome::Ok { consumed: page, .. } = decode_frame::<u64, u64>(&bytes) else {
+            panic!("the first page must decode");
+        };
+        let swapped = [&bytes[page..2 * page], &bytes[..page], &bytes[2 * page..]].concat();
+        fs::write(&path, &swapped).unwrap();
+        assert!(load_snapshot::<u64, u64>(&path).unwrap().is_none());
     }
 
     #[test]
-    fn fallback_scan_survives_a_lost_manifest() {
-        let dir = TempDir::new("snap-fallback");
+    fn the_newest_complete_snapshot_wins_and_older_ones_are_deleted() {
+        let dir = TempDir::new("snap-newest");
         write_snapshot(dir.path(), 5, &[vec![(1, 1)]]);
         write_snapshot(dir.path(), 9, &[vec![(2, 2)]]);
-        // No manifest at all: newest valid file wins.
         let found = find_best_snapshot::<u64, u64>(dir.path()).unwrap().unwrap();
         assert_eq!(found.snapshot_lsn, 9);
-        // Damage the newest: the scan falls back to the older one.
-        let newest = snapshot_path(dir.path(), 9);
+        assert_eq!(found.pairs, vec![(2, 2)]);
+        remove_snapshots_before(dir.path(), 9).unwrap();
+        let left: Vec<Lsn> = list_snapshots(dir.path()).unwrap().into_iter().map(|(l, _)| l).collect();
+        assert_eq!(left, vec![9], "the older snapshot must be deleted");
+    }
+
+    #[test]
+    fn a_damaged_newest_snapshot_falls_back_to_the_older_one() {
+        let dir = TempDir::new("snap-fallback");
+        write_snapshot(dir.path(), 5, &[vec![(1, 1)]]);
+        let newest = write_snapshot(dir.path(), 9, &[vec![(2, 2)]]);
         let bytes = fs::read(&newest).unwrap();
         fs::write(&newest, &bytes[..bytes.len() - 1]).unwrap();
         let found = find_best_snapshot::<u64, u64>(dir.path()).unwrap().unwrap();
         assert_eq!(found.snapshot_lsn, 5);
-    }
-
-    #[test]
-    fn manifest_pointing_at_damaged_file_falls_back() {
-        let dir = TempDir::new("snap-badptr");
-        write_snapshot(dir.path(), 5, &[vec![(1, 1)]]);
-        publish_snapshot(dir.path(), 5, false).unwrap();
-        let path = write_snapshot(dir.path(), 9, &[vec![(2, 2)]]);
-        publish_snapshot(dir.path(), 9, false).unwrap();
-        // Re-create the older snapshot the GC removed, then damage
-        // the manifest's pick: recovery must fall back to LSN 5.
-        write_snapshot(dir.path(), 5, &[vec![(1, 1)]]);
-        let bytes = fs::read(&path).unwrap();
-        fs::write(&path, &bytes[..10]).unwrap();
-        let found = find_best_snapshot::<u64, u64>(dir.path()).unwrap().unwrap();
-        assert_eq!(found.snapshot_lsn, 5);
-    }
-
-    #[test]
-    fn corrupt_manifest_is_ignored() {
-        let dir = TempDir::new("snap-badmnf");
-        write_snapshot(dir.path(), 4, &[vec![(3, 3)]]);
-        publish_snapshot(dir.path(), 4, false).unwrap();
-        let mpath = dir.path().join("MANIFEST");
-        let mut bytes = fs::read(&mpath).unwrap();
-        let len = bytes.len();
-        bytes[len / 2] ^= 0x10;
-        fs::write(&mpath, &bytes).unwrap();
-        assert_eq!(read_manifest(dir.path()).unwrap(), None);
-        // The snapshot itself is intact, so the fallback still finds it.
-        let found = find_best_snapshot::<u64, u64>(dir.path()).unwrap().unwrap();
-        assert_eq!(found.snapshot_lsn, 4);
+        assert_eq!(found.pairs, vec![(1, 1)]);
     }
 }

@@ -7,10 +7,10 @@
 //! and `open`, the logged writes and the durability controls.
 //!
 //! Each shard is a full [`DurableAlex`] in its own subdirectory
-//! (`shard-0000`, `shard-0001`, …) with its own WAL, snapshots, and
-//! manifest — so commits on different shards never contend, crash
-//! recovery is per-shard (a torn tail in one shard's log cannot touch
-//! another's), and snapshots can be staggered. The only shared state
+//! (`shard-0000`, `shard-0001`, …) with its own WAL and snapshots — so
+//! commits on different shards never contend, crash recovery is
+//! per-shard (a torn tail in one shard's log cannot touch another's),
+//! and snapshots can be staggered. The only shared state
 //! is the boundary vector, persisted once at `create` into a
 //! CRC-guarded `SHARDS` file: a durable store's boundaries are fixed
 //! for its life, so the file is written once and only ever read back.
@@ -63,12 +63,8 @@ fn write_boundaries<K: WalCodec>(dir: &Path, boundaries: &[K]) -> io::Result<()>
         file.sync_data()?;
     }
     fs::rename(tmp, dir.join("SHARDS"))?;
-    // Make the rename durable where the platform allows opening a
-    // directory (best-effort elsewhere) — it is create's commit point.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
+    // The rename is create's commit point: make it durable.
+    alex_wal::log::sync_dir(dir)
 }
 
 fn read_boundaries<K: WalCodec>(dir: &Path) -> io::Result<Vec<K>> {
@@ -287,7 +283,10 @@ mod tests {
         for k in 0..200u64 {
             index.insert(k * 2 + 1, k).unwrap(); // lands in low shards
         }
-        index.snapshot_all().unwrap();
+        // Only shard 0 logged anything; the others keep the snapshot
+        // `create` took at LSN 0.
+        let snap_lsns = index.snapshot_all().unwrap();
+        assert_eq!(snap_lsns, vec![200, 0, 0, 0]);
         // Tail after the snapshots: a handful of high-key writes.
         for k in 3000..3020u64 {
             index.insert(k * 2 + 1, k).unwrap();
@@ -298,7 +297,8 @@ mod tests {
         assert_eq!(back.len(), 2000 + 200 + 20);
         let replayed: usize = reports.iter().map(|r| r.replayed).sum();
         assert_eq!(replayed, 20, "snapshots must absorb everything before them");
-        assert!(reports.iter().all(|r| r.snapshot_lsn > 0));
+        let restored: Vec<Lsn> = reports.iter().map(|r| r.snapshot_lsn).collect();
+        assert_eq!(restored, snap_lsns, "each shard restores its newest snapshot");
     }
 
     #[test]

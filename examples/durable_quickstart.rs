@@ -24,8 +24,8 @@ fn main() {
         ..WalOptions::default()
     };
 
-    // Seed with a bulk load; `create` writes snapshot + manifest
-    // immediately, so the bulk pairs are durable before any WAL entry.
+    // Seed with a bulk load; `create` writes a snapshot immediately,
+    // so the bulk pairs are durable before any WAL entry.
     let seed: Vec<(u64, u64)> = (0..50_000u64).map(|k| (k * 2, k)).collect();
     let index = DurableAlex::create(dir.path(), &seed, AlexConfig::ga_armi(), opts).unwrap();
     println!("created with {} seeded pairs at LSN {}", index.len(), index.last_lsn());

@@ -23,7 +23,8 @@
 //!   epoch-protected readers and one serialized copy-on-write writer.
 //! - [`alex_wal`] — durability for the epoch index: an LSN'd
 //!   write-ahead log with group commit, copy-on-write leaf snapshots
-//!   in slotted pages, and crash recovery (`DurableAlex`).
+//!   written in the log's own CRC frames, and crash recovery
+//!   (`DurableAlex`).
 //! - [`alex_server`] — the serving front-end: typed in-process
 //!   requests and responses, shard-owning worker threads behind
 //!   bounded queues that coalesce queued gets into sorted batch runs,
