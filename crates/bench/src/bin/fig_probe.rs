@@ -15,7 +15,9 @@
 //! 3. **Full index in the `&mut` regime** — point gets and fresh
 //!    inserts on an exclusive `AlexIndex` (dense `Vec` arena): the
 //!    full-index reference the per-leaf costs of groups 1 and 2 are
-//!    measured against.
+//!    measured against. Beside it, the Learned Index (one model per
+//!    100 keys) answers the same random gets over the same keys: the
+//!    head-to-head row of the paper's read-only comparison.
 //! 4. **Bulk load** — end-to-end `AlexIndex::bulk_load` throughput
 //!    over the group 3 keys, for a static RMI (GA-SRMI at one leaf per
 //!    8192 keys, the `read-large` benchmark's shape) and an adaptive
@@ -33,6 +35,7 @@ use alex_bench::DEFAULT_SEED;
 use alex_core::search::{blockwise_search_lower_bound, exponential_search_lower_bound};
 use alex_core::{AlexConfig, AlexIndex, DataNode, NodeLayout, NodeParams};
 use alex_datasets::uniform_dense_keys;
+use alex_learned_index::LearnedIndex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -158,8 +161,10 @@ fn main() {
         .collect();
     let cfg = AlexConfig::ga_armi().with_max_node_keys(256).with_splitting();
     let mut index = AlexIndex::bulk_load(&data, cfg);
+    let li = LearnedIndex::bulk_load(&data, (n / 100).max(1));
     let mut best_get = f64::INFINITY;
     let mut best_ins = f64::INFINITY;
+    let mut best_li_get = f64::INFINITY;
     for inserts in &round_inserts {
         // Warm pass first, so the timed pass does not pay cold caches.
         time_ns(&get_keys, |k| index.get(k).map_or(0, |v| *v as usize));
@@ -171,11 +176,15 @@ fn main() {
         }
         let ins = t.elapsed().as_nanos() as f64 / inserts.len() as f64;
         best_ins = best_ins.min(ins);
+        time_ns(&get_keys, |k| li.get(k).map_or(0, |v| *v as usize));
+        let li_get = time_ns(&get_keys, |k| li.get(k).map_or(0, |v| *v as usize));
+        best_li_get = best_li_get.min(li_get);
     }
     core::hint::black_box(&index);
     emit("dense-arena", "ns_per_get", format!("{best_get:.1}"));
     emit("dense-arena", "get_mops_per_sec", format!("{:.2}", 1e3 / best_get));
     emit("dense-arena", "ns_per_insert", format!("{best_ins:.1}"));
+    emit("learned-index", "ns_per_get", format!("{best_li_get:.1}"));
 
     // ---- 4. bulk load: static and adaptive RMI --------------------
     if !csv {

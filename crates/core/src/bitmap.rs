@@ -184,6 +184,16 @@ impl Bitmap {
         bits as u8
     }
 
+    /// Start loading the word that holds slot `i` (nothing past the
+    /// end): a leaf read issues this before its key search, whose
+    /// result picks the [`Bitmap::window8`] to read.
+    #[inline]
+    pub(crate) fn prefetch(&self, i: usize) {
+        if let Some(word) = self.words.get(i >> 6) {
+            crate::prefetch::prefetch(word);
+        }
+    }
+
     /// Bytes of heap memory used (for size accounting).
     pub fn size_bytes(&self) -> usize {
         self.words.capacity() * core::mem::size_of::<u64>()

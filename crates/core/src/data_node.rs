@@ -278,9 +278,18 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
     /// probes are comparisons too, and a degraded node never scores a
     /// direct hit (its hint is the exact lower bound, not a model
     /// prediction).
+    ///
+    /// Every `get`, `contains_key` and `get_many` key in both regimes
+    /// reads through here. Before the search compares anything, it
+    /// prefetches the payload and the bitmap word at the hint and the
+    /// key lines one probe block to either side
+    /// (`SlotArray::prefetch_read`). A hit reads all three arrays, and
+    /// their addresses are known once the hint is, so their DRAM
+    /// misses overlap instead of running one after another.
     #[inline]
     fn find(&self, key: &K) -> Option<usize> {
         let (hint, probes) = self.hint(key);
+        self.slots.prefetch_read(hint);
         let (slot, comparisons) = self.slots.find_key(key, hint);
         self.reads.record(probes + comparisons, !self.degraded && slot == Some(hint));
         slot
@@ -293,10 +302,14 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
     }
 
     /// First occupied slot with key `>= key` (for range scans), or
-    /// `capacity()` if none.
+    /// `capacity()` if none. Prefetches at the hint first, as
+    /// [`DataNode::get`] does: the scan goes on to read the bitmap
+    /// and the payloads from there.
     #[inline]
     pub fn lower_bound_slot(&self, key: &K) -> usize {
-        let r = self.slots.lower_bound(key, self.predict(key));
+        let hint = self.predict(key);
+        self.slots.prefetch_read(hint);
+        let r = self.slots.lower_bound(key, hint);
         self.slots
             .bitmap
             .next_occupied(r.pos)
@@ -578,6 +591,8 @@ impl<K: AlexKey, V: Clone + Default> DataNode<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::search::PROBE_BLOCK;
+    use alex_api::FixedStr;
 
     fn params() -> NodeParams {
         NodeParams::default()
@@ -622,6 +637,97 @@ mod tests {
                 "{layout:?}: {} comparisons, want at least log2(capacity) per lookup ({min})",
                 stats.comparisons()
             );
+        }
+    }
+
+    /// `get` and `lower_bound_slot` answer every stored key and every
+    /// probe as the sorted `pairs` say, in both layouts. Returns the
+    /// nodes so callers can check which hints the probes took.
+    fn assert_reads_match<K: AlexKey + core::fmt::Debug>(
+        pairs: &[(K, u64)],
+        probes: &[K],
+    ) -> Vec<DataNode<K, u64>> {
+        let mut nodes = Vec::new();
+        for layout in [NodeLayout::Gapped, NodeLayout::Pma] {
+            let node = DataNode::bulk_load(pairs, layout, params());
+            for (k, v) in pairs {
+                assert_eq!(node.get(k), Some(v), "{layout:?} get {k:?}");
+                let slot = node.lower_bound_slot(k);
+                assert_eq!(node.entry_at(slot).0, k, "{layout:?} lower bound {k:?}");
+            }
+            for probe in probes {
+                let stored = pairs.iter().find(|(k, _)| k == probe).map(|(_, v)| v);
+                assert_eq!(node.get(probe), stored, "{layout:?} get {probe:?}");
+                let slot = node.lower_bound_slot(probe);
+                let found = (slot < node.capacity()).then(|| node.entry_at(slot).0);
+                let next = pairs.iter().map(|(k, _)| k).find(|&k| k >= probe);
+                assert_eq!(found, next, "{layout:?} lower bound {probe:?}");
+            }
+            nodes.push(node);
+        }
+        nodes
+    }
+
+    /// A 32-byte key whose first eight bytes are `i` big-endian, so
+    /// the model projects it onto `i` itself.
+    fn wide(i: u64) -> FixedStr<32> {
+        FixedStr::from_bytes(&i.to_be_bytes())
+    }
+
+    #[test]
+    fn reads_answer_alike_where_the_prefetch_runs_off_the_array() {
+        // Model nodes: a probe below the first key predicts slot 0 and
+        // one above the last predicts `capacity - 1`, so `hint ±
+        // PROBE_BLOCK` runs off one end or the other. With 32-byte
+        // string keys the far key lines are four cache lines out.
+        let ints: Vec<(u64, u64)> = (0..500).map(|i| (1000 + 3 * i, i)).collect();
+        let strs: Vec<(FixedStr<32>, u64)> = (0..500).map(|i| (wide(1000 + 3 * i), i)).collect();
+        for node in assert_reads_match(&ints, &[0, 1001, 2498, 2500, 1_000_000]) {
+            assert!(!node.is_degraded());
+            assert_eq!(node.predict(&0), 0);
+            assert_eq!(node.predict(&1_000_000), node.capacity() - 1);
+        }
+        let probes = [wide(0), wide(1001), wide(2500), wide(99_999_999)];
+        for node in assert_reads_match(&strs, &probes) {
+            assert!(!node.is_degraded());
+            assert_eq!(node.predict(&wide(0)), 0);
+            assert_eq!(node.predict(&wide(99_999_999)), node.capacity() - 1);
+        }
+    }
+
+    #[test]
+    fn reads_answer_alike_on_cold_start_and_degraded_nodes() {
+        // Cold start (fewer than MIN_MODEL_KEYS): the hint is the
+        // middle slot of a node smaller than two probe blocks, so both
+        // far key lines fall outside it.
+        let ints: Vec<(u64, u64)> = (0..5).map(|i| (10 * i + 10, i)).collect();
+        let strs: Vec<(FixedStr<32>, u64)> = (0..5).map(|i| (wide(10 * i + 10), i)).collect();
+        for node in assert_reads_match(&ints, &[0, 15, 50, 51]) {
+            assert!(node.capacity() < 2 * PROBE_BLOCK);
+            assert_eq!(node.predict(&0), node.capacity() / 2);
+        }
+        for node in assert_reads_match(&strs, &[wide(0), wide(15), wide(51)]) {
+            assert!(node.capacity() < 2 * PROBE_BLOCK);
+            assert_eq!(node.predict(&wide(0)), node.capacity() / 2);
+        }
+        // Degraded: the hint is the exact lower bound, slot 0 below the
+        // first key and the first trailing gap past the last.
+        let base = u64::MAX - 1_000_000;
+        let ints: Vec<(u64, u64)> = (0..4096).map(|i| (base + 2 * i, i)).collect();
+        let strs: Vec<(FixedStr<32>, u64)> = (0..2000)
+            .map(|i| (FixedStr::from(format!("https://example.com/{i:08}").as_str()), i))
+            .collect();
+        for node in assert_reads_match(&ints, &[0, base + 1, base + 8190, base + 8191]) {
+            assert!(node.is_degraded());
+            assert_eq!(node.predict(&0), 0);
+            assert!(node.predict(&(base + 8191)) + PROBE_BLOCK > node.capacity());
+        }
+        let past = FixedStr::from("https://example.com/99999999");
+        let probes = [FixedStr::from("a"), FixedStr::from("https://example.com/00000500x"), past];
+        for node in assert_reads_match(&strs, &probes) {
+            assert!(node.is_degraded());
+            assert_eq!(node.predict(&FixedStr::from("a")), 0);
+            assert!(node.predict(&past) + PROBE_BLOCK > node.capacity());
         }
     }
 

@@ -246,6 +246,51 @@ fn read_stats_aggregate() {
     assert!(hits > 500, "linear data should yield many direct hits, got {hits}");
 }
 
+/// The read counters are a perfbench metric (comparisons per lookup,
+/// direct-hit share), so a change to the read path that means to
+/// change no answer must leave them exactly where they were. Fixed
+/// non-linear keys, a fixed set of gets, presence checks, batch gets
+/// and scans, first on the dense index and then again on its epoch
+/// copy, which keeps the counts.
+#[test]
+fn read_counters_are_pinned_for_a_fixed_read_set() {
+    let data: Vec<(u64, u64)> = (0..20_000u64).map(|i| (i * i / 16 + 7 * i, i)).collect();
+    let index = AlexIndex::bulk_load(&data, AlexConfig::ga_srmi(64));
+    let present: Vec<u64> = data.iter().step_by(7).map(|p| p.0).collect();
+    let absent: Vec<u64> = data.iter().step_by(5).map(|p| p.0 + 1).chain([u64::MAX - 1]).collect();
+    let batch: Vec<u64> = data.iter().step_by(13).map(|p| p.0).collect();
+    let starts: Vec<u64> = data.iter().step_by(97).map(|p| p.0 + 3).collect();
+    let mut scanned = 0u64;
+    for &k in &present {
+        assert!(index.get(&k).is_some());
+    }
+    for &k in &absent {
+        assert_eq!(index.get(&k), None);
+    }
+    for &k in data.iter().step_by(11).map(|p| &p.0) {
+        assert!(index.contains_key(&k));
+    }
+    assert!(index.get_many(&batch).iter().all(Option::is_some));
+    for &k in &starts {
+        index.scan_from(&k, 50, |_, v| scanned += v);
+        scanned += index.range_from(&k, 20).map(|(_, v)| v).sum::<u64>();
+    }
+    assert_eq!(index.read_stats(), (10_217, 200_038, 5_620), "dense");
+    let epoch = crate::EpochAlex::from_index(index);
+    for &k in &present {
+        assert!(epoch.get(&k).is_some());
+    }
+    for &k in &absent {
+        assert_eq!(epoch.get(&k), None);
+    }
+    assert!(epoch.get_many(&batch).iter().all(Option::is_some));
+    for &k in &starts {
+        epoch.scan_from(&k, 50, |_, v| scanned += v);
+    }
+    assert_eq!(epoch.read_stats(), (18_615, 364_477, 9_596), "epoch");
+    assert_eq!(scanned, 247_366_701, "scanned payloads");
+}
+
 #[test]
 fn sequential_inserts_pma_armi_survives() {
     // Fig 5c's adversarial pattern, small scale.

@@ -95,7 +95,7 @@ pub mod analysis;
 pub mod bitmap;
 pub mod config;
 pub mod data_node;
-// The one module in the workspace allowed to use `unsafe` (the
+// One of the two places in the workspace allowed to use `unsafe` (the
 // workspace-wide lint is `unsafe_code = "deny"`): epoch-based
 // reclamation needs raw-pointer publication and reclamation. Every
 // `unsafe` block carries its own SAFETY comment, and the module docs
@@ -110,6 +110,11 @@ pub mod pma_layout;
 pub mod search;
 pub mod stats;
 
+// The other place: `prefetch::prefetch`, the one function that allows
+// `unsafe`, for one block. Stable Rust prefetches only through
+// `core::arch::x86_64::_mm_prefetch`, a `#[target_feature]` function
+// that takes `unsafe` to call from ordinary code.
+mod prefetch;
 mod slots;
 
 pub use config::{AlexConfig, NodeLayout, NodeParams, Placement, RmiMode};

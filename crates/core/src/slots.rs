@@ -17,6 +17,7 @@
 use crate::bitmap::Bitmap;
 use crate::key::AlexKey;
 use crate::model::LinearModel;
+use crate::prefetch::prefetch;
 use crate::search::{blockwise_search_lower_bound, SearchResult, PROBE_BLOCK};
 
 /// Fixed-capacity gapped storage for one data node.
@@ -89,8 +90,33 @@ impl<K: AlexKey, V: Clone + Default> SlotArray<K, V> {
         crate::search::bounded_binary_lower_bound(&self.keys, key, 0, self.keys.len())
     }
 
+    /// Start loading, without waiting, the lines a read from the
+    /// predicted slot `hint` goes on to touch: the payload at `hint`,
+    /// the bitmap word that holds `hint`, and the far key line of the
+    /// first probe block on each side, `keys[hint ± PROBE_BLOCK]`.
+    /// Each is bounds-checked. The search itself loads `keys[hint]`
+    /// first, so these misses overlap that one instead of following
+    /// it.
+    #[inline]
+    pub fn prefetch_read(&self, hint: usize) {
+        if let Some(value) = self.values.get(hint) {
+            prefetch(value);
+        }
+        self.bitmap.prefetch(hint);
+        if let Some(key) = self.keys.get(hint + PROBE_BLOCK) {
+            prefetch(key);
+        }
+        if let Some(key) = hint.checked_sub(PROBE_BLOCK).and_then(|i| self.keys.get(i)) {
+            prefetch(key);
+        }
+    }
+
     /// Slot of `key` if present: the first *occupied* slot at or after
-    /// the lower bound, when it holds exactly `key`.
+    /// the lower bound, when it holds exactly `key`. A counted read
+    /// (`DataNode::find`) calls [`SlotArray::prefetch_read`] at `hint`
+    /// first, so the key blocks, the bitmap window and the payload
+    /// this reads are already on their way; the search of a write
+    /// issues no prefetch.
     ///
     /// The hot path resolves occupancy block-wise too: an 8-lane
     /// key-equality mask ANDed with the bitmap window at the lower

@@ -75,7 +75,14 @@
 //! at most the acknowledged-but-uncommitted suffix — never a prefix,
 //! never an interleaving: the log is truncated at its first torn or
 //! corrupt frame, so recovery always lands on an exact operation-
-//! sequence prefix. [`DurableAlex`] deliberately does **not** commit
+//! sequence prefix. Damage can still leave a hole between the restored
+//! snapshot and the log, for instance a corrupt newest snapshot whose
+//! older ones are gone and whose log was truncated past them;
+//! [`DurableAlex::open`] refuses that with an error naming both LSNs
+//! rather than replay across it. It cannot tell a damaged initial
+//! snapshot (`snap-0`, the bulk load) from none while the log is intact
+//! from LSN 1: it then recovers the logged writes without the bulk
+//! load. [`DurableAlex`] deliberately does **not** commit
 //! in `Drop`; dropping the handle without [`DurableAlex::flush_wal`]
 //! *is* the crash simulation the differential tests rely on.
 
@@ -176,6 +183,11 @@ where
     /// above the snapshot LSN in place on the exclusive index, before
     /// that index is wrapped for shared use. An empty or missing
     /// directory recovers to an empty index.
+    ///
+    /// Returns [`io::ErrorKind::InvalidData`] when the first record
+    /// above the restored snapshot's LSN is not the one right after
+    /// it: the writes in between are lost, and no state replay could
+    /// reach would be a prefix of the history.
     pub fn open(
         dir: impl Into<PathBuf>,
         config: AlexConfig,
@@ -204,6 +216,23 @@ where
                 index.insert(key, value).expect("the WAL never holds sentinel keys");
             }
         };
+        // The records that survive must continue the restored
+        // snapshot. A gap means the writes between them are lost (say
+        // the newest snapshot is damaged and an older one, or none,
+        // was restored after the log was truncated past it), and
+        // replaying across it would return a state no prefix of the
+        // history ever had.
+        if let Some(&(first, _)) = scan.records.iter().find(|(lsn, _)| *lsn > snapshot_lsn) {
+            if first != snapshot_lsn + 1 {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "the restored snapshot ends at LSN {snapshot_lsn} but the first \
+                         surviving log record is LSN {first}: the records between are lost"
+                    ),
+                ));
+            }
+        }
         let mut replayed = 0usize;
         for (lsn, record) in scan.records {
             if lsn <= snapshot_lsn {
@@ -574,6 +603,42 @@ mod tests {
         assert_eq!(report.replayed, 30);
         assert_eq!(back.len(), 230);
         assert_eq!(back.get(&215), Some(215));
+    }
+
+    #[test]
+    fn a_log_that_does_not_continue_the_restored_snapshot_is_refused() {
+        // The newest snapshot is the only one left, and the log below
+        // it is gone. Once it is damaged, the surviving segments no
+        // longer continue any restorable state: `open` must refuse
+        // rather than replay them onto an empty index.
+        let dir = TempDir::new("durable-lsn-gap");
+        let opts = WalOptions { segment_bytes: 4096, ..no_sync() };
+        let pairs: Vec<(u64, u64)> = (0..1000).map(|k| (k * 2, k)).collect();
+        let index = DurableAlex::create(dir.path(), &pairs, config(), opts).unwrap();
+        for k in 0..500u64 {
+            assert!(index.insert(k * 2 + 1, k).unwrap());
+        }
+        assert_eq!(index.snapshot().unwrap(), 500);
+        for k in 500..520u64 {
+            assert!(index.insert(k * 2 + 1, k).unwrap());
+        }
+        drop(index);
+        let snaps = crate::snapshot::list_snapshots(dir.path()).unwrap();
+        assert_eq!(snaps.len(), 1, "the initial snapshot is deleted once LSN 500's completes");
+        let first_segment = crate::log::list_segments(dir.path()).unwrap()[0].0;
+        assert!(first_segment > 1, "the log below the snapshot was truncated");
+        let path = &snaps[0].1;
+        let mut bytes = std::fs::read(path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(path, bytes).unwrap();
+        let err = DurableAlex::<u64, u64>::open(dir.path(), config(), opts).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("LSN 0") && msg.contains(&format!("LSN {first_segment}")),
+            "the error names both LSNs: {msg}"
+        );
     }
 
     #[test]

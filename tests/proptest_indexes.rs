@@ -245,3 +245,25 @@ proptest! {
         prop_assert!(hits >= lower, "hits {} < theorem-3 lower bound {}", hits, lower);
     }
 }
+
+/// The `theory_bounds` bin's longitudes case at its documented size
+/// (`--keys 20000`, seed 42): the least-squares fit sends the sparse
+/// low tail below slot 0, where clamping piles it up, and both bounds
+/// must still bracket the measured direct hits at every expansion
+/// factor the bin sweeps.
+#[test]
+fn theory_bounds_bracket_longitudes_whose_fit_starts_below_slot_0() {
+    use alex_repro::alex_core::LinearModel;
+    use alex_repro::alex_datasets::{longitudes_keys, sorted};
+    let keys = sorted(longitudes_keys(20_000, 42));
+    let a = base_slope(&keys);
+    let first = LinearModel::fit_keys(&keys).predict(keys[0]);
+    assert!(first < 0.0, "the case needs a negative first prediction, got {first}");
+    for c in [1.0, 1.43, 2.0, 4.0, 8.0] {
+        let (hits, n) = measure_direct_hits(&keys, c);
+        let upper = theorem2_upper_bound(&keys, a, c);
+        let lower = theorem3_lower_bound(&keys, a, c).min(n);
+        assert!(hits <= upper, "c={c}: hits {hits} > theorem-2 upper bound {upper}");
+        assert!(hits >= lower, "c={c}: hits {hits} < theorem-3 lower bound {lower}");
+    }
+}
